@@ -19,7 +19,6 @@ from typing import Optional
 from .convert import concentration_experiment, dilution_experiment, direct_convert
 from .hermitian import SUITE_IDS, run_suite
 from .infospec import entropy_proxies
-from .randgen import DEFAULT_BRUTE_FORCE_CAP
 from .spectra import (
     DEFAULT_MAX_EXPANDED_DIM,
     DEFAULT_MAX_TYPE_CLASSES,
@@ -280,12 +279,6 @@ def _add_budget_flags(sp) -> None:
         default=DEFAULT_MAX_EXPANDED_DIM,
         help="largest expanded dimension for explicit maps and certificates",
     )
-    sp.add_argument(
-        "--budget-brute-force-cap",
-        type=int,
-        default=DEFAULT_BRUTE_FORCE_CAP,
-        help="largest exhaustive search size (reserved for library use)",
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -363,3 +356,7 @@ def main(argv=None) -> int:
 
 def main_entry() -> None:
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    main_entry()

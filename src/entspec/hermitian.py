@@ -21,7 +21,7 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .infospec import cdf_selfinfo, tail_C, tail_D
+from .infospec import _EIG_CUT_REL, cdf_selfinfo, tail_C, tail_D
 from .majorize import (
     BistochasticMatrix,
     DeterministicMap,
@@ -33,8 +33,6 @@ from .majorize import (
 )
 from .randgen import brute_force_optimal, synthesize_map
 from .spectra import Spectrum, _mass_term, expand
-
-_EIG_CUT_REL = 1e-10
 
 
 class HermitianOperator:

@@ -29,31 +29,34 @@ import numpy as np
 
 from .spectra import (
     DEFAULT_MAX_TYPE_CLASSES,
+    _EXP_LIMIT,
     SequenceModel,
     Spectrum,
     _mass_term,
+    cumulative_mass,
     generate,
 )
 
 _QUANTILE_TOL = 1e-12
-_EXP_LIMIT = 700.0
 _EIG_CUT_REL = 1e-10
 
 
 def cdf_selfinfo(s: Spectrum, n: int, a: float, *, boundary: str = "nonstrict") -> float:
-    """Mass of atoms whose self-information rate is <= a (or < a when strict)."""
+    """Mass of atoms whose self-information rate is <= a (or < a when strict).
+
+    Costs O(k) big-int adds over the k atoms below the cut.
+    """
     if n < 1:
         raise ValueError("n must be a positive integer")
     if boundary not in ("nonstrict", "strict"):
         raise ValueError(f"boundary must be 'nonstrict' or 'strict', got {boundary!r}")
-    total = []
-    for p, m in s.atoms:
+    total = 0.0
+    for (p, _), cum in zip(s.atoms, cumulative_mass(s.atoms)):
         rate = -math.log(p) / n + 0.0
-        if rate <= a if boundary == "nonstrict" else rate < a:
-            total.append(_mass_term(p, m))
-        else:
+        if not (rate <= a if boundary == "nonstrict" else rate < a):
             break  # atoms are rate-ascending
-    return math.fsum(total)
+        total = cum
+    return total
 
 
 def entropy_proxies(s: Spectrum, n: int, epsilon: float) -> tuple[float, float]:
@@ -63,6 +66,7 @@ def entropy_proxies(s: Spectrum, n: int, epsilon: float) -> tuple[float, float]:
     with F_n the self-information CDF.  Both are atom rates; no interpolation.
     A mass tolerance of 1e-12 absorbs float dust at exact ties (epsilon = 0
     compares against exact zero so arbitrarily small leading atoms count).
+    Costs O(k) big-int adds for k atoms; the walk stops at the later proxy.
     """
     if n < 1:
         raise ValueError("n must be a positive integer")
@@ -72,14 +76,10 @@ def entropy_proxies(s: Spectrum, n: int, epsilon: float) -> tuple[float, float]:
     hi_threshold = (1.0 - epsilon) - _QUANTILE_TOL
     lower = None
     upper = None
-    cum = 0.0
-    masses = []
     last_rate = 0.0
-    for p, m in s.atoms:
+    for (p, _), cum in zip(s.atoms, cumulative_mass(s.atoms)):
         rate = -math.log(p) / n + 0.0
         last_rate = rate
-        masses.append(_mass_term(p, m))
-        cum = math.fsum(masses)
         if upper is None and cum >= hi_threshold:
             upper = rate
         if lower is None and cum > lo_threshold:

@@ -20,7 +20,9 @@ Two constructions witness the order:
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -28,65 +30,39 @@ from .spectra import (
     DEFAULT_MAX_EXPANDED_DIM,
     BudgetExceededError,
     Spectrum,
+    _mass_term,
+    cumulative_mass,
     expand,
 )
 
 MAJORIZE_TOL = 1e-10
 
 
-def _int_times_float(k: int, v: float) -> float:
-    if k == 0 or v == 0.0:
-        return 0.0
-    try:
-        return k * v
-    except OverflowError:
-        return math.exp(math.log(k) + math.log(v))
-
-
 def _prefix_mass(atoms, cum_counts, cum_masses, k: int) -> float:
-    """Mass of the first k expanded entries; k may exceed the dimension."""
-    if k <= 0:
-        return 0.0
+    """Mass of the first k >= 1 expanded entries; k may exceed the dimension."""
     if k >= cum_counts[-1]:
         return cum_masses[-1]
-    # first atom whose cumulative count reaches k
-    lo, hi = 0, len(cum_counts) - 1
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if cum_counts[mid] >= k:
-            hi = mid
-        else:
-            lo = mid + 1
-    before_count = cum_counts[lo - 1] if lo else 0
-    before_mass = cum_masses[lo - 1] if lo else 0.0
-    return before_mass + _int_times_float(k - before_count, atoms[lo][0])
-
-
-def _prefix_tables(s: Spectrum):
-    counts = []
-    masses = []
-    c = 0
-    acc = []
-    for p, m in s.atoms:
-        c += m
-        acc.append(_int_times_float(m, p))
-        counts.append(c)
-        masses.append(math.fsum(acc))
-    return counts, masses
+    i = bisect_left(cum_counts, k)  # first atom whose cumulative count reaches k
+    before_count = cum_counts[i - 1] if i else 0
+    before_mass = cum_masses[i - 1] if i else 0.0
+    return before_mass + _mass_term(atoms[i][0], k - before_count)
 
 
 def prefix_gap_min(p: Spectrum, q: Spectrum) -> tuple[float, int]:
-    """Minimum of (q prefix - p prefix) over atom-boundary counts, with its argmin."""
-    pc, pm = _prefix_tables(p)
-    qc, qm = _prefix_tables(q)
-    breakpoints = sorted(set(pc) | set(qc))
-    best = math.inf
-    best_k = 0
-    for k in breakpoints:
+    """Minimum of (q prefix - p prefix) over atom-boundary counts, with its argmin.
+
+    Costs O(k) big-int adds for the prefix masses of k atoms, plus a sort and
+    a binary search per boundary.
+    """
+    pc = list(accumulate(m for _, m in p.atoms))
+    qc = list(accumulate(m for _, m in q.atoms))
+    pm = list(cumulative_mass(p.atoms))
+    qm = list(cumulative_mass(q.atoms))
+    best, best_k = math.inf, 0
+    for k in sorted(set(pc) | set(qc)):
         gap = _prefix_mass(q.atoms, qc, qm, k) - _prefix_mass(p.atoms, pc, pm, k)
         if gap < best:
-            best = gap
-            best_k = k
+            best, best_k = gap, k
     return best, best_k
 
 
@@ -94,7 +70,8 @@ def majorizes(p: Spectrum, q: Spectrum, *, tol: float = MAJORIZE_TOL) -> bool:
     """True when p is majorized by q (q at least as ordered), within tolerance.
 
     Prefix gaps within `tol` of zero count as satisfied; total masses are
-    already pinned to 1 by the spectrum invariant.
+    already pinned to 1 by the spectrum invariant.  Costs O(k) big-int adds
+    for k atoms (see `prefix_gap_min`).
     """
     gap, _ = prefix_gap_min(p, q)
     return gap >= -tol

@@ -29,27 +29,13 @@ from .spectra import (
     BudgetExceededError,
     SequenceModel,
     Spectrum,
+    _common_exponent,
     _mass_term,
+    _scaled,
     generate,
 )
 
 DEFAULT_BRUTE_FORCE_CAP = 10**6
-
-
-def _dyadic_exponent(x: float) -> int:
-    # finite doubles have power-of-two denominators
-    return x.as_integer_ratio()[1].bit_length() - 1
-
-def _common_exponent(*spectra: Spectrum) -> int:
-    e = 0
-    for s in spectra:
-        for p, _ in s.atoms:
-            e = max(e, _dyadic_exponent(p))
-    return e
-
-def _scaled(x: float, e: int) -> int:
-    num, den = x.as_integer_ratio()
-    return num << (e - (den.bit_length() - 1))
 
 
 @dataclass

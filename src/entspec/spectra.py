@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence, Union
+from typing import Callable, Iterable, Iterator, Sequence, Union
 
 import numpy as np
 
@@ -49,6 +49,43 @@ def _mass_term(p: float, mult: int) -> float:
         return p * mult
     except OverflowError:
         return math.exp(math.log(p) + math.log(mult))
+
+
+# ---------------------------------------------------------------------------
+# Exact dyadic arithmetic: finite doubles are integers over powers of two
+
+
+def _dyadic_exponent(x: float) -> int:
+    return x.as_integer_ratio()[1].bit_length() - 1
+
+
+def _common_exponent(*spectra: Spectrum) -> int:
+    return max((_dyadic_exponent(p) for s in spectra for p, _ in s.atoms), default=0)
+
+
+def _scaled(x: float, e: int) -> int:
+    num, den = x.as_integer_ratio()
+    return num << (e - (den.bit_length() - 1))
+
+
+def cumulative_mass(atoms: Iterable[tuple[float, int]]) -> Iterator[float]:
+    """Yield the mass of each prefix of `atoms`, one value per atom.
+
+    The i-th value is math.fsum of the first i + 1 mass terms, bit for bit:
+    the running sum is held exactly as one integer over 2**e, and each value
+    is its correctly rounded quotient.  k atoms cost O(k) big-int adds.
+    """
+    acc = e = 0
+    den = 1
+    for p, m in atoms:
+        term = _mass_term(p, m)
+        te = _dyadic_exponent(term)
+        if te > e:
+            acc <<= te - e
+            e = te
+            den = 1 << e
+        acc += _scaled(term, e)
+        yield acc / den
 
 
 @dataclass(frozen=True)
@@ -167,15 +204,6 @@ class AmplitudeMatrix:
     @property
     def shape(self) -> tuple[int, int]:
         return self.entries.shape
-
-    @classmethod
-    def from_nested(cls, rows) -> "AmplitudeMatrix":
-        """Parse nested lists of [re, im] pairs."""
-        data = [[complex(cell[0], cell[1]) for cell in row] for row in rows]
-        return cls(data)
-
-    def to_nested(self) -> list:
-        return [[[float(c.real), float(c.imag)] for c in row] for row in self.entries]
 
 
 def schmidt_from_amplitudes(amps) -> Spectrum:

@@ -1,8 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import entspec
 from entspec.cli import main, parse_model
 from entspec.spectra import IID, MaxEnt, Mixture
 
@@ -232,3 +237,20 @@ def test_usage_errors_return_2(capsys):
 def test_help_exits_zero(capsys):
     assert run_cli(capsys, "--help")[0] == 0
     assert run_cli(capsys, "verify", "--help")[0] == 0
+
+
+@pytest.mark.parametrize("module", ["entspec", "entspec.cli"])
+def test_python_dash_m_runs_the_cli(module, capsys):
+    argv = ["rates", "iid:0.9,0.1", "--n", "10", "--eps", "0.1"]
+    assert main(argv) == 0
+    expected = capsys.readouterr().out.encode()
+    src = str(Path(entspec.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    ok = subprocess.run([sys.executable, "-m", module, *argv], capture_output=True, env=env)
+    assert (ok.returncode, ok.stdout) == (0, expected)
+    # the removed --budget-brute-force-cap flag is now an unknown argument
+    bad = subprocess.run(
+        [sys.executable, "-m", module, *argv, "--budget-brute-force-cap", "5"], capture_output=True, env=env
+    )
+    assert (bad.returncode, bad.stdout) == (2, b"")
+    assert b"unrecognized arguments" in bad.stderr

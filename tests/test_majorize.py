@@ -5,6 +5,7 @@ import pytest
 
 from entspec.hermitian import rand_spectrum
 from entspec.majorize import (
+    MAJORIZE_TOL,
     BistochasticMatrix,
     DeterministicMap,
     kh_certificate,
@@ -14,7 +15,15 @@ from entspec.majorize import (
     pushforward,
     transfer_matrix,
 )
-from entspec.spectra import BudgetExceededError, Spectrum, expand, iid_spectrum
+from entspec.spectra import (
+    BudgetExceededError,
+    Spectrum,
+    _mass_term,
+    expand,
+    iid_spectrum,
+    maxent_rank,
+    maxent_spectrum,
+)
 
 
 def _naive_majorizes(p, q, tol=1e-10):
@@ -210,3 +219,59 @@ def test_prefix_gap_min_reports_argmin():
     gap, at = prefix_gap_min(Spectrum.from_probs([0.6, 0.4]), Spectrum.from_probs([0.5, 0.5]))
     assert at == 1
     assert abs(gap + 0.1) < 1e-15
+
+
+def _oracle_prefix_tables(s):
+    """Cumulative counts and masses with one fsum over the whole prefix per atom: O(k^2)."""
+    counts, masses, acc, c = [], [], [], 0
+    for p, m in s.atoms:
+        c += m
+        acc.append(_mass_term(p, m))
+        counts.append(c)
+        masses.append(math.fsum(acc))
+    return counts, masses
+
+
+def _oracle_prefix_gap_min(p, q):
+    def prefix_mass(s, counts, masses, k):
+        if k >= counts[-1]:
+            return masses[-1]
+        before_count, before_mass = 0, 0.0
+        for (v, _), c, mass in zip(s.atoms, counts, masses):
+            if c >= k:
+                return before_mass + _mass_term(v, k - before_count)
+            before_count, before_mass = c, mass
+
+    pc, pm = _oracle_prefix_tables(p)
+    qc, qm = _oracle_prefix_tables(q)
+    best, best_k = math.inf, 0
+    for k in sorted(set(pc) | set(qc)):
+        gap = prefix_mass(q, qc, qm, k) - prefix_mass(p, pc, pm, k)
+        if gap < best:
+            best, best_k = gap, k
+    return best, best_k
+
+
+def _assert_same_gap(p, q):
+    gap, at = prefix_gap_min(p, q)
+    want_gap, want_at = _oracle_prefix_gap_min(p, q)
+    assert (gap.hex(), at) == (want_gap.hex(), want_at)
+    assert majorizes(p, q) == (want_gap >= -MAJORIZE_TOL)
+
+
+def test_prefix_gap_min_matches_fsum_oracle_on_random_pairs():
+    rng = np.random.default_rng(101)
+    for _ in range(300):
+        _assert_same_gap(rand_spectrum(rng, 12), rand_spectrum(rng, 12))
+
+
+def test_prefix_gap_min_matches_fsum_oracle_iid_versus_flat():
+    for base in ([0.6, 0.3, 0.1], [0.9, 0.1]):
+        for n in (10, 25, 40):
+            s = iid_spectrum(Spectrum.from_probs(base), n)
+            for rate in (0.2, 0.5, 0.9, 1.2):
+                flat = maxent_spectrum(maxent_rank(rate, n))
+                _assert_same_gap(s, flat)
+                _assert_same_gap(flat, s)
+    huge = iid_spectrum(Spectrum.from_probs([0.9, 0.1]), 100)
+    _assert_same_gap(Spectrum.from_atoms([(2.0 ** -100, 2 ** 100)]), huge)

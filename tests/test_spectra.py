@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from entspec.hermitian import rand_unitary
 from entspec.spectra import (
@@ -14,6 +16,8 @@ from entspec.spectra import (
     MaxEntExplicit,
     Mixture,
     Spectrum,
+    _mass_term,
+    cumulative_mass,
     entropy,
     expand,
     generate,
@@ -203,3 +207,33 @@ def test_load_model_file(tmp_path):
     path2.write_text(json.dumps({"atoms": [[0.5, 2]]}))
     model2 = load_model(str(path2))
     assert generate(model2, 1).atoms == ((0.5, 2),)
+
+
+# atoms need not form a spectrum here: any order, any total
+_NORMAL_ATOMS = st.tuples(st.floats(min_value=1e-300, max_value=1.0), st.integers(1, 2**60))
+_SUBNORMAL_ATOMS = st.tuples(st.floats(min_value=5e-324, max_value=2.2e-308), st.integers(1, 2**20))
+# multiplicities beyond the float range send _mass_term through exp/log
+_HUGE_MULT_ATOMS = st.tuples(st.floats(min_value=5e-324, max_value=1e-40), st.integers(2**1024, 2**1100))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(st.one_of(_NORMAL_ATOMS, _SUBNORMAL_ATOMS, _HUGE_MULT_ATOMS), min_size=1, max_size=40))
+@example([(1.0, 1)])
+@example([(5e-324, 1)])
+@example([(2.0**-1070, 2**1070)])
+@example([(0.9, 1), (0.1, 1)])
+def test_cumulative_mass_is_fsum_of_every_prefix(atoms):
+    terms = [_mass_term(p, m) for p, m in atoms]
+    got = [x.hex() for x in cumulative_mass(atoms)]
+    assert got == [math.fsum(terms[: i + 1]).hex() for i in range(len(terms))]
+
+
+def test_cumulative_mass_edge_cases():
+    with pytest.raises(OverflowError):
+        2.0**-1070 * 2**1070  # so that example of the property takes _mass_term's exp/log fallback
+    assert list(cumulative_mass([])) == []
+    s = iid_spectrum(Spectrum.from_probs([0.9, 0.1]), 1200)
+    terms = [_mass_term(p, m) for p, m in s.atoms]
+    assert [x.hex() for x in cumulative_mass(s.atoms)] == [
+        math.fsum(terms[: i + 1]).hex() for i in range(len(terms))
+    ]
