@@ -205,7 +205,15 @@ def _cmd_convert(args) -> int:
         for n in n_grid:
             p = generate(source, n, max_type_classes=args.budget_max_type_classes)
             q = generate(target, n, max_type_classes=args.budget_max_type_classes)
-            reports.append(direct_convert(p, q, n, max_expanded_dim=args.budget_max_expanded_dim))
+            reports.append(
+                direct_convert(
+                    p,
+                    q,
+                    n,
+                    max_expanded_dim=args.budget_max_expanded_dim,
+                    max_fibers=args.budget_max_type_classes,
+                )
+            )
     except BudgetExceededError as exc:
         print(f"budget exceeded, output truncated: {exc}", file=sys.stderr)
         code = 3

@@ -168,10 +168,10 @@ def _experiment(task, model, rate, n_grid, max_type_classes, max_expanded_dim) -
     for n in n_grid:
         modeled = generate(model, n, max_type_classes=max_type_classes)
         flat = maxent_spectrum(maxent_rank(rate, n))
-        if task == "concentration":
-            rep = direct_convert(modeled, flat, n, max_expanded_dim=max_expanded_dim)
-        else:
-            rep = direct_convert(flat, modeled, n, max_expanded_dim=max_expanded_dim)
+        src, dst = (modeled, flat) if task == "concentration" else (flat, modeled)
+        rep = direct_convert(
+            src, dst, n, max_expanded_dim=max_expanded_dim, max_fibers=max_type_classes
+        )
         reports.append(rep)
     series = tuple((rep.n, rep.trace_distance_upper) for rep in reports)
     return RateVerdict(task=task, rate=rate, epsilon_error_series=series, reports=tuple(reports))

@@ -13,13 +13,19 @@ the arithmetic progressions {deficit − i·P} over codomain fibers, so a cut
 level plus a residue-ordered remainder reproduces the expanded behaviour
 without materializing type classes.  Synthesis stays polynomial in the atom
 counts when the expanded dimensions are astronomical.
+
+Cost: each of the k_p source runs makes one pass over the F current fibers,
+so synthesis takes O(k_p·F) exact big-int steps plus one sort of the fibers
+at the cut level per run.  A run splits at most one fiber, so
+F <= k_p + k_q, the bound the max_greedy_fibers budget checks up front.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
+from itertools import accumulate, chain, product, repeat
+from operator import mul
 from typing import Optional
 
 from .majorize import DeterministicMap
@@ -38,108 +44,72 @@ from .spectra import (
 DEFAULT_BRUTE_FORCE_CAP = 10**6
 
 
-@dataclass
-class _Fiber:
-    """A run of codomain elements sharing target value and current deficit."""
-
-    start: int
-    target_prob: float
-    target_scaled: int
-    deficit: int
-    count: int
-
-
-def _assign_run(fibers: list[_Fiber], p_scaled: int, m: int) -> list[_Fiber]:
-    """Assign a run of m source elements of scaled probability p_scaled."""
-    P = p_scaled
-    levels = [f.deficit // P for f in fibers]
+# Fiber state is columnar: parallel lists of start index, scaled target,
+# scaled deficit and element count, one entry per run of codomain elements.
+# Adjacent fibers are contiguous and never share (target, deficit).
+def _assign_run(cols: list[list[int]], P: int, m: int) -> None:
+    """Assign a run of m source elements of scaled probability P, in place."""
+    starts, targets, deficits, counts = cols
+    levels = [d // P for d in deficits]
 
     # Elements of fiber b at level t (one per codomain slot, value t*P + residue,
     # residue in [0, P)) exist for every t <= level_b.  T(t) counts elements at
     # level >= t; the cut level is the largest t with T(t) >= m.  Sweep the
-    # segments between consecutive distinct levels, where T(t) = a - b*t.
-    order = sorted(range(len(fibers)), key=lambda i: -levels[i])
+    # distinct levels downwards; between consecutive ones T(t) = a - b*t.
+    hist: dict[int, int] = {}
+    for lv, c in zip(levels, counts):
+        hist[lv] = hist.get(lv, 0) + c
+    tops = sorted(hist, reverse=True)
     a = b = 0
-    t_star = None
-    i = 0
-    while i < len(order):
-        top = levels[order[i]]
-        j = i
-        while j < len(order) and levels[order[j]] == top:
-            a += fibers[order[j]].count * (top + 1)
-            b += fibers[order[j]].count
-            j += 1
-        t_cand = (a - m) // b
-        if t_cand >= top:
-            t_star = top
+    for i, top in enumerate(tops):
+        a += hist[top] * (top + 1)
+        b += hist[top]
+        t = (a - m) // b
+        if t >= top:
+            t = top
             break
-        nxt = levels[order[j]] if j < len(order) else None
-        if nxt is None or t_cand > nxt:
-            t_star = t_cand
+        if i + 1 == len(tops) or t > tops[i + 1]:
             break
-        i = j
-    assert t_star is not None
-
-    # everything strictly above the cut is consumed outright
-    taken = 0
-    for k, f in enumerate(fibers):
-        if levels[k] > t_star:
-            taken += f.count * (levels[k] - t_star)
-    r = m - taken
+    # everything strictly above the cut is consumed outright; that is
+    # T(t + 1) < m elements, so r >= 1 remain for the cut level
+    r = m - (a - b * (t + 1))
+    new = [d - (lv - t) * P if lv > t else d for d, lv in zip(deficits, levels)]
 
     # the remainder is consumed at the cut level in value order: residue
-    # descending, then codomain index ascending (the greedy tie rule)
-    extra: dict[int, int] = {}
-    if r > 0:
-        eligible = sorted(
-            (k for k in range(len(fibers)) if levels[k] >= t_star),
-            key=lambda k: (-(fibers[k].deficit - levels[k] * P), fibers[k].start),
-        )
-        for k in eligible:
-            if r <= 0:
-                break
-            take = min(fibers[k].count, r)
-            extra[k] = take
-            r -= take
-    if r != 0:
+    # descending, then codomain index ascending (the greedy tie rule, kept by
+    # the stable sort); every fiber but the last takes its full count
+    eligible = [i for i, lv in enumerate(levels) if lv >= t]
+    eligible.sort(key=new.__getitem__, reverse=True)
+    for j in eligible:
+        new[j] -= P
+        if counts[j] >= r:
+            break
+        r -= counts[j]
+    else:
         raise RuntimeError("greedy run accounting failed to place every element")
-
-    out: list[_Fiber] = []
-    for k, f in enumerate(fibers):
-        base = f.deficit - max(0, levels[k] - t_star) * P
-        take = extra.get(k, 0)
-        if take:
-            out.append(_Fiber(f.start, f.target_prob, f.target_scaled, base - P, take))
-            if take < f.count:
-                out.append(_Fiber(f.start + take, f.target_prob, f.target_scaled, base, f.count - take))
-        else:
-            out.append(_Fiber(f.start, f.target_prob, f.target_scaled, base, f.count))
-
-    merged = [out[0]]
-    for f in out[1:]:
-        last = merged[-1]
-        if (
-            f.target_scaled == last.target_scaled
-            and f.deficit == last.deficit
-            and f.start == last.start + last.count
-        ):
-            last.count += f.count
-        else:
-            merged.append(f)
-    return merged
+    cols[2] = deficits = new
+    if counts[j] > r:
+        starts.insert(j + 1, starts[j] + r)
+        targets.insert(j + 1, targets[j])
+        deficits.insert(j + 1, deficits[j] + P)
+        counts.insert(j + 1, counts[j] - r)
+        counts[j] = r
+    for i in range(len(deficits) - 1, 0, -1):
+        if deficits[i] == deficits[i - 1] and targets[i] == targets[i - 1]:
+            counts[i - 1] += counts[i]
+            del starts[i], targets[i], deficits[i], counts[i]
 
 
-def _run_greedy(p: Spectrum, q: Spectrum) -> tuple[list[_Fiber], int]:
+def _run_greedy(p: Spectrum, q: Spectrum) -> tuple[list[list[int]], int]:
+    """Fiber columns [starts, targets, deficits, counts] after every source run,
+    scaled by 2**e, and e."""
     e = _common_exponent(p, q)
-    fibers = []
-    start = 0
-    for prob, mult in q.atoms:
-        sc = _scaled(prob, e)
-        fibers.append(_Fiber(start, prob, sc, sc, mult))
-        start += mult
+    targets = [_scaled(prob, e) for prob, _ in q.atoms]
+    counts = [mult for _, mult in q.atoms]
+    cols = [[0, *accumulate(counts[:-1])], targets, list(targets), counts]
     for prob, mult in p.atoms:
-        fibers = _assign_run(fibers, _scaled(prob, e), mult)
-    return fibers, e
+        _assign_run(cols, _scaled(prob, e), mult)
+    return cols, e
 
 
 def _expanded_greedy(p: Spectrum, q: Spectrum, e: int) -> tuple[list[int], list[int]]:
@@ -235,20 +205,19 @@ def synthesize_map(
 ) -> MapSynthesisReport:
     """Greedy largest-deficit assignment of p's expansion onto q's labels.
 
-    Runs in compressed form.  The explicit DeterministicMap is materialized
-    only when both expanded dimensions fit max_expanded_dim; the report's
-    assignments and distance are exact either way.
+    Runs in compressed form in O(k_p·F) exact big-int steps, with
+    F <= k_p + k_q fibers (k_p, k_q the atom counts of p and q).  The explicit
+    DeterministicMap is materialized only when both expanded dimensions fit
+    max_expanded_dim; the report's assignments and distance are exact either
+    way.
     """
     if len(p.atoms) + len(q.atoms) > max_fibers:
         raise BudgetExceededError("max_greedy_fibers", len(p.atoms) + len(q.atoms), max_fibers)
-    fibers, e = _run_greedy(p, q)
+    (_, targets, deficits, counts), e = _run_greedy(p, q)
     den = 1 << e
-    dist_scaled = 0
-    for f in fibers:
-        dist_scaled += f.count * abs(f.deficit)
-    distance = dist_scaled / den
+    distance = sum(map(abs, map(mul, counts, deficits))) / den
     assignments = tuple(
-        FiberAssignment(f.target_prob, (f.target_scaled - f.deficit) / den, f.count) for f in fibers
+        FiberAssignment(t / den, (t - d) / den, c) for t, d, c in zip(targets, deficits, counts)
     )
     push = Spectrum.from_atoms(
         [(a.assigned_mass, a.count) for a in assignments if a.assigned_mass > 0.0],
@@ -256,13 +225,10 @@ def synthesize_map(
     )
     map_: Optional[DeterministicMap] = None
     if p.total_dim <= max_expanded_dim and q.total_dim <= max_expanded_dim:
-        targets, deficits = _expanded_greedy(p, q, e)
-        expected: list[int] = []
-        for f in fibers:
-            expected.extend([f.deficit] * f.count)
-        if expected != deficits:
+        targets_x, deficits_x = _expanded_greedy(p, q, e)
+        if deficits_x != list(chain.from_iterable(map(repeat, deficits, counts))):
             raise RuntimeError("compressed and expanded greedy assignments disagree")
-        map_ = DeterministicMap(p.total_dim, tuple(targets), q.total_dim)
+        map_ = DeterministicMap(p.total_dim, tuple(targets_x), q.total_dim)
     return MapSynthesisReport(
         target=q,
         pushforward=push,
@@ -299,7 +265,7 @@ def brute_force_optimal(
     best_d = None
     best_targets = None
     best_masses = None
-    for targets in itertools.product(range(ny), repeat=nx):
+    for targets in product(range(ny), repeat=nx):
         masses = [0] * ny
         for x, yy in zip(xs, targets):
             masses[yy] += x

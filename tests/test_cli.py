@@ -184,6 +184,30 @@ def test_experiment_budget_is_fatal(capsys):
     assert "budget exceeded" in err
 
 
+def test_greedy_fiber_budget_follows_type_class_flag(capsys):
+    # each 10-atom spectrum fits the budget of 15; the 20 fibers of their
+    # greedy map do not
+    code, out, err = run_cli(
+        capsys,
+        "convert", "iid:0.5,0.3,0.2", "iid:0.5,0.3,0.2",
+        "--n", "3",
+        "--budget-max-type-classes", "15",
+    )
+    assert code == 3
+    assert "max_greedy_fibers" in err
+    assert out == "n,error,fidelity,nielsen_ok\n"
+    code, out, err = run_cli(
+        capsys,
+        "concentrate", "iid:0.5,0.3,0.2",
+        "--rate", "0.5",
+        "--n", "3",
+        "--budget-max-type-classes", "10",
+    )
+    assert code == 3
+    assert "max_greedy_fibers" in err
+    assert out == ""
+
+
 def test_verify_unknown_suite(capsys):
     code, _, err = run_cli(capsys, "verify", "nonsense")
     assert code == 2
