@@ -17,10 +17,9 @@ import sys
 from typing import Optional
 
 from .convert import concentration_experiment, dilution_experiment, direct_convert
-from .hermitian import SUITE_IDS, run_suite
+from .hermitian import MAX_VERIFY_DIM, SUITES, run_suite
 from .infospec import entropy_proxies
 from .spectra import (
-    DEFAULT_MAX_EXPANDED_DIM,
     DEFAULT_MAX_TYPE_CLASSES,
     IID,
     AmplitudeMatrix,
@@ -205,15 +204,7 @@ def _cmd_convert(args) -> int:
         for n in n_grid:
             p = generate(source, n, max_type_classes=args.budget_max_type_classes)
             q = generate(target, n, max_type_classes=args.budget_max_type_classes)
-            reports.append(
-                direct_convert(
-                    p,
-                    q,
-                    n,
-                    max_expanded_dim=args.budget_max_expanded_dim,
-                    max_fibers=args.budget_max_type_classes,
-                )
-            )
+            reports.append(direct_convert(p, q, n, max_fibers=args.budget_max_type_classes))
     except BudgetExceededError as exc:
         print(f"budget exceeded, output truncated: {exc}", file=sys.stderr)
         code = 3
@@ -236,13 +227,7 @@ def _cmd_experiment(args, task: str) -> int:
     n_grid = _parse_int_grid(args.n)
     run = concentration_experiment if task == "concentration" else dilution_experiment
     try:
-        verdict = run(
-            model,
-            args.rate,
-            n_grid,
-            max_type_classes=args.budget_max_type_classes,
-            max_expanded_dim=args.budget_max_expanded_dim,
-        )
+        verdict = run(model, args.rate, n_grid, max_type_classes=args.budget_max_type_classes)
     except BudgetExceededError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return 3
@@ -257,10 +242,10 @@ def _cmd_experiment(args, task: str) -> int:
 def _cmd_verify(args) -> int:
     names = list(args.suites)
     if "all" in names:
-        names = list(SUITE_IDS)
-    unknown = [x for x in names if x not in SUITE_IDS]
+        names = list(SUITES)
+    unknown = [x for x in names if x not in SUITES]
     if unknown:
-        print(f"unknown suite(s): {', '.join(unknown)}; known: all, {', '.join(SUITE_IDS)}", file=sys.stderr)
+        print(f"unknown suite(s): {', '.join(unknown)}; known: all, {', '.join(SUITES)}", file=sys.stderr)
         return 2
     reports = [run_suite(name, seed=args.seed, trials=args.trials, dim=args.dim) for name in names]
     text = _json_text({"seed": args.seed, "suites": [r.to_json_dict() for r in reports]})
@@ -280,12 +265,6 @@ def _add_budget_flags(sp) -> None:
         type=int,
         default=DEFAULT_MAX_TYPE_CLASSES,
         help="largest number of type classes a modeled spectrum may hold",
-    )
-    sp.add_argument(
-        "--budget-max-expanded-dim",
-        type=int,
-        default=DEFAULT_MAX_EXPANDED_DIM,
-        help="largest expanded dimension for explicit maps and certificates",
     )
 
 
@@ -336,10 +315,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=lambda a: _cmd_experiment(a, "dilution"))
 
     sp = sub.add_parser("verify", help="run randomized verification suites")
-    sp.add_argument("suites", nargs="+", help=f"suite names or 'all'; known: {', '.join(SUITE_IDS)}")
+    sp.add_argument("suites", nargs="+", help=f"suite names or 'all'; known: {', '.join(SUITES)}")
     sp.add_argument("--seed", type=int, default=7, help="master seed for instance generation")
     sp.add_argument("--trials", type=int, default=None, help="override per-suite trial counts")
-    sp.add_argument("--dim", type=int, default=8, help="largest operator dimension sampled")
+    sp.add_argument("--dim", type=int, default=8, help=f"largest operator dimension sampled, 2 to {MAX_VERIFY_DIM}")
     _add_output_flags(sp, formats=False)
     sp.set_defaults(func=_cmd_verify)
 

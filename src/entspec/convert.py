@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from .majorize import majorizes
 from .randgen import FiberAssignment, MapSynthesisReport, synthesize_map
 from .spectra import (
-    DEFAULT_MAX_EXPANDED_DIM,
     DEFAULT_MAX_TYPE_CLASSES,
     SequenceModel,
     Spectrum,
@@ -99,15 +98,12 @@ def direct_convert(
     q: Spectrum,
     n: int,
     *,
-    max_expanded_dim: int = DEFAULT_MAX_EXPANDED_DIM,
     max_fibers: int = DEFAULT_MAX_TYPE_CLASSES,
 ) -> ConversionReport:
     """Synthesize p -> q, certify majorization, report fidelity and bounds."""
     if n < 1:
         raise ValueError("n must be a positive integer")
-    report: MapSynthesisReport = synthesize_map(
-        p, q, max_expanded_dim=max_expanded_dim, max_fibers=max_fibers
-    )
+    report: MapSynthesisReport = synthesize_map(p, q, max_fibers=max_fibers)
     intermediate = report.pushforward
     ok = majorizes(p, intermediate)
     f = fidelity_from_assignments(report.assignments)
@@ -163,16 +159,13 @@ class RateVerdict:
         }
 
 
-def _experiment(task, model, rate, n_grid, max_type_classes, max_expanded_dim) -> RateVerdict:
+def _experiment(task, model, rate, n_grid, max_type_classes) -> RateVerdict:
     reports = []
     for n in n_grid:
         modeled = generate(model, n, max_type_classes=max_type_classes)
         flat = maxent_spectrum(maxent_rank(rate, n))
         src, dst = (modeled, flat) if task == "concentration" else (flat, modeled)
-        rep = direct_convert(
-            src, dst, n, max_expanded_dim=max_expanded_dim, max_fibers=max_type_classes
-        )
-        reports.append(rep)
+        reports.append(direct_convert(src, dst, n, max_fibers=max_type_classes))
     series = tuple((rep.n, rep.trace_distance_upper) for rep in reports)
     return RateVerdict(task=task, rate=rate, epsilon_error_series=series, reports=tuple(reports))
 
@@ -183,10 +176,9 @@ def concentration_experiment(
     n_grid,
     *,
     max_type_classes: int = DEFAULT_MAX_TYPE_CLASSES,
-    max_expanded_dim: int = DEFAULT_MAX_EXPANDED_DIM,
 ) -> RateVerdict:
     """Convert generated source spectra onto flat spectra of rank ceil(e^{nR})."""
-    return _experiment("concentration", source, rate, n_grid, max_type_classes, max_expanded_dim)
+    return _experiment("concentration", source, rate, n_grid, max_type_classes)
 
 
 def dilution_experiment(
@@ -195,7 +187,6 @@ def dilution_experiment(
     n_grid,
     *,
     max_type_classes: int = DEFAULT_MAX_TYPE_CLASSES,
-    max_expanded_dim: int = DEFAULT_MAX_EXPANDED_DIM,
 ) -> RateVerdict:
     """Convert flat spectra of rank ceil(e^{nR}) onto generated target spectra."""
-    return _experiment("dilution", target, rate, n_grid, max_type_classes, max_expanded_dim)
+    return _experiment("dilution", target, rate, n_grid, max_type_classes)

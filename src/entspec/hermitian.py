@@ -17,11 +17,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Union
+from typing import Callable, NamedTuple, Optional, Union
 
 import numpy as np
 
-from .infospec import _EIG_CUT_REL, cdf_selfinfo, tail_C, tail_D
+from .infospec import _positive_eigs, cdf_selfinfo, tail_C, tail_D
 from .majorize import (
     BistochasticMatrix,
     DeterministicMap,
@@ -32,7 +32,7 @@ from .majorize import (
     transfer_matrix,
 )
 from .randgen import brute_force_optimal, synthesize_map
-from .spectra import Spectrum, _mass_term, expand
+from .spectra import BudgetExceededError, Spectrum, _mass_term, expand
 
 
 class HermitianOperator:
@@ -176,8 +176,7 @@ def jordan(a) -> tuple[HermitianOperator, HermitianOperator, HermitianOperator, 
     """
     a = _as_hermitian(a)
     w, v = np.linalg.eigh(a.entries)
-    cut = _EIG_CUT_REL * float(np.abs(w).max()) if w.size else 0.0
-    pos = w > cut
+    pos = _positive_eigs(w)
     vp = v[:, pos]
     vn = v[:, ~pos]
     a_plus = (vp * w[pos]) @ vp.conj().T
@@ -196,8 +195,7 @@ def trace_plus(a) -> float:
     """Trace of the positive part: the sum of the positive eigenvalues."""
     a = _as_hermitian(a)
     w = np.linalg.eigvalsh(a.entries)
-    cut = _EIG_CUT_REL * float(np.abs(w).max()) if w.size else 0.0
-    return float(w[w > cut].sum())
+    return float(w[_positive_eigs(w)].sum())
 
 
 def trace_norm(a) -> float:
@@ -530,30 +528,183 @@ def rand_spectrum(rng, max_dim: int) -> Spectrum:
 
 
 # ---------------------------------------------------------------------------
-# suites
+# suites: one instance function per suite, taking (rng, instance index, dim)
+# and returning the instance's results plus a note for the suite's summary
 
-SUITE_IDS = {
-    "np": 1,
-    "bdm": 2,
-    "bd": 3,
-    "continuity": 4,
-    "product": 5,
-    "monotonicity": 6,
-    "kh": 7,
-    "transfer": 8,
-    "greedy-vs-brute": 9,
-}
+# dense eigen calls cost d^3 per instance, so --dim is capped: `verify all`
+# with default trials took 12 s at the cap, 3 s at the default dim 8 and
+# about a minute at dim 128 (2-core x86_64 VM, NumPy 2.4)
+MAX_VERIFY_DIM = 64
 
-DEFAULT_TRIALS = {
-    "np": 1000,
-    "bdm": 1000,
-    "bd": 1000,
-    "continuity": 1000,
-    "product": 1000,
-    "monotonicity": 1000,
-    "kh": 500,
-    "transfer": 500,
-    "greedy-vs-brute": 500,
+
+def _np_instance(rng, k: int, dim: int):
+    d = int(rng.integers(2, dim + 1))
+    a = rand_hermitian(rng, d)
+    return [
+        verify_lemma_np(a, 1, rng=rng),
+        _verify_projector_split(a, rand_hermitian(rng, d)),
+        _verify_traceless_abs(a),
+    ], None
+
+
+def _bdm_instance(rng, k: int, dim: int):
+    d = int(rng.integers(2, dim + 1))
+    a = rand_hermitian(rng, d)
+    kind = k % 3
+    if kind == 0:
+        f: TPMap = rand_cptp(rng, d)
+    elif kind == 1:
+        f = rand_stochastic(rng, d)
+        w = np.linalg.eigvalsh(a.entries)
+        a = HermitianOperator(np.diag(w.astype(complex)))
+    else:
+        f = TransposeMix(float(rng.uniform()))
+    return [verify_lemma_bdm(f, a)], None
+
+
+def _bd_instance(rng, k: int, dim: int):
+    d = int(rng.integers(2, dim + 1))
+    rho = rand_density(rng, d)
+    sigma = rand_density(rng, d)
+    n = int(rng.integers(1, 6))
+    a = float(rng.uniform(-2.0, 2.0))
+    gamma = 0.1 if k % 2 == 0 else 0.5
+    return [verify_bd_sandwich(rho, sigma, n, a, gamma)], None
+
+
+def _continuity_instance(rng, k: int, dim: int):
+    d = int(rng.integers(2, dim + 1))
+    rho = rand_density(rng, d)
+    rho_prime = rand_density(rng, d)
+    sigma = rand_density(rng, d)
+    n = int(rng.integers(1, 6))
+    a = float(rng.uniform(-2.0, 2.0))
+    return [verify_continuity(rho, rho_prime, sigma, n, a)], None
+
+
+def _product_instance(rng, k: int, dim: int):
+    p_a = rand_spectrum(rng, 12)
+    s_b = rand_spectrum(rng, 12)
+    n = int(rng.integers(1, 4))
+    a = float(rng.uniform(-0.5, 3.0))
+    return [verify_product_tails(p_a, s_b, n, a)], None
+
+
+def _monotonicity_instance(rng, k: int, dim: int):
+    d = int(rng.integers(2, dim + 1))
+    n = int(rng.integers(1, 6))
+    a = float(rng.uniform(-2.0, 2.0))
+    kind = k % 3
+    if kind == 0:
+        rho = rand_density(rng, d)
+        sigma = rand_density(rng, d)
+        f: TPMap = rand_cptp(rng, d)
+    elif kind == 1:
+        rho = rand_diagonal_density(rng, d)
+        if (k // 3) % 2 == 0:
+            sigma = rand_diagonal_density(rng, d)
+            f = rand_stochastic(rng, d)
+        else:
+            # unital sub-family: doubly stochastic map fixes the identity
+            sigma = HermitianOperator(np.eye(d, dtype=complex))
+            f = rand_doubly_stochastic(rng, d)
+    else:
+        rho = rand_density(rng, d)
+        sigma = rand_density(rng, d)
+        f = TransposeMix(float(rng.uniform()))
+    return [verify_tail_monotonicity(rho, sigma, f, n, a)], None
+
+
+def _bistochastic_defect(m: np.ndarray) -> float:
+    """Largest deviation of a row or column sum from 1."""
+    rows = float(np.abs(m.sum(axis=1) - 1.0).max())
+    cols = float(np.abs(m.sum(axis=0) - 1.0).max())
+    return max(rows, cols)
+
+
+def _kh_instance(rng, k: int, dim: int):
+    p = rand_spectrum(rng, 64)
+    ny = int(rng.integers(1, p.total_dim + 1))
+    targets = tuple(int(t) for t in rng.integers(0, ny, size=p.total_dim))
+    phi = DeterministicMap(p.total_dim, targets, ny)
+    push = pushforward(p, phi)
+    gap, _ = prefix_gap_min(p, push)
+    cert = kh_certificate(p, phi)
+    defect = _bistochastic_defect(cert.entries)
+    residual = kh_residual(p, phi, cert)
+    checks = [
+        ("pushforward-majorizes-source", gap, 1e-10),
+        ("certificate-bistochastic", 1e-10 - defect, 0.0),
+        ("certificate-reproduces-source", 1e-10 - residual, 0.0),
+    ]
+    return [_finish(checks, _payload(source=p, map=phi))], None
+
+
+def _transfer_instance(rng, k: int, dim: int):
+    q = rand_spectrum(rng, 32)
+    mix = rand_doubly_stochastic(rng, q.total_dim)
+    qv = expand(q, 1 << 14)
+    p = Spectrum.from_probs([float(x) for x in mix.matrix @ qv])
+    cert = transfer_matrix(p, q)
+    m = cert.dim
+    pv = np.zeros(m)
+    pv[: p.total_dim] = expand(p, 1 << 14)
+    qv2 = np.zeros(m)
+    qv2[: q.total_dim] = qv
+    dev = float(np.abs(cert.entries @ qv2 - pv).max())
+    checks = [
+        ("transfer-bistochastic", 1e-10 - _bistochastic_defect(cert.entries), 0.0),
+        ("transfer-carries-target", 1e-8 - dev, 0.0),
+    ]
+    return [_finish(checks, _payload(source=p, target=q))], None
+
+
+def _greedy_vs_brute_instance(rng, k: int, dim: int):
+    p = rand_spectrum(rng, 6)
+    q = rand_spectrum(rng, 3)
+    greedy = synthesize_map(p, q)
+    brute = brute_force_optimal(p, q)
+    gap = greedy.achieved_distance - brute.achieved_distance
+    consistent = pushforward(p, greedy.map).atoms == greedy.pushforward.atoms
+    checks = [
+        ("greedy-not-below-optimum", gap, 1e-12),
+        ("materialized-map-consistent", 0.0 if consistent else -1.0, 0.0),
+    ]
+    return [_finish(checks, _payload(source=p, target=q, map=greedy.map))], gap
+
+
+_GAP_BUCKETS = ((0.0, "0"), (0.01, "(0,0.01]"), (0.05, "(0.01,0.05]"), (0.1, "(0.05,0.1]"), (0.5, "(0.1,0.5]"), (2.0, "(0.5,2]"))
+
+
+def _gap_summary(gaps: list) -> dict:
+    """Histogram, max and mean of the greedy's distance above the optimum."""
+    hist = {label: 0 for _, label in _GAP_BUCKETS}
+    for g in gaps:
+        for edge, label in _GAP_BUCKETS:
+            if g <= edge:
+                hist[label] += 1
+                break
+    return {"gap_histogram": hist, "gap_max": max(gaps), "gap_mean": math.fsum(gaps) / len(gaps)}
+
+
+class Suite(NamedTuple):
+    id: int  # mixed into every instance seed; never reuse or renumber
+    trials: int  # default instance count
+    instance: Callable  # (rng, instance index, dim) -> (results, note)
+    summary: Optional[Callable[[list], dict]] = None  # notes -> the report's extras
+
+
+# in `verify all` order
+SUITES = {
+    "np": Suite(1, 1000, _np_instance),
+    "bdm": Suite(2, 1000, _bdm_instance),
+    "bd": Suite(3, 1000, _bd_instance),
+    "continuity": Suite(4, 1000, _continuity_instance),
+    "product": Suite(5, 1000, _product_instance),
+    "monotonicity": Suite(6, 1000, _monotonicity_instance),
+    "kh": Suite(7, 500, _kh_instance),
+    "transfer": Suite(8, 500, _transfer_instance),
+    "greedy-vs-brute": Suite(9, 500, _greedy_vs_brute_instance, _gap_summary),
 }
 
 
@@ -588,255 +739,29 @@ class SuiteReport:
         return out
 
 
-def _instance_rng(seed: int, suite: str, index: int):
-    return np.random.default_rng([seed % (1 << 63), SUITE_IDS[suite], index])
-
-
-def _collect(suite: str, seed: int, trials: int, results, extras: Optional[dict] = None) -> SuiteReport:
-    worst = math.inf
-    total = 0
-    violations = []
-    for idx, res in results:
-        worst = min(worst, res.worst_slack)
-        total += res.checks
-        for v in res.violations:
-            violations.append({"instance_index": idx, **v})
-    return SuiteReport(
-        suite=suite,
-        seed=seed,
-        trials=trials,
-        checks=total,
-        worst_slack=worst,
-        violations=tuple(violations),
-        extras=extras or {},
-    )
-
-
-def _suite_np(seed: int, trials: int, dim: int) -> SuiteReport:
-    def run():
-        for k in range(trials):
-            rng = _instance_rng(seed, "np", k)
-            d = int(rng.integers(2, dim + 1))
-            a = rand_hermitian(rng, d)
-            yield k, verify_lemma_np(a, 1, rng=rng)
-            b = rand_hermitian(rng, d)
-            yield k, _verify_projector_split(a, b)
-            yield k, _verify_traceless_abs(a)
-
-    return _collect("np", seed, trials, run())
-
-
-def _suite_bdm(seed: int, trials: int, dim: int) -> SuiteReport:
-    def run():
-        for k in range(trials):
-            rng = _instance_rng(seed, "bdm", k)
-            d = int(rng.integers(2, dim + 1))
-            a = rand_hermitian(rng, d)
-            kind = k % 3
-            if kind == 0:
-                f: TPMap = rand_cptp(rng, d)
-            elif kind == 1:
-                f = rand_stochastic(rng, d)
-                w = np.linalg.eigvalsh(a.entries)
-                a = HermitianOperator(np.diag(w.astype(complex)))
-            else:
-                f = TransposeMix(float(rng.uniform()))
-            yield k, verify_lemma_bdm(f, a)
-
-    return _collect("bdm", seed, trials, run())
-
-
-def _suite_bd(seed: int, trials: int, dim: int) -> SuiteReport:
-    def run():
-        for k in range(trials):
-            rng = _instance_rng(seed, "bd", k)
-            d = int(rng.integers(2, dim + 1))
-            rho = rand_density(rng, d)
-            sigma = rand_density(rng, d)
-            n = int(rng.integers(1, 6))
-            a = float(rng.uniform(-2.0, 2.0))
-            gamma = 0.1 if k % 2 == 0 else 0.5
-            yield k, verify_bd_sandwich(rho, sigma, n, a, gamma)
-
-    return _collect("bd", seed, trials, run())
-
-
-def _suite_continuity(seed: int, trials: int, dim: int) -> SuiteReport:
-    def run():
-        for k in range(trials):
-            rng = _instance_rng(seed, "continuity", k)
-            d = int(rng.integers(2, dim + 1))
-            rho = rand_density(rng, d)
-            rho_prime = rand_density(rng, d)
-            sigma = rand_density(rng, d)
-            n = int(rng.integers(1, 6))
-            a = float(rng.uniform(-2.0, 2.0))
-            yield k, verify_continuity(rho, rho_prime, sigma, n, a)
-
-    return _collect("continuity", seed, trials, run())
-
-
-def _suite_product(seed: int, trials: int, dim: int) -> SuiteReport:
-    def run():
-        for k in range(trials):
-            rng = _instance_rng(seed, "product", k)
-            p_a = rand_spectrum(rng, 12)
-            s_b = rand_spectrum(rng, 12)
-            n = int(rng.integers(1, 4))
-            a = float(rng.uniform(-0.5, 3.0))
-            yield k, verify_product_tails(p_a, s_b, n, a)
-
-    return _collect("product", seed, trials, run())
-
-
-def _suite_monotonicity(seed: int, trials: int, dim: int) -> SuiteReport:
-    def run():
-        for k in range(trials):
-            rng = _instance_rng(seed, "monotonicity", k)
-            d = int(rng.integers(2, dim + 1))
-            n = int(rng.integers(1, 6))
-            a = float(rng.uniform(-2.0, 2.0))
-            kind = k % 3
-            if kind == 0:
-                rho = rand_density(rng, d)
-                sigma = rand_density(rng, d)
-                f: TPMap = rand_cptp(rng, d)
-            elif kind == 1:
-                rho = rand_diagonal_density(rng, d)
-                if (k // 3) % 2 == 0:
-                    sigma = rand_diagonal_density(rng, d)
-                    f = rand_stochastic(rng, d)
-                else:
-                    # unital sub-family: doubly stochastic map fixes the identity
-                    sigma = HermitianOperator(np.eye(d, dtype=complex))
-                    f = rand_doubly_stochastic(rng, d)
-            else:
-                rho = rand_density(rng, d)
-                sigma = rand_density(rng, d)
-                f = TransposeMix(float(rng.uniform()))
-            yield k, verify_tail_monotonicity(rho, sigma, f, n, a)
-
-    return _collect("monotonicity", seed, trials, run())
-
-
-def _suite_kh(seed: int, trials: int, dim: int) -> SuiteReport:
-    def run():
-        for k in range(trials):
-            rng = _instance_rng(seed, "kh", k)
-            p = rand_spectrum(rng, 64)
-            ny = int(rng.integers(1, p.total_dim + 1))
-            targets = tuple(int(t) for t in rng.integers(0, ny, size=p.total_dim))
-            phi = DeterministicMap(p.total_dim, targets, ny)
-            push = pushforward(p, phi)
-            gap, _ = prefix_gap_min(p, push)
-            cert = kh_certificate(p, phi)
-            rows = float(np.abs(cert.entries.sum(axis=1) - 1.0).max())
-            cols = float(np.abs(cert.entries.sum(axis=0) - 1.0).max())
-            residual = kh_residual(p, phi, cert)
-            checks = [
-                ("pushforward-majorizes-source", gap, 1e-10),
-                ("certificate-bistochastic", 1e-10 - max(rows, cols), 0.0),
-                ("certificate-reproduces-source", 1e-10 - residual, 0.0),
-            ]
-            yield k, _finish(checks, _payload(source=p, map=phi))
-
-    return _collect("kh", seed, trials, run())
-
-
-def _suite_transfer(seed: int, trials: int, dim: int) -> SuiteReport:
-    def run():
-        for k in range(trials):
-            rng = _instance_rng(seed, "transfer", k)
-            q = rand_spectrum(rng, 32)
-            mix = rand_doubly_stochastic(rng, q.total_dim)
-            qv = expand(q, 1 << 14)
-            p = Spectrum.from_probs([float(x) for x in mix.matrix @ qv])
-            cert = transfer_matrix(p, q)
-            m = cert.dim
-            pv = np.zeros(m)
-            pv[: p.total_dim] = expand(p, 1 << 14)
-            qv2 = np.zeros(m)
-            qv2[: q.total_dim] = qv
-            rows = float(np.abs(cert.entries.sum(axis=1) - 1.0).max())
-            cols = float(np.abs(cert.entries.sum(axis=0) - 1.0).max())
-            dev = float(np.abs(cert.entries @ qv2 - pv).max())
-            checks = [
-                ("transfer-bistochastic", 1e-10 - max(rows, cols), 0.0),
-                ("transfer-carries-target", 1e-8 - dev, 0.0),
-            ]
-            yield k, _finish(checks, _payload(source=p, target=q))
-
-    return _collect("transfer", seed, trials, run())
-
-
-_GAP_BUCKETS = ((0.0, "0"), (0.01, "(0,0.01]"), (0.05, "(0.01,0.05]"), (0.1, "(0.05,0.1]"), (0.5, "(0.1,0.5]"), (2.0, "(0.5,2]"))
-
-
-def _suite_greedy_vs_brute(seed: int, trials: int, dim: int) -> SuiteReport:
-    gaps = []
-
-    def run():
-        for k in range(trials):
-            rng = _instance_rng(seed, "greedy-vs-brute", k)
-            p = rand_spectrum(rng, 6)
-            q = rand_spectrum(rng, 3)
-            greedy = synthesize_map(p, q)
-            brute = brute_force_optimal(p, q)
-            gap = greedy.achieved_distance - brute.achieved_distance
-            gaps.append(gap)
-            consistent = pushforward(p, greedy.map).atoms == greedy.pushforward.atoms
-            checks = [
-                ("greedy-not-below-optimum", gap, 1e-12),
-                ("materialized-map-consistent", 0.0 if consistent else -1.0, 0.0),
-            ]
-            yield k, _finish(checks, _payload(source=p, target=q, map=greedy.map))
-
-    report = _collect("greedy-vs-brute", seed, trials, run())
-    hist = {label: 0 for _, label in _GAP_BUCKETS}
-    for g in gaps:
-        for edge, label in _GAP_BUCKETS:
-            if g <= edge:
-                hist[label] += 1
-                break
-    extras = {
-        "gap_histogram": hist,
-        "gap_max": max(gaps) if gaps else 0.0,
-        "gap_mean": (math.fsum(gaps) / len(gaps)) if gaps else 0.0,
-    }
-    return SuiteReport(
-        suite=report.suite,
-        seed=report.seed,
-        trials=report.trials,
-        checks=report.checks,
-        worst_slack=report.worst_slack,
-        violations=report.violations,
-        extras=extras,
-    )
-
-
-_SUITE_RUNNERS = {
-    "np": _suite_np,
-    "bdm": _suite_bdm,
-    "bd": _suite_bd,
-    "continuity": _suite_continuity,
-    "product": _suite_product,
-    "monotonicity": _suite_monotonicity,
-    "kh": _suite_kh,
-    "transfer": _suite_transfer,
-    "greedy-vs-brute": _suite_greedy_vs_brute,
-}
-
-
 def run_suite(name: str, *, seed: int, trials: Optional[int] = None, dim: int = 8) -> SuiteReport:
-    """Run one named suite with per-instance seeding derived from `seed`."""
-    if name not in _SUITE_RUNNERS:
-        raise KeyError(f"unknown suite {name!r}; known: {', '.join(SUITE_IDS)}")
+    """Run one named suite; instance k draws from the generator seeded by (seed, suite id, k)."""
+    if name not in SUITES:
+        raise KeyError(f"unknown suite {name!r}; known: {', '.join(SUITES)}")
+    suite = SUITES[name]
     if trials is None:
-        trials = DEFAULT_TRIALS[name]
+        trials = suite.trials
     if trials < 1:
         raise ValueError("trials must be positive")
-    return _SUITE_RUNNERS[name](seed, trials, dim)
-
-
-def run_all_suites(*, seed: int, trials: Optional[int] = None, dim: int = 8) -> list[SuiteReport]:
-    return [run_suite(name, seed=seed, trials=trials, dim=dim) for name in SUITE_IDS]
+    if dim < 2:
+        raise ValueError(f"--dim must be at least 2, got {dim}")
+    if dim > MAX_VERIFY_DIM:
+        raise BudgetExceededError("max_verify_dim", dim, MAX_VERIFY_DIM)
+    worst = math.inf
+    checks = 0
+    violations = []
+    notes = []
+    for k in range(trials):
+        results, note = suite.instance(np.random.default_rng([seed % (1 << 63), suite.id, k]), k, dim)
+        notes.append(note)
+        for res in results:
+            worst = min(worst, res.worst_slack)
+            checks += res.checks
+            violations.extend({"instance_index": k, **v} for v in res.violations)
+    extras = suite.summary(notes) if suite.summary else {}
+    return SuiteReport(name, seed, trials, checks, worst, tuple(violations), extras)

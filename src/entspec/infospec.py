@@ -41,6 +41,12 @@ _QUANTILE_TOL = 1e-12
 _EIG_CUT_REL = 1e-10
 
 
+def _positive_eigs(w: np.ndarray) -> np.ndarray:
+    """Mask of the eigenvalues above 1e-10 relative to the spectral norm."""
+    cut = _EIG_CUT_REL * float(np.abs(w).max()) if w.size else 0.0
+    return w > cut
+
+
 def cdf_selfinfo(s: Spectrum, n: int, a: float, *, boundary: str = "nonstrict") -> float:
     """Mass of atoms whose self-information rate is <= a (or < a when strict).
 
@@ -184,8 +190,7 @@ def tail_D(rho, sigma, n: int, a: float) -> float:
     diff = r - _threshold_factor(n, a) * s
     diff = (diff + diff.conj().T) / 2.0
     w, v = np.linalg.eigh(diff)
-    cut = _EIG_CUT_REL * max(np.abs(w).max(), 0.0) if w.size else 0.0
-    keep = w > cut
+    keep = _positive_eigs(w)
     if not keep.any():
         return 0.0
     vk = v[:, keep]
@@ -201,8 +206,7 @@ def tail_C(rho, sigma, n: int, a: float) -> float:
     diff = r - _threshold_factor(n, a) * s
     diff = (diff + diff.conj().T) / 2.0
     w = np.linalg.eigvalsh(diff)
-    cut = _EIG_CUT_REL * max(np.abs(w).max(), 0.0) if w.size else 0.0
-    return float(np.sum(w[w > cut]))
+    return float(np.sum(w[_positive_eigs(w)]))
 
 
 def tail_D_spectrum(s: Spectrum, n: int, a: float) -> float:

@@ -9,9 +9,12 @@ the expanded dimension has left the double-precision range.
 
 Probabilities themselves are double floats.  An atom whose probability
 underflows double precision (possible for i.i.d. powers beyond a few hundred
-copies with skewed bases) is dropped at generation time; the lost mass is
-below 1e-300 and only the extreme quantiles of the self-information
-distribution are affected.
+copies with skewed bases) is dropped at generation time.  The mass it carries
+is not negligible in general: the dropped type classes of IID(0.9, 0.1) hold
+about 6.0e-42 at n = 1200 and 8.0e-4 at n = 2000.  While the kept mass stays
+within MASS_TOL of 1 only the extreme quantiles of the self-information
+distribution are affected; beyond that, generation raises a
+BudgetExceededError naming the `iid_underflow_mass` budget.
 """
 
 from __future__ import annotations
@@ -247,6 +250,8 @@ def iid_spectrum(base: Spectrum, n: int, *, max_type_classes: int = DEFAULT_MAX_
 
     There is one candidate atom per composition of n over the base atoms; the
     atom count is capped by `max_type_classes` before enumeration starts.
+    Atoms that underflow to 0.0 are dropped; when the mass left deviates from
+    1 by more than MASS_TOL, the `iid_underflow_mass` budget is exceeded.
     """
     if n < 1:
         raise ValueError("n must be a positive integer")
@@ -265,6 +270,10 @@ def iid_spectrum(base: Spectrum, n: int, *, max_type_classes: int = DEFAULT_MAX_
                     mult *= pm**c
         if prob > 0.0:
             pairs.append((prob, mult))
+    if len(pairs) < n_classes:
+        lost = 1.0 - math.fsum(_mass_term(p, m) for p, m in pairs)
+        if abs(lost) > MASS_TOL:
+            raise BudgetExceededError("iid_underflow_mass", lost, MASS_TOL)
     return Spectrum.from_atoms(pairs)
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -134,6 +135,29 @@ def test_rates_budget_truncates_with_code_3(capsys):
     assert lines[1].startswith("2,")
 
 
+def test_rates_underflow_exits_3_with_header(capsys):
+    code, out, err = run_cli(capsys, "rates", "iid:0.9,0.1", "--n", "2000", "--eps", "0.1")
+    assert code == 3
+    assert "iid_underflow_mass" in err
+    assert out == "n,epsilon,underline_H,overline_H\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["rates", "iid:0.9,0.1", "--n", "5", "--eps", "0.1"],
+        ["convert", "iid:0.5,0.5", "iid:0.8,0.2", "--n", "1"],
+        ["concentrate", "iid:0.9,0.1", "--rate", "0.2", "--n", "5"],
+        ["dilute", "iid:0.9,0.1", "--rate", "0.6", "--n", "5"],
+    ],
+)
+def test_removed_expanded_dim_flag_is_a_usage_error(argv, capsys):
+    assert run_cli(capsys, *argv)[0] == 0
+    code, out, err = run_cli(capsys, *argv, "--budget-max-expanded-dim", "5")
+    assert (code, out) == (2, "")
+    assert "unrecognized arguments" in err
+
+
 def test_convert_csv_row(capsys):
     code, out, _ = run_cli(capsys, "convert", "iid:0.5,0.5", "iid:0.8,0.2", "--n", "1")
     assert code == 0
@@ -228,6 +252,31 @@ def test_verify_all_expands_in_canonical_order(capsys):
     assert code == 0
     names = [s["suite"] for s in json.loads(out)["suites"]]
     assert names == ["np", "bdm", "bd", "continuity", "product", "monotonicity", "kh", "transfer", "greedy-vs-brute"]
+
+
+# stdout SHA-256 recorded before the suites became one table; any change to
+# an instance's draws, checks, margins or payloads changes these
+@pytest.mark.parametrize(
+    "argv, sha256",
+    [
+        (["--seed", "7", "--trials", "40"], "6d1ea6c1fc27e2d7f3ececf62c70854b35cd32f00803b93828ac024644d5bf5b"),
+        (["--seed", "3", "--trials", "40", "--dim", "5"], "ca28a89d39469ee69ed83f2ffe3ad36743dfc4b787bba88981917192c1a7b779"),
+    ],
+)
+def test_verify_all_matches_golden_digest(argv, sha256, capsys):
+    code, out, _ = run_cli(capsys, "verify", "all", *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == sha256
+
+
+def test_verify_dim_bounds(capsys):
+    # kh never samples a dimension; it is checked all the same
+    for suite in ("np", "kh"):
+        for dim in ("1", "0", "-3"):
+            code, out, err = run_cli(capsys, "verify", suite, "--trials", "1", "--dim", dim)
+            assert (code, out) == (2, "") and "--dim" in err
+        code, out, err = run_cli(capsys, "verify", suite, "--trials", "1", "--dim", "65")
+        assert (code, out) == (3, "") and "max_verify_dim" in err
 
 
 def test_verify_reruns_are_byte_identical(tmp_path, capsys):

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from entspec.hermitian import (
-    DEFAULT_TRIALS,
-    SUITE_IDS,
+    MAX_VERIFY_DIM,
+    SUITES,
     Contraction,
     CPTPMap,
     HermitianOperator,
@@ -23,7 +23,6 @@ from entspec.hermitian import (
     rand_spectrum,
     rand_stochastic,
     rand_unitary,
-    run_all_suites,
     run_suite,
     trace_norm,
     trace_plus,
@@ -34,7 +33,7 @@ from entspec.hermitian import (
     verify_product_tails,
     verify_tail_monotonicity,
 )
-from entspec.spectra import Spectrum
+from entspec.spectra import BudgetExceededError, Spectrum
 
 X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
@@ -248,9 +247,10 @@ def test_sampler_validity():
     assert s.total_dim <= 9 and abs(s.mass() - 1.0) < 1e-11
 
 
-def test_suite_ids_and_default_trials_cover_same_names():
-    assert set(SUITE_IDS) == set(DEFAULT_TRIALS)
-    assert len(set(SUITE_IDS.values())) == len(SUITE_IDS)
+def test_suite_table_ids_are_unique():
+    ids = [suite.id for suite in SUITES.values()]
+    assert len(set(ids)) == len(ids) == 9
+    assert all(suite.trials >= 1 for suite in SUITES.values())
 
 
 def test_run_suite_deterministic():
@@ -266,9 +266,25 @@ def test_run_suite_rejects_unknown():
         run_suite("nope", seed=1, trials=5)
 
 
+def test_run_suite_checks_dim_before_sampling(monkeypatch):
+    def boom(rng, k, dim):
+        raise AssertionError("sampled an instance")
+
+    for name in SUITES:
+        monkeypatch.setitem(SUITES, name, SUITES[name]._replace(instance=boom))
+        for dim in (1, 0, -3):
+            with pytest.raises(ValueError, match="--dim"):
+                run_suite(name, seed=1, trials=1, dim=dim)
+        with pytest.raises(BudgetExceededError) as err:
+            run_suite(name, seed=1, trials=1, dim=MAX_VERIFY_DIM + 1)
+        assert err.value.budget == "max_verify_dim"
+        with pytest.raises(AssertionError, match="sampled"):
+            run_suite(name, seed=1, trials=1, dim=MAX_VERIFY_DIM)
+
+
 def test_all_suites_pass_at_small_trials():
-    reports = run_all_suites(seed=11, trials=30)
-    assert [r.suite for r in reports] == list(SUITE_IDS)
+    reports = [run_suite(name, seed=11, trials=30) for name in SUITES]
+    assert [r.suite for r in reports] == list(SUITES)
     for r in reports:
         assert r.ok, f"{r.suite}: {r.violations[:1]}"
         assert r.trials == 30

@@ -106,6 +106,19 @@ def test_iid_budget_rejection():
     assert "max_type_classes" in str(err.value)
 
 
+def test_iid_underflow_beyond_mass_tolerance_is_a_budget():
+    base = Spectrum.from_probs([0.9, 0.1])
+    # at n = 1200 the underflowed type classes carry about 6.0e-42 (mpmath),
+    # so the spectrum is kept without them
+    kept = iid_spectrum(base, 1200)
+    assert len(kept.atoms) < 1201 and abs(kept.mass() - 1.0) < 1e-12
+    # at n = 2000 they carry about 8.0e-4
+    with pytest.raises(BudgetExceededError) as err:
+        iid_spectrum(base, 2000)
+    assert err.value.budget == "iid_underflow_mass"
+    assert 7e-4 < err.value.needed < 9e-4
+
+
 def test_maxent_spectrum():
     assert maxent_spectrum(1).atoms == ((1.0, 1),)
     assert maxent_spectrum(4).atoms == ((0.25, 4),)
