@@ -14,18 +14,24 @@ level plus a residue-ordered remainder reproduces the expanded behaviour
 without materializing type classes.  Synthesis stays polynomial in the atom
 counts when the expanded dimensions are astronomical.
 
-Cost: each of the k_p source runs makes one pass over the F current fibers,
-so synthesis takes O(k_p·F) exact big-int steps plus one sort of the fibers
-at the cut level per run.  A run splits at most one fiber, so
-F <= k_p + k_q, the bound the max_greedy_fibers budget checks up front.
+Cost: the F fibers stay sorted by deficit across the k_p source runs, so the
+fibers of one level (deficit // P) form a contiguous block.  A run finds the
+cut from the blocks at or above it, with one bisect and one big-int division
+per block (O(B·log F) for B blocks, no division per fiber); it makes one
+big-int subtraction per fiber it lowers or takes, and merges the few sorted
+blocks it lowers onto the cut level.  Moving and comparing fibers is done by
+list slices and C-level maps.  One sort by start index at the end restores
+codomain order.  A run splits at most one fiber, so F <= k_p + k_q, the bound
+the max_greedy_fibers budget checks up front.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import accumulate, chain, product, repeat
-from operator import mul
+from itertools import accumulate, chain, compress, count, islice, product, repeat
+from operator import eq, itemgetter, mul, neg, sub
 from typing import Optional
 
 from .majorize import DeterministicMap
@@ -35,98 +41,160 @@ from .spectra import (
     BudgetExceededError,
     SequenceModel,
     Spectrum,
-    _common_exponent,
     _mass_term,
-    _scaled,
+    _scaled_atoms,
     generate,
 )
 
 DEFAULT_BRUTE_FORCE_CAP = 10**6
 
 
-# Fiber state is columnar: parallel lists of start index, scaled target,
-# scaled deficit and element count, one entry per run of codomain elements.
-# Adjacent fibers are contiguous and never share (target, deficit).
-def _assign_run(cols: list[list[int]], P: int, m: int) -> None:
+# Fiber state: parallel lists of scaled deficit, start index, element count
+# and target atom (the index in q.atoms of the fiber's target), one entry per
+# run of codomain elements.  Between source runs they are in (deficit
+# descending, start ascending) order, the order the greedy rule consumes
+# elements in.  Codomain neighbours never share (target, deficit), and fibers
+# that share a deficit are adjacent in that order.
+Fibers = tuple[list[int], list[int], list[int], list[int]]
+
+
+def _permute(fibers: Fibers, lo: int, order: list[int]) -> None:
+    """Overwrite fibers lo.. with the fibers at the indices in order."""
+    pick = itemgetter(*order)
+    for col in fibers:
+        col[lo : lo + len(order)] = pick(col)
+
+
+def _block_end(D: list[int], i: int, floor: int) -> int:
+    """First index after i whose deficit lies below floor, given D[i] >= floor."""
+    j = i + 1
+    if j == len(D) or D[j] < floor:
+        return j
+    return bisect_right(D, -floor, j + 1, key=neg)
+
+
+def _assign_run(fibers: Fibers, P: int, m: int) -> None:
     """Assign a run of m source elements of scaled probability P, in place."""
-    starts, targets, deficits, counts = cols
-    levels = [d // P for d in deficits]
+    D, S, C, A = fibers
 
-    # Elements of fiber b at level t (one per codomain slot, value t*P + residue,
-    # residue in [0, P)) exist for every t <= level_b.  T(t) counts elements at
-    # level >= t; the cut level is the largest t with T(t) >= m.  Sweep the
-    # distinct levels downwards; between consecutive ones T(t) = a - b*t.
-    hist: dict[int, int] = {}
-    for lv, c in zip(levels, counts):
-        hist[lv] = hist.get(lv, 0) + c
-    tops = sorted(hist, reverse=True)
-    a = b = 0
-    for i, top in enumerate(tops):
-        a += hist[top] * (top + 1)
-        b += hist[top]
-        t = (a - m) // b
-        if t >= top:
-            t = top
+    # Elements of a fiber at level L = deficit // P (one per codomain slot,
+    # value t*P + residue, residue in [0, P)) exist for every t <= L.  T(t)
+    # counts elements at level >= t; the cut level is the largest t with
+    # T(t) >= m.  Equal levels are contiguous blocks of the order: walk them
+    # downwards.  Over the blocks walked, T(t) = a - b*t, so the cut is
+    # (a - m) // b once that lies above the next block's level.
+    a = b = i = 0
+    L = D[0] // P
+    blocks = []
+    while True:
+        j = _block_end(D, i, L * P)
+        n = C[i] if j == i + 1 else sum(islice(C, i, j))
+        a += n * (L + 1)
+        b += n
+        blocks.append((i, j, L))
+        if j < len(D):
+            L = D[j] // P
+        if j == len(D) or a - m >= b * (L + 1):
             break
-        if i + 1 == len(tops) or t > tops[i + 1]:
-            break
-    # everything strictly above the cut is consumed outright; that is
-    # T(t + 1) < m elements, so r >= 1 remain for the cut level
+        i = j
+    t, cut = (a - m) // b, j
+
+    # everything strictly above the cut is consumed outright: lower those
+    # blocks to the cut level and merge them there by deficit, equal
+    # deficits in block order for now
+    for i, j, L in blocks:
+        if L > t:
+            if j == i + 1:
+                D[i] -= (L - t) * P
+            else:
+                D[i:j] = map(sub, D[i:j], repeat((L - t) * P))
+    if len(blocks) > 1:
+        _permute(fibers, 0, sorted(range(cut), key=D.__getitem__, reverse=True))
+
+    # T(t + 1) < m elements lay above the cut, so r >= 1 remain for the cut
+    # level; they are consumed from the front of the order, every fiber but
+    # the last taking its full count.  Only the group of equal deficits at
+    # the boundary needs its start order before the take; the others get it
+    # at the end of the run.
     r = m - (a - b * (t + 1))
-    new = [d - (lv - t) * P if lv > t else d for d, lv in zip(deficits, levels)]
-
-    # the remainder is consumed at the cut level in value order: residue
-    # descending, then codomain index ascending (the greedy tie rule, kept by
-    # the stable sort); every fiber but the last takes its full count
-    eligible = [i for i, lv in enumerate(levels) if lv >= t]
-    eligible.sort(key=new.__getitem__, reverse=True)
-    for j in eligible:
-        new[j] -= P
-        if counts[j] >= r:
+    for k in range(cut):
+        if C[k] >= r:
             break
-        r -= counts[j]
+        r -= C[k]
     else:
         raise RuntimeError("greedy run accounting failed to place every element")
-    cols[2] = deficits = new
-    if counts[j] > r:
-        starts.insert(j + 1, starts[j] + r)
-        targets.insert(j + 1, targets[j])
-        deficits.insert(j + 1, deficits[j] + P)
-        counts.insert(j + 1, counts[j] - r)
-        counts[j] = r
-    for i in range(len(deficits) - 1, 0, -1):
-        if deficits[i] == deficits[i - 1] and targets[i] == targets[i - 1]:
-            counts[i - 1] += counts[i]
-            del starts[i], targets[i], deficits[i], counts[i]
+    lo = hi = k
+    while lo and D[lo - 1] == D[k]:
+        lo -= 1
+    while hi + 1 < cut and D[hi + 1] == D[k]:
+        hi += 1
+    if hi > lo:
+        r += sum(islice(C, lo, k))
+        _permute(fibers, lo, sorted(range(lo, hi + 1), key=S.__getitem__))
+        for k in range(lo, hi + 1):
+            if C[k] >= r:
+                break
+            r -= C[k]
+    if C[k] > r:
+        for col, v in zip(fibers, (D[k], S[k] + r, C[k] - r, A[k])):
+            col.insert(k + 1, v)
+        C[k] = r
+        cut += 1
+    k += 1
+    D[:k] = map(sub, D[:k], repeat(P))
+
+    # the taken fibers now lie one level below the cut: move them behind the
+    # rest of the cut level and merge them into the block already there
+    floor = (t - 1) * P
+    end = _block_end(D, cut, floor) if cut < len(D) and D[cut] >= floor else cut
+    for col in fibers:
+        col[:cut] = col[k:cut] + col[:k]
+    if end > cut:
+        _permute(fibers, cut - k, sorted(range(cut - k, end), key=D.__getitem__, reverse=True))
+
+    # put every group of equal deficits in start order; codomain neighbours
+    # that now share target and deficit become one fiber
+    ties = list(compress(count(1), map(eq, islice(D, 1, end), D)))
+    for x in ties:
+        while x and D[x] == D[x - 1] and S[x] < S[x - 1]:
+            for col in (S, C, A):
+                col[x - 1], col[x] = col[x], col[x - 1]
+            x -= 1
+    for x in reversed(ties):
+        if S[x - 1] + C[x - 1] == S[x] and A[x - 1] == A[x]:
+            C[x - 1] += C[x]
+            for col in fibers:
+                del col[x]
 
 
-def _run_greedy(p: Spectrum, q: Spectrum) -> tuple[list[list[int]], int]:
-    """Fiber columns [starts, targets, deficits, counts] after every source run,
-    scaled by 2**e, and e."""
-    e = _common_exponent(p, q)
-    targets = [_scaled(prob, e) for prob, _ in q.atoms]
+def _run_greedy(p: Spectrum, q: Spectrum) -> tuple[Fibers, list[int], int]:
+    """Fiber columns (deficits, starts, counts, target atoms) in codomain order
+    after every source run, q's probabilities, all scaled by 2**e, and e."""
+    e, (ps, qs) = _scaled_atoms(p, q)
     counts = [mult for _, mult in q.atoms]
-    cols = [[0, *accumulate(counts[:-1])], targets, list(targets), counts]
-    for prob, mult in p.atoms:
-        _assign_run(cols, _scaled(prob, e), mult)
-    return cols, e
+    fibers = (list(qs), [0, *accumulate(counts[:-1])], counts, list(range(len(qs))))
+    for P, (_, mult) in zip(ps, p.atoms):
+        _assign_run(fibers, P, mult)
+    S = fibers[1]
+    if len(S) > 1:
+        _permute(fibers, 0, sorted(range(len(S)), key=S.__getitem__))
+    return fibers, qs, e
 
 
-def _expanded_greedy(p: Spectrum, q: Spectrum, e: int) -> tuple[list[int], list[int]]:
+def _expanded_greedy(p: Spectrum, q: Spectrum) -> tuple[list[int], list[int]]:
     """Element-by-element greedy on a max-heap of exact scaled deficits."""
     import heapq
 
+    _, (ps, qs) = _scaled_atoms(p, q)
     heap = []
     y = 0
-    for prob, mult in q.atoms:
-        sc = _scaled(prob, e)
+    for sc, (_, mult) in zip(qs, q.atoms):
         for _ in range(mult):
             heap.append((-sc, y))
             y += 1
     heapq.heapify(heap)
     targets = []
-    for prob, mult in p.atoms:
-        sc = _scaled(prob, e)
+    for sc, (_, mult) in zip(ps, p.atoms):
         for _ in range(mult):
             negd, yy = heapq.heappop(heap)
             targets.append(yy)
@@ -205,19 +273,21 @@ def synthesize_map(
 ) -> MapSynthesisReport:
     """Greedy largest-deficit assignment of p's expansion onto q's labels.
 
-    Runs in compressed form in O(k_p·F) exact big-int steps, with
-    F <= k_p + k_q fibers (k_p, k_q the atom counts of p and q).  The explicit
-    DeterministicMap is materialized only when both expanded dimensions fit
-    max_expanded_dim; the report's assignments and distance are exact either
-    way.
+    Runs in compressed form on F <= k_p + k_q fibers (k_p, k_q the atom
+    counts of p and q) kept in deficit order: per source run, O(B·log F)
+    bisects for the B level blocks at or above the cut, one big-int
+    subtraction per fiber lowered or taken, and a merge of a few sorted
+    blocks; no division per fiber.  The explicit DeterministicMap is
+    materialized only when both expanded dimensions fit max_expanded_dim;
+    the report's assignments and distance are exact either way.
     """
     if len(p.atoms) + len(q.atoms) > max_fibers:
         raise BudgetExceededError("max_greedy_fibers", len(p.atoms) + len(q.atoms), max_fibers)
-    (_, targets, deficits, counts), e = _run_greedy(p, q)
+    (deficits, _, counts, atoms), qs, e = _run_greedy(p, q)
     den = 1 << e
     distance = sum(map(abs, map(mul, counts, deficits))) / den
     assignments = tuple(
-        FiberAssignment(t / den, (t - d) / den, c) for t, d, c in zip(targets, deficits, counts)
+        FiberAssignment(q.atoms[a][0], (qs[a] - d) / den, c) for d, c, a in zip(deficits, counts, atoms)
     )
     push = Spectrum.from_atoms(
         [(a.assigned_mass, a.count) for a in assignments if a.assigned_mass > 0.0],
@@ -225,7 +295,7 @@ def synthesize_map(
     )
     map_: Optional[DeterministicMap] = None
     if p.total_dim <= max_expanded_dim and q.total_dim <= max_expanded_dim:
-        targets_x, deficits_x = _expanded_greedy(p, q, e)
+        targets_x, deficits_x = _expanded_greedy(p, q)
         if deficits_x != list(chain.from_iterable(map(repeat, deficits, counts))):
             raise RuntimeError("compressed and expanded greedy assignments disagree")
         map_ = DeterministicMap(p.total_dim, tuple(targets_x), q.total_dim)
@@ -253,14 +323,14 @@ def brute_force_optimal(
     total = ny**nx
     if total > cap:
         raise BudgetExceededError("brute_force_cap", total, cap)
-    e = _common_exponent(p, q)
+    e, (p_sc, q_sc) = _scaled_atoms(p, q)
     xs = []
-    for prob, mult in p.atoms:
-        xs.extend([_scaled(prob, e)] * mult)
+    for sc, (_, mult) in zip(p_sc, p.atoms):
+        xs.extend([sc] * mult)
     q_scaled = []
     q_probs = []
-    for prob, mult in q.atoms:
-        q_scaled.extend([_scaled(prob, e)] * mult)
+    for sc, (prob, mult) in zip(q_sc, q.atoms):
+        q_scaled.extend([sc] * mult)
         q_probs.extend([prob] * mult)
     best_d = None
     best_targets = None

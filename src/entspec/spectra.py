@@ -8,10 +8,15 @@ whose degeneracies are huge binomial counts remain representable long after
 the expanded dimension has left the double-precision range.
 
 Probabilities themselves are double floats.  An atom whose probability
-underflows double precision (possible for i.i.d. powers beyond a few hundred
-copies with skewed bases) is dropped at generation time.  The mass it carries
-is not negligible in general: the dropped type classes of IID(0.9, 0.1) hold
-about 6.0e-42 at n = 1200 and 8.0e-4 at n = 2000.  While the kept mass stays
+falls below the smallest normal double (possible for i.i.d. powers beyond a
+few hundred copies with skewed bases) is dropped at generation time: a
+subnormal probability keeps too few significant bits for its rate, and one
+that underflows to zero keeps none.  (At n = 1500, IID(0.9, 0.1) has 17
+subnormal atoms; the last was stored as 5e-324, so its rate came out
+0.49629 nats against an exact 0.49647.)  The mass the dropped atoms carry is
+not negligible in general: the dropped type classes of IID(0.9, 0.1) hold
+about 1.1e-34 at n = 1200, 7.0e-16 at n = 1500 and 0.026 at n = 2000
+(mpmath).  While the kept mass stays
 within MASS_TOL of 1 only the extreme quantiles of the self-information
 distribution are affected; beyond that, generation raises a
 BudgetExceededError naming the `iid_underflow_mass` budget.
@@ -21,6 +26,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence, Union
 
@@ -62,13 +68,17 @@ def _dyadic_exponent(x: float) -> int:
     return x.as_integer_ratio()[1].bit_length() - 1
 
 
-def _common_exponent(*spectra: Spectrum) -> int:
-    return max((_dyadic_exponent(p) for s in spectra for p, _ in s.atoms), default=0)
-
-
 def _scaled(x: float, e: int) -> int:
     num, den = x.as_integer_ratio()
     return num << (e - (den.bit_length() - 1))
+
+
+def _scaled_atoms(*spectra: Spectrum) -> tuple[int, list[list[int]]]:
+    """The common exponent e of the spectra's probabilities, and each
+    spectrum's probabilities times 2**e, from one as_integer_ratio per atom."""
+    ratios = [[p.as_integer_ratio() for p, _ in s.atoms] for s in spectra]
+    e = max((den.bit_length() - 1 for rs in ratios for _, den in rs), default=0)
+    return e, [[num << (e + 1 - den.bit_length()) for num, den in rs] for rs in ratios]
 
 
 def cumulative_mass(atoms: Iterable[tuple[float, int]]) -> Iterator[float]:
@@ -250,8 +260,9 @@ def iid_spectrum(base: Spectrum, n: int, *, max_type_classes: int = DEFAULT_MAX_
 
     There is one candidate atom per composition of n over the base atoms; the
     atom count is capped by `max_type_classes` before enumeration starts.
-    Atoms that underflow to 0.0 are dropped; when the mass left deviates from
-    1 by more than MASS_TOL, the `iid_underflow_mass` budget is exceeded.
+    Atoms below the smallest normal double (subnormal or 0.0) are dropped;
+    when the mass left deviates from 1 by more than MASS_TOL, the
+    `iid_underflow_mass` budget is exceeded.
     """
     if n < 1:
         raise ValueError("n must be a positive integer")
@@ -268,7 +279,7 @@ def iid_spectrum(base: Spectrum, n: int, *, max_type_classes: int = DEFAULT_MAX_
                 prob *= pv**c
                 if pm != 1:
                     mult *= pm**c
-        if prob > 0.0:
+        if prob >= sys.float_info.min:
             pairs.append((prob, mult))
     if len(pairs) < n_classes:
         lost = 1.0 - math.fsum(_mass_term(p, m) for p, m in pairs)

@@ -269,6 +269,32 @@ def test_verify_all_matches_golden_digest(argv, sha256, capsys):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == sha256
 
 
+# stdout SHA-256 recorded with the histogram-based greedy kernel; the JSON
+# reports list every fiber's target, assigned mass and count in codomain
+# order, so any change to the greedy's assignments changes these
+@pytest.mark.parametrize(
+    "argv, sha256",
+    [
+        (
+            ["iid:0.6,0.3,0.1", "maxent:R=0.5", "--n", "20,30"],
+            "d3d15b9d825ba28f889d5c3afe8578138a168c0fee33def749bad060208ae001",
+        ),
+        (
+            ["maxent:R=1.2", "iid:0.6,0.3,0.1", "--n", "40"],
+            "2bfa64f62ac28fb401fe3b3e63cae4de711d6028bfce7cc4839d585ea10746a6",
+        ),
+        (
+            ["iid:0.5,0.3,0.2", "iid:0.4,0.4,0.2", "--n", "12"],
+            "fe64a503956553efb4d395abaa2e25e44a3c631a416e052fee408a4964b36936",
+        ),
+    ],
+)
+def test_convert_json_matches_golden_digest(argv, sha256, capsys):
+    code, out, _ = run_cli(capsys, "convert", *argv, "--format", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == sha256
+
+
 def test_verify_dim_bounds(capsys):
     # kh never samples a dimension; it is checked all the same
     for suite in ("np", "kh"):

@@ -22,8 +22,9 @@ from entspec.spectra import (
     BudgetExceededError,
     MaxEnt,
     Spectrum,
-    _common_exponent,
+    _dyadic_exponent,
     _scaled,
+    _scaled_atoms,
     iid_spectrum,
     maxent_rank,
     maxent_spectrum,
@@ -166,9 +167,13 @@ def test_convergence_improves_with_block_length():
     assert all(b <= a + 0.05 for a, b in zip(dists, dists[1:]))
 
 
-# The row-wise greedy kernel the columnar one replaced: it re-sorts every fiber
+# The row-wise greedy kernel the columnar ones replaced: it re-sorts every fiber
 # twice per source run, allocates one object per fiber and merges in a second
-# pass.  Kept as the oracle the columnar kernel must match bit for bit.
+# pass.  Kept as the oracle the deficit-ordered kernel must match bit for bit.
+def _common_exponent(*spectra):
+    return max((_dyadic_exponent(p) for s in spectra for p, _ in s.atoms), default=0)
+
+
 @dataclass
 class _OracleFiber:
     """A run of codomain elements sharing target value and current deficit."""
@@ -284,29 +289,34 @@ _GRID_IDS = ["iid10-flat", "iid20-flat", "iid30-flat", "flat-iid40", "flat-iid80
 
 
 def _assert_matches_oracle(p, q):
-    cols, e = _run_greedy(p, q)
+    (D, S, C, A), qs, e = _run_greedy(p, q)
     fibers, want_e = _oracle_run_greedy(p, q)
     assert e == want_e
-    assert list(zip(*cols)) == [(f.start, f.target_scaled, f.deficit, f.count) for f in fibers]
+    got = [(s, qs[a], q.atoms[a][0], d, c) for d, s, c, a in zip(D, S, C, A)]
+    assert got == [(f.start, f.target_scaled, f.target_prob, f.deficit, f.count) for f in fibers]
 
 
 def _assert_fiber_invariants(p, q):
-    """Step the kernel run by run and check the fiber columns after each."""
-    e = _common_exponent(p, q)
-    targets = [_scaled(prob, e) for prob, _ in q.atoms]
+    """Step the kernel run by run and check the fiber state after each."""
+    e, (ps, qs) = _scaled_atoms(p, q)
     counts = [mult for _, mult in q.atoms]
-    cols = [[0, *accumulate(counts[:-1])], targets, list(targets), counts]
-    for prob, mult in p.atoms:
-        before = set(cols[0])
-        _assign_run(cols, _scaled(prob, e), mult)
-        starts, targets, deficits, counts = cols
-        assert len(set(starts) - before) <= 1  # at most one fiber split
-        assert starts[0] == 0 and sum(counts) == q.total_dim and min(counts) > 0
-        assert all(s + c == s2 for s, c, s2 in zip(starts, counts, starts[1:]))
-        pairs = list(zip(targets, deficits))
-        assert all(a != b for a, b in zip(pairs, pairs[1:]))
-    assert len(cols[0]) <= len(p.atoms) + len(q.atoms)
-    assert cols == _run_greedy(p, q)[0]
+    fibers = (list(qs), [0, *accumulate(counts[:-1])], counts, list(range(len(qs))))
+    for P, (_, mult) in zip(ps, p.atoms):
+        before = set(fibers[1])
+        _assign_run(fibers, P, mult)
+        D, S, C, A = fibers
+        assert len(set(S) - before) <= 1  # at most one fiber split
+        assert len({len(col) for col in fibers}) == 1
+        order = [(-d, s) for d, s in zip(D, S)]
+        assert order == sorted(order)  # deficit descending, start ascending
+        rows = sorted(zip(S, C, A, D))  # codomain order
+        assert rows[0][0] == 0 and sum(C) == q.total_dim and min(C) > 0
+        assert all(s + c == s2 for (s, c, _, _), (s2, *_) in zip(rows, rows[1:]))
+        pairs = [(qs[a], d) for _, _, a, d in rows]
+        assert all(x != y for x, y in zip(pairs, pairs[1:]))
+    assert len(fibers[0]) <= len(p.atoms) + len(q.atoms)
+    D, S, C, A = _run_greedy(p, q)[0]
+    assert sorted(zip(*fibers)) == sorted(zip(D, S, C, A))
 
 
 @pytest.mark.parametrize("p,q", _GRID, ids=_GRID_IDS)
@@ -319,6 +329,20 @@ def test_fiber_invariants(p, q):
     _assert_fiber_invariants(p, q)
 
 
+def test_tie_across_level_blocks_takes_lowest_start_first():
+    # The first run (1/3) splits the two halves into start 0 at deficit 1/6
+    # (level 1 of 1/9) and start 1 at 1/2 (level 4).  The second run (six of
+    # 1/9) cuts at level 0 and lowers both blocks onto 1/18, start 1 first in
+    # block order; the one element left at the cut must go to start 0.
+    p = Spectrum.from_atoms([(1 / 3, 1), (1 / 9, 6)])
+    q = Spectrum.from_atoms([(0.5, 2)])
+    _assert_matches_oracle(p, q)
+    _assert_fiber_invariants(p, q)
+    r = synthesize_map(p, q)
+    assert r.map.targets == (0, 1, 1, 1, 0, 1, 0)
+    assert [(a.assigned_mass, a.count) for a in r.assignments] == [(5 / 9, 1), (4 / 9, 1)]
+
+
 @st.composite
 def _spectra(draw):
     """Spectra whose multiplicities reach 2**70, probabilities w / sum(w * m)."""
@@ -328,8 +352,25 @@ def _spectra(draw):
     return Spectrum.from_atoms([(w / total, m) for w, m in pairs])
 
 
+@st.composite
+def _tied_spectra(draw):
+    """Spectra with weights 1-8 and small multiplicities, so that deficits of
+    different fibers often coincide."""
+    atom = st.tuples(st.integers(1, 8), st.integers(1, 30))
+    pairs = draw(st.lists(atom, min_size=1, max_size=8))
+    total = sum(w * m for w, m in pairs)
+    return Spectrum.from_atoms([(w / total, m) for w, m in pairs])
+
+
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(_spectra(), _spectra())
 def test_columnar_kernel_matches_oracle_on_random_pairs(p, q):
+    _assert_matches_oracle(p, q)
+    _assert_fiber_invariants(p, q)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_tied_spectra(), _tied_spectra())
+def test_columnar_kernel_matches_oracle_on_tied_pairs(p, q):
     _assert_matches_oracle(p, q)
     _assert_fiber_invariants(p, q)

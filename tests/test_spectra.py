@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from entspec.hermitian import rand_unitary
+from entspec.infospec import entropy_proxies
 from entspec.spectra import (
     IID,
     AmplitudeMatrix,
@@ -108,15 +110,31 @@ def test_iid_budget_rejection():
 
 def test_iid_underflow_beyond_mass_tolerance_is_a_budget():
     base = Spectrum.from_probs([0.9, 0.1])
-    # at n = 1200 the underflowed type classes carry about 6.0e-42 (mpmath),
-    # so the spectrum is kept without them
+    # at n = 1200 the type classes below the smallest normal double carry
+    # about 1.1e-34 (mpmath), so the spectrum is kept without them
     kept = iid_spectrum(base, 1200)
     assert len(kept.atoms) < 1201 and abs(kept.mass() - 1.0) < 1e-12
-    # at n = 2000 they carry about 8.0e-4
+    # at n = 2000 they carry about 0.0257 (8.0e-4 of it in classes that
+    # underflow to zero)
     with pytest.raises(BudgetExceededError) as err:
         iid_spectrum(base, 2000)
     assert err.value.budget == "iid_underflow_mass"
-    assert 7e-4 < err.value.needed < 9e-4
+    assert 0.025 < err.value.needed < 0.027
+
+
+def test_iid_drops_subnormal_atoms():
+    # at n = 1500, IID(0.9, 0.1) has 17 type classes whose probability is
+    # subnormal; the last was stored as 5e-324, which put its rate 1.7e-4 nats
+    # below the exact one
+    n = 1500
+    s = iid_spectrum(Spectrum.from_probs([0.9, 0.1]), n)
+    assert min(p for p, _ in s.atoms) >= sys.float_info.min
+    # the eps = 1 proxy is the rate of the last kept type class, k copies of 0.9
+    p_last = s.atoms[-1][0]
+    k = round((math.log(p_last) - n * math.log(0.1)) / (math.log(0.9) - math.log(0.1)))
+    exact = -(k * math.log(0.9) + (n - k) * math.log(0.1)) / n
+    lower, _ = entropy_proxies(s, n, 1.0)
+    assert abs(lower - exact) < 1e-12
 
 
 def test_maxent_spectrum():
