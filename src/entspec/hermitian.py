@@ -662,7 +662,7 @@ def _transfer_instance(rng, k: int, dim: int):
 def _greedy_vs_brute_instance(rng, k: int, dim: int):
     p = rand_spectrum(rng, 6)
     q = rand_spectrum(rng, 3)
-    greedy = synthesize_map(p, q)
+    greedy = synthesize_map(p, q, with_map=True)
     brute = brute_force_optimal(p, q)
     gap = greedy.achieved_distance - brute.achieved_distance
     consistent = pushforward(p, greedy.map).atoms == greedy.pushforward.atoms

@@ -22,20 +22,12 @@ eigenvalues below the cutoff count as non-positive.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from .spectra import (
-    DEFAULT_MAX_TYPE_CLASSES,
-    _EXP_LIMIT,
-    SequenceModel,
-    Spectrum,
-    _mass_term,
-    cumulative_mass,
-    generate,
-)
+from .spectra import _EXP_LIMIT, Spectrum, _mass_term, cumulative_mass
+# no caller here; perfbench/spans.py rebinds infospec.generate (ROADMAP item 1)
+from .spectra import generate  # noqa: F401
 
 _QUANTILE_TOL = 1e-12
 _EIG_CUT_REL = 1e-10
@@ -97,65 +89,6 @@ def entropy_proxies(s: Spectrum, n: int, epsilon: float) -> tuple[float, float]:
     if upper is None:
         upper = last_rate
     return lower, upper
-
-
-@dataclass(frozen=True)
-class TailCurve:
-    """Sampled self-information CDF at one block length."""
-
-    n: int
-    samples: tuple[tuple[float, float], ...]  # (threshold a, mass)
-
-    def __post_init__(self):
-        prev = -math.inf
-        for a, mass in self.samples:
-            if not -1e-12 <= mass <= 1.0 + 1e-12:
-                raise ValueError(f"tail mass {mass!r} outside [0, 1]")
-            if mass < prev - 1e-12:
-                raise ValueError("tail curve must be non-decreasing in the threshold")
-            prev = mass
-
-
-def tail_curve(s: Spectrum, n: int, a_grid: Sequence[float], *, boundary: str = "nonstrict") -> TailCurve:
-    grid = sorted(float(a) for a in a_grid)
-    return TailCurve(n=n, samples=tuple((a, cdf_selfinfo(s, n, a, boundary=boundary)) for a in grid))
-
-
-@dataclass(frozen=True)
-class RateQuery:
-    epsilon: float
-    n_grid: tuple[int, ...]
-
-    def __post_init__(self):
-        if not 0.0 <= self.epsilon <= 1.0:
-            raise ValueError(f"epsilon must lie in [0, 1], got {self.epsilon!r}")
-        if not self.n_grid:
-            raise ValueError("n grid is empty")
-        if any(n < 1 for n in self.n_grid):
-            raise ValueError("n grid entries must be positive integers")
-        if any(b <= a for a, b in zip(self.n_grid, self.n_grid[1:])):
-            raise ValueError("n grid must be strictly increasing")
-
-
-@dataclass(frozen=True)
-class RateCurve:
-    epsilon: float
-    points: tuple[tuple[int, float, float], ...]  # (n, lower proxy, upper proxy)
-
-
-def rate_curve(
-    model: SequenceModel,
-    query: RateQuery,
-    *,
-    max_type_classes: int = DEFAULT_MAX_TYPE_CLASSES,
-) -> RateCurve:
-    """Entropy-rate proxies of a modeled sequence along an n grid."""
-    points = []
-    for n in query.n_grid:
-        s = generate(model, n, max_type_classes=max_type_classes)
-        lower, upper = entropy_proxies(s, n, query.epsilon)
-        points.append((n, lower, upper))
-    return RateCurve(epsilon=query.epsilon, points=tuple(points))
 
 
 # ---------------------------------------------------------------------------

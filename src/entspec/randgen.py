@@ -23,14 +23,18 @@ blocks it lowers onto the cut level.  Moving and comparing fibers is done by
 list slices and C-level maps.  One sort by start index at the end restores
 codomain order.  A run splits at most one fiber, so F <= k_p + k_q, the bound
 the max_greedy_fibers budget checks up front.
+
+A DeterministicMap is built only on request (`with_map=True`): the same
+kernel is then stepped one source element at a time, one kernel call per
+element, so its cost grows with the expanded source dimension, which
+DEFAULT_MAX_EXPANDED_DIM bounds.
 """
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import accumulate, chain, compress, count, islice, product, repeat
+from itertools import accumulate, compress, count, islice, product, repeat
 from operator import eq, itemgetter, mul, neg, sub
 from typing import Optional
 
@@ -39,12 +43,11 @@ from .spectra import (
     DEFAULT_MAX_EXPANDED_DIM,
     DEFAULT_MAX_TYPE_CLASSES,
     BudgetExceededError,
-    SequenceModel,
     Spectrum,
-    _mass_term,
     _scaled_atoms,
-    generate,
 )
+# no caller here; perfbench/spans.py rebinds randgen.generate (ROADMAP item 1)
+from .spectra import generate  # noqa: F401
 
 DEFAULT_BRUTE_FORCE_CAP = 10**6
 
@@ -167,42 +170,31 @@ def _assign_run(fibers: Fibers, P: int, m: int) -> None:
                 del col[x]
 
 
-def _run_greedy(p: Spectrum, q: Spectrum) -> tuple[Fibers, list[int], int]:
+def _run_greedy(
+    p: Spectrum, q: Spectrum, targets: Optional[list[int]] = None
+) -> tuple[Fibers, list[int], int]:
     """Fiber columns (deficits, starts, counts, target atoms) in codomain order
-    after every source run, q's probabilities, all scaled by 2**e, and e."""
+    after every source run, q's probabilities, all scaled by 2**e, and e.
+
+    Given a `targets` list, the kernel steps one source element at a time and
+    appends the codomain index each element goes to: the first element of
+    the front fiber, which has the largest deficit and, among equal
+    deficits, the lowest start.
+    """
     e, (ps, qs) = _scaled_atoms(p, q)
     counts = [mult for _, mult in q.atoms]
     fibers = (list(qs), [0, *accumulate(counts[:-1])], counts, list(range(len(qs))))
     for P, (_, mult) in zip(ps, p.atoms):
-        _assign_run(fibers, P, mult)
+        if targets is None:
+            _assign_run(fibers, P, mult)
+            continue
+        for _ in range(mult):
+            targets.append(fibers[1][0])
+            _assign_run(fibers, P, 1)
     S = fibers[1]
     if len(S) > 1:
         _permute(fibers, 0, sorted(range(len(S)), key=S.__getitem__))
     return fibers, qs, e
-
-
-def _expanded_greedy(p: Spectrum, q: Spectrum) -> tuple[list[int], list[int]]:
-    """Element-by-element greedy on a max-heap of exact scaled deficits."""
-    import heapq
-
-    _, (ps, qs) = _scaled_atoms(p, q)
-    heap = []
-    y = 0
-    for sc, (_, mult) in zip(qs, q.atoms):
-        for _ in range(mult):
-            heap.append((-sc, y))
-            y += 1
-    heapq.heapify(heap)
-    targets = []
-    for sc, (_, mult) in zip(ps, p.atoms):
-        for _ in range(mult):
-            negd, yy = heapq.heappop(heap)
-            targets.append(yy)
-            heapq.heappush(heap, (negd + sc, yy))
-    deficits = [0] * y
-    for negd, yy in heap:
-        deficits[yy] = -negd
-    return targets, deficits
 
 
 @dataclass(frozen=True)
@@ -219,7 +211,7 @@ class FiberAssignment:
 
 @dataclass(frozen=True)
 class MapSynthesisReport:
-    """Synthesis outcome: the map (when materializable), its pushforward,
+    """Synthesis outcome: the map (when requested), its pushforward,
     and the variational distance sum_y |q(y) - q~(y)| to the target.
 
     `assignments` preserves the codomain-label pairing that the sorted
@@ -237,20 +229,6 @@ class MapSynthesisReport:
             raise ValueError(f"variational distance {self.achieved_distance!r} outside [0, 2]")
         if sum(f.count for f in self.assignments) != self.target.total_dim:
             raise ValueError("assignments do not cover the codomain")
-        recomputed = math.fsum(
-            _mass_term(abs(f.target_prob - f.assigned_mass), f.count) for f in self.assignments
-        )
-        if abs(recomputed - self.achieved_distance) > 1e-12:
-            raise ValueError(
-                f"achieved_distance {self.achieved_distance!r} does not match "
-                f"assignments ({recomputed!r})"
-            )
-        rebuilt = Spectrum.from_atoms(
-            [(f.assigned_mass, f.count) for f in self.assignments if f.assigned_mass > 0.0],
-            mass_tol=1e-11,
-        )
-        if rebuilt.atoms != self.pushforward.atoms:
-            raise ValueError("pushforward spectrum does not match assignments")
         if self.map is not None and self.map.codomain_size != self.target.total_dim:
             raise ValueError("map codomain does not match target dimension")
 
@@ -264,11 +242,26 @@ class MapSynthesisReport:
         }
 
 
+def _report(
+    q: Spectrum,
+    assignments: tuple[FiberAssignment, ...],
+    distance: float,
+    map_: Optional[DeterministicMap],
+) -> MapSynthesisReport:
+    """The report of a map onto q, with the pushforward built from the assignments."""
+    push = Spectrum.from_atoms(
+        [(a.assigned_mass, a.count) for a in assignments if a.assigned_mass > 0.0], mass_tol=1e-11
+    )
+    return MapSynthesisReport(
+        target=q, pushforward=push, achieved_distance=distance, assignments=assignments, map=map_
+    )
+
+
 def synthesize_map(
     p: Spectrum,
     q: Spectrum,
     *,
-    max_expanded_dim: int = DEFAULT_MAX_EXPANDED_DIM,
+    with_map: bool = False,
     max_fibers: int = DEFAULT_MAX_TYPE_CLASSES,
 ) -> MapSynthesisReport:
     """Greedy largest-deficit assignment of p's expansion onto q's labels.
@@ -277,35 +270,28 @@ def synthesize_map(
     counts of p and q) kept in deficit order: per source run, O(B·log F)
     bisects for the B level blocks at or above the cut, one big-int
     subtraction per fiber lowered or taken, and a merge of a few sorted
-    blocks; no division per fiber.  The explicit DeterministicMap is
-    materialized only when both expanded dimensions fit max_expanded_dim;
-    the report's assignments and distance are exact either way.
+    blocks; no division per fiber.  The report's assignments and distance
+    are exact.  The explicit DeterministicMap is built only when with_map is
+    set, by one more kernel call per source element; a source expansion
+    above DEFAULT_MAX_EXPANDED_DIM then raises a BudgetExceededError.
     """
     if len(p.atoms) + len(q.atoms) > max_fibers:
         raise BudgetExceededError("max_greedy_fibers", len(p.atoms) + len(q.atoms), max_fibers)
-    (deficits, _, counts, atoms), qs, e = _run_greedy(p, q)
+    if with_map and p.total_dim > DEFAULT_MAX_EXPANDED_DIM:
+        raise BudgetExceededError("max_expanded_dim", p.total_dim, DEFAULT_MAX_EXPANDED_DIM)
+    fibers, qs, e = _run_greedy(p, q)
+    map_: Optional[DeterministicMap] = None
+    if with_map:
+        targets: list[int] = []
+        if _run_greedy(p, q, targets)[0] != fibers:
+            raise RuntimeError("element-stepped and run-wise greedy assignments disagree")
+        map_ = DeterministicMap(p.total_dim, tuple(targets), q.total_dim)
+    deficits, _, counts, atoms = fibers
     den = 1 << e
-    distance = sum(map(abs, map(mul, counts, deficits))) / den
     assignments = tuple(
         FiberAssignment(q.atoms[a][0], (qs[a] - d) / den, c) for d, c, a in zip(deficits, counts, atoms)
     )
-    push = Spectrum.from_atoms(
-        [(a.assigned_mass, a.count) for a in assignments if a.assigned_mass > 0.0],
-        mass_tol=1e-11,
-    )
-    map_: Optional[DeterministicMap] = None
-    if p.total_dim <= max_expanded_dim and q.total_dim <= max_expanded_dim:
-        targets_x, deficits_x = _expanded_greedy(p, q)
-        if deficits_x != list(chain.from_iterable(map(repeat, deficits, counts))):
-            raise RuntimeError("compressed and expanded greedy assignments disagree")
-        map_ = DeterministicMap(p.total_dim, tuple(targets_x), q.total_dim)
-    return MapSynthesisReport(
-        target=q,
-        pushforward=push,
-        achieved_distance=distance,
-        assignments=assignments,
-        map=map_,
-    )
+    return _report(q, assignments, sum(map(abs, map(mul, counts, deficits))) / den, map_)
 
 
 def brute_force_optimal(
@@ -352,32 +338,4 @@ def brute_force_optimal(
         else:
             groups.append([qs, mu, prob, 1])
     assignments = tuple(FiberAssignment(prob, mu / den, c) for _, mu, prob, c in groups)
-    push = Spectrum.from_atoms(
-        [(a.assigned_mass, a.count) for a in assignments if a.assigned_mass > 0.0],
-        mass_tol=1e-11,
-    )
-    return MapSynthesisReport(
-        target=q,
-        pushforward=push,
-        achieved_distance=best_d / den,
-        assignments=assignments,
-        map=DeterministicMap(nx, tuple(best_targets), ny),
-    )
-
-
-def convergence_experiment(
-    source: SequenceModel,
-    target: SequenceModel,
-    n_grid,
-    *,
-    max_type_classes: int = DEFAULT_MAX_TYPE_CLASSES,
-    max_expanded_dim: int = DEFAULT_MAX_EXPANDED_DIM,
-) -> list[tuple[int, float]]:
-    """Synthesis distance at each n for generated source/target spectra."""
-    out = []
-    for n in n_grid:
-        ps = generate(source, n, max_type_classes=max_type_classes)
-        qs = generate(target, n, max_type_classes=max_type_classes)
-        report = synthesize_map(ps, qs, max_expanded_dim=max_expanded_dim)
-        out.append((n, report.achieved_distance))
-    return out
+    return _report(q, assignments, best_d / den, DeterministicMap(nx, tuple(best_targets), ny))

@@ -292,10 +292,10 @@ def maxent_spectrum(rank: int) -> Spectrum:
     """Flat spectrum of a maximally entangled state of the given Schmidt rank."""
     if rank < 1:
         raise ValueError("Schmidt rank must be a positive integer")
-    p = 1.0 / rank
-    if p == 0.0:
-        raise BudgetExceededError("max_maxent_rank", rank, "1/rank must stay above the double-precision floor")
-    return Spectrum.from_atoms([(p, rank)])
+    # 1/rank must be a normal double, as iid_spectrum requires of its atoms
+    if rank > 1 << 1022:
+        raise BudgetExceededError("max_maxent_rank", rank, 1 << 1022)
+    return Spectrum.from_atoms([(1.0 / rank, rank)])
 
 
 def maxent_rank(rate: float, n: int) -> int:

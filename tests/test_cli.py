@@ -142,6 +142,15 @@ def test_rates_underflow_exits_3_with_header(capsys):
     assert out == "n,epsilon,underline_H,overline_H\n"
 
 
+def test_rates_maxent_rank_beyond_doubles_exits_3_with_header(capsys, tmp_path):
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"kind": "maxent_explicit", "ranks": [10**400]}))
+    code, out, err = run_cli(capsys, "rates", f"file:{path}", "--n", "1", "--eps", "0.1")
+    assert code == 3
+    assert "max_maxent_rank" in err
+    assert out == "n,epsilon,underline_H,overline_H\n"
+
+
 @pytest.mark.parametrize(
     "argv",
     [

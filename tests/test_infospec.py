@@ -5,18 +5,14 @@ import pytest
 
 from entspec.hermitian import rand_spectrum
 from entspec.infospec import (
-    RateQuery,
-    TailCurve,
     cdf_selfinfo,
     entropy_proxies,
-    rate_curve,
     tail_C,
     tail_C_spectrum,
     tail_D,
     tail_D_spectrum,
-    tail_curve,
 )
-from entspec.spectra import IID, MaxEnt, Mixture, Spectrum, entropy, expand, iid_spectrum
+from entspec.spectra import IID, MaxEnt, Mixture, Spectrum, entropy, expand, generate, iid_spectrum
 
 
 def test_cdf_point_mass():
@@ -59,13 +55,9 @@ def test_cdf_monotone_in_threshold():
     assert values[-1] == s.mass()  # grid end exceeds the largest atom rate
 
 
-def test_tail_curve_sorts_and_validates():
+def test_cdf_on_threshold_grid():
     s = Spectrum.from_probs([0.9, 0.1])
-    curve = tail_curve(s, 1, [3.0, 0.05, 0.5])
-    assert [a for a, _ in curve.samples] == [0.05, 0.5, 3.0]
-    assert [m for _, m in curve.samples] == [0.0, 0.9, 1.0]
-    with pytest.raises(ValueError):
-        TailCurve(n=1, samples=((0.0, 0.9), (1.0, 0.5)))
+    assert [cdf_selfinfo(s, 1, a) for a in (0.05, 0.5, 3.0)] == [0.0, 0.9, 1.0]
 
 
 def test_proxies_degenerate_spectrum():
@@ -171,9 +163,7 @@ def test_tail_rejects_shape_mismatch():
 
 def test_rate_curve_iid():
     model = IID(Spectrum.from_probs([0.9, 0.1]))
-    curve = rate_curve(model, RateQuery(epsilon=0.1, n_grid=(50, 400)))
-    assert [n for n, _, _ in curve.points] == [50, 400]
-    _, lo, hi = curve.points[1]
+    lo, hi = entropy_proxies(generate(model, 400), 400, 0.1)
     assert abs(lo - 0.2811384818447238) < 1e-12
     assert abs(hi - 0.3690274649381726) < 1e-12
     h = entropy(Spectrum.from_probs([0.9, 0.1]))
@@ -187,20 +177,10 @@ def test_rate_curve_mixture():
             (0.5, MaxEnt(math.log(2.0))),
         )
     )
-    curve = rate_curve(model, RateQuery(epsilon=0.25, n_grid=(400,)))
-    _, lo, hi = curve.points[0]
+    lo, hi = entropy_proxies(generate(model, 400), 400, 0.25)
     # closed forms: lower is the median type-class rate of the weighted
     # binomial half, upper the flat rate of the weighted maximally mixed half
     want_lo = (40.0 * math.log(10.0) + 360.0 * math.log(10.0 / 9.0) + math.log(2.0)) / 400.0
     want_hi = math.log(2.0) * 401.0 / 400.0
     assert abs(lo - want_lo) < 1e-12
     assert abs(hi - want_hi) < 1e-12
-
-
-def test_rate_query_validation():
-    with pytest.raises(ValueError):
-        RateQuery(epsilon=0.1, n_grid=(100, 50))
-    with pytest.raises(ValueError):
-        RateQuery(epsilon=1.5, n_grid=(50,))
-    with pytest.raises(ValueError):
-        RateQuery(epsilon=0.1, n_grid=())

@@ -1,6 +1,6 @@
 import math
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, chain, repeat
 
 import numpy as np
 import pytest
@@ -8,16 +8,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from entspec.hermitian import rand_spectrum
-from entspec.majorize import majorizes, pushforward
+from entspec.majorize import DeterministicMap, majorizes, pushforward
 from entspec.randgen import (
     MapSynthesisReport,
     _assign_run,
     _run_greedy,
     brute_force_optimal,
-    convergence_experiment,
     synthesize_map,
 )
 from entspec.spectra import (
+    DEFAULT_MAX_EXPANDED_DIM,
     IID,
     BudgetExceededError,
     MaxEnt,
@@ -25,6 +25,7 @@ from entspec.spectra import (
     _dyadic_exponent,
     _scaled,
     _scaled_atoms,
+    generate,
     iid_spectrum,
     maxent_rank,
     maxent_spectrum,
@@ -36,7 +37,7 @@ def _probs(*xs):
 
 
 def test_uniform_four_to_two_is_exact():
-    r = synthesize_map(_probs(0.25, 0.25, 0.25, 0.25), _probs(0.5, 0.5))
+    r = synthesize_map(_probs(0.25, 0.25, 0.25, 0.25), _probs(0.5, 0.5), with_map=True)
     assert r.achieved_distance == 0.0
     assert r.pushforward.atoms == ((0.5, 2),)
     assert r.map is not None
@@ -110,7 +111,7 @@ def test_materialized_map_reproduces_pushforward():
     for _ in range(40):
         p = rand_spectrum(rng, 8)
         q = rand_spectrum(rng, 4)
-        r = synthesize_map(p, q)
+        r = synthesize_map(p, q, with_map=True)
         assert r.map is not None
         assert pushforward(p, r.map).atoms == r.pushforward.atoms
 
@@ -127,43 +128,61 @@ def test_pushforward_always_majorizes_source():
 def test_compressed_map_without_materialization():
     p = iid_spectrum(_probs(0.9, 0.1), 60)
     q = Spectrum.from_atoms([(2.0 ** -12, 2 ** 12)])
-    r = synthesize_map(p, q, max_expanded_dim=2 ** 11)
+    r = synthesize_map(p, q)
     assert r.map is None
     assert 0.0 <= r.achieved_distance <= 2.0
     assert sum(a.count for a in r.assignments) == 2 ** 12
 
 
+def test_requested_map_above_expansion_budget():
+    q = _probs(0.5, 0.5)
+    at = Spectrum.from_atoms([(1.0 / DEFAULT_MAX_EXPANDED_DIM, DEFAULT_MAX_EXPANDED_DIM)])
+    assert len(synthesize_map(at, q, with_map=True).map.targets) == DEFAULT_MAX_EXPANDED_DIM
+    above = Spectrum.from_atoms([(0.5 / DEFAULT_MAX_EXPANDED_DIM, 2 * DEFAULT_MAX_EXPANDED_DIM)])
+    for p in (above, iid_spectrum(_probs(0.9, 0.1), 60)):
+        with pytest.raises(BudgetExceededError) as exc:
+            synthesize_map(p, q, with_map=True)
+        assert exc.value.budget == "max_expanded_dim"
+        assert synthesize_map(p, q).map is None
+
+
 def test_report_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="cover"):
         MapSynthesisReport(
             target=_probs(0.5, 0.5),
             pushforward=_probs(1.0),
-            achieved_distance=0.5,  # inconsistent with assignments
-            assignments=(),
+            achieved_distance=0.5,
+            assignments=(),  # the codomain has two elements
             map=None,
         )
+    good = synthesize_map(_probs(0.4, 0.3, 0.3), _probs(0.5, 0.5), with_map=True)
+    with pytest.raises(ValueError, match="outside"):
+        MapSynthesisReport(good.target, good.pushforward, 2.5, good.assignments, good.map)
+    wide = DeterministicMap(3, (0, 1, 2), 3)
+    with pytest.raises(ValueError, match="map codomain"):
+        MapSynthesisReport(good.target, good.pushforward, 0.2, good.assignments, wide)
+
+
+def _distances(source, target, n_grid):
+    return [synthesize_map(generate(source, n), generate(target, n)).achieved_distance for n in n_grid]
 
 
 def test_convergence_below_entropy_rate():
-    out = convergence_experiment(IID(_probs(0.9, 0.1)), MaxEnt(0.2), (50, 100, 200))
-    dists = [d for _, d in out]
+    dists = _distances(IID(_probs(0.9, 0.1)), MaxEnt(0.2), (50, 100, 200))
     assert all(b < a for a, b in zip(dists, dists[1:]))
     assert dists[-1] < 0.1
 
 
 def test_convergence_above_entropy_rate():
-    out = convergence_experiment(IID(_probs(0.9, 0.1)), MaxEnt(0.45), (100, 200))
-    assert all(d >= 0.5 for _, d in out)
+    assert all(d >= 0.5 for d in _distances(IID(_probs(0.9, 0.1)), MaxEnt(0.45), (100, 200)))
 
 
 def test_convergence_flat_self_is_exact():
-    out = convergence_experiment(MaxEnt(math.log(2.0)), MaxEnt(math.log(2.0)), (10, 60))
-    assert out == [(10, 0.0), (60, 0.0)]
+    assert _distances(MaxEnt(math.log(2.0)), MaxEnt(math.log(2.0)), (10, 60)) == [0.0, 0.0]
 
 
 def test_convergence_improves_with_block_length():
-    out = convergence_experiment(IID(_probs(0.9, 0.1)), MaxEnt(0.2), (25, 50, 100, 200))
-    dists = [d for _, d in out]
+    dists = _distances(IID(_probs(0.9, 0.1)), MaxEnt(0.2), (25, 50, 100, 200))
     assert all(b <= a + 0.05 for a, b in zip(dists, dists[1:]))
 
 
@@ -288,6 +307,42 @@ _GRID += [(iid_spectrum(_probs(0.9, 0.1), 200), _flat(0.2, 200))]
 _GRID_IDS = ["iid10-flat", "iid20-flat", "iid30-flat", "flat-iid40", "flat-iid80", "iid2x200-flat"]
 
 
+# The element-by-element heap greedy that built requested maps before the
+# kernel was stepped one element at a time.  Kept as the oracle the requested
+# map must match element for element.
+def _expanded_greedy(p: Spectrum, q: Spectrum) -> tuple[list[int], list[int]]:
+    """Element-by-element greedy on a max-heap of exact scaled deficits."""
+    import heapq
+
+    _, (ps, qs) = _scaled_atoms(p, q)
+    heap = []
+    y = 0
+    for sc, (_, mult) in zip(qs, q.atoms):
+        for _ in range(mult):
+            heap.append((-sc, y))
+            y += 1
+    heapq.heapify(heap)
+    targets = []
+    for sc, (_, mult) in zip(ps, p.atoms):
+        for _ in range(mult):
+            negd, yy = heapq.heappop(heap)
+            targets.append(yy)
+            heapq.heappush(heap, (negd + sc, yy))
+    deficits = [0] * y
+    for negd, yy in heap:
+        deficits[yy] = -negd
+    return targets, deficits
+
+
+def _assert_map_matches_heap(p, q):
+    """The requested map sends each source element where the heap greedy
+    does, and the run-wise fibers expand to the heap's final deficits."""
+    targets, deficits = _expanded_greedy(p, q)
+    assert synthesize_map(p, q, with_map=True).map.targets == tuple(targets)
+    (D, _, C, _), _, _ = _run_greedy(p, q)
+    assert list(chain.from_iterable(map(repeat, D, C))) == deficits
+
+
 def _assert_matches_oracle(p, q):
     (D, S, C, A), qs, e = _run_greedy(p, q)
     fibers, want_e = _oracle_run_greedy(p, q)
@@ -338,8 +393,9 @@ def test_tie_across_level_blocks_takes_lowest_start_first():
     q = Spectrum.from_atoms([(0.5, 2)])
     _assert_matches_oracle(p, q)
     _assert_fiber_invariants(p, q)
-    r = synthesize_map(p, q)
+    r = synthesize_map(p, q, with_map=True)
     assert r.map.targets == (0, 1, 1, 1, 0, 1, 0)
+    _assert_map_matches_heap(p, q)
     assert [(a.assigned_mass, a.count) for a in r.assignments] == [(5 / 9, 1), (4 / 9, 1)]
 
 
@@ -374,3 +430,5 @@ def test_columnar_kernel_matches_oracle_on_random_pairs(p, q):
 def test_columnar_kernel_matches_oracle_on_tied_pairs(p, q):
     _assert_matches_oracle(p, q)
     _assert_fiber_invariants(p, q)
+    # at most 8 atoms of multiplicity 30: both expansions stay small
+    _assert_map_matches_heap(p, q)

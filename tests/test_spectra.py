@@ -144,6 +144,16 @@ def test_maxent_spectrum():
         maxent_spectrum(0)
 
 
+def test_maxent_rank_budget_keeps_normal_doubles():
+    # 1/rank stays a normal double up to rank 2**1022; beyond it the flat
+    # spectrum is a named budget, not an OverflowError from 1.0 / rank
+    assert maxent_spectrum(2**1022).atoms == ((2.0**-1022, 2**1022),)
+    for rank in (2**1022 + 1, 10**400):
+        with pytest.raises(BudgetExceededError) as exc:
+            maxent_spectrum(rank)
+        assert exc.value.budget == "max_maxent_rank"
+
+
 def test_maxent_rank_ceiling():
     assert maxent_rank(0.2, 10) == 8  # ceil(e^2)
     # exact powers must not be bumped by exp dust
