@@ -9,9 +9,10 @@ the expanded dimension has left the double-precision range.
 
 Probabilities themselves are double floats.  An atom whose probability
 falls below the smallest normal double (possible for i.i.d. powers beyond a
-few hundred copies with skewed bases) is dropped at generation time: a
-subnormal probability keeps too few significant bits for its rate, and one
-that underflows to zero keeps none.  (At n = 1500, IID(0.9, 0.1) has 17
+few hundred copies with skewed bases, and for the atoms of a mixture
+component with a small weight) is dropped at generation time: a subnormal
+probability keeps too few significant bits for its rate, and one that
+underflows to zero keeps none.  (At n = 1500, IID(0.9, 0.1) has 17
 subnormal atoms; the last was stored as 5e-324, so its rate came out
 0.49629 nats against an exact 0.49647.)  The mass the dropped atoms carry is
 not negligible in general: the dropped type classes of IID(0.9, 0.1) hold
@@ -28,6 +29,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Sequence, Union
 
 import numpy as np
@@ -64,15 +66,6 @@ def _mass_term(p: float, mult: int) -> float:
 # Exact dyadic arithmetic: finite doubles are integers over powers of two
 
 
-def _dyadic_exponent(x: float) -> int:
-    return x.as_integer_ratio()[1].bit_length() - 1
-
-
-def _scaled(x: float, e: int) -> int:
-    num, den = x.as_integer_ratio()
-    return num << (e - (den.bit_length() - 1))
-
-
 def _scaled_atoms(*spectra: Spectrum) -> tuple[int, list[list[int]]]:
     """The common exponent e of the spectra's probabilities, and each
     spectrum's probabilities times 2**e, from one as_integer_ratio per atom."""
@@ -89,16 +82,16 @@ def cumulative_mass(atoms: Iterable[tuple[float, int]]) -> Iterator[float]:
     is its correctly rounded quotient.  k atoms cost O(k) big-int adds.
     """
     acc = e = 0
-    den = 1
+    scale = 1
     for p, m in atoms:
-        term = _mass_term(p, m)
-        te = _dyadic_exponent(term)
+        num, den = _mass_term(p, m).as_integer_ratio()
+        te = den.bit_length() - 1
         if te > e:
             acc <<= te - e
             e = te
-            den = 1 << e
-        acc += _scaled(term, e)
-        yield acc / den
+            scale = den
+        acc += num << (e - te)
+        yield acc / scale
 
 
 @dataclass(frozen=True)
@@ -126,25 +119,35 @@ class Spectrum:
                     raise ValueError(f"multiplicity must be a positive integer, got {m!r}")
             if m <= 0:
                 raise ValueError(f"multiplicity must be positive, got {m}")
-            if math.isnan(p) or p < 0.0:
+            if p > 0.0:
+                cleaned.append((p, m))
+            elif p != 0.0:  # NaN or negative; zero atoms are dropped
                 raise ValueError(f"probability must be nonnegative, got {p!r}")
-            if p == 0.0:
-                continue  # zero atoms are dropped
-            cleaned.append((p, m))
         if not cleaned:
             raise ValueError("spectrum has no positive atoms")
-        cleaned.sort(key=lambda t: -t[0])
-        merged: list[list] = []
-        for p, m in cleaned:
-            if merged and merged[-1][0] - p <= MERGE_RTOL * merged[-1][0]:
-                merged[-1][1] += m
+        cleaned.sort(key=itemgetter(0), reverse=True)
+        # one pass: a run of values within MERGE_RTOL of its first (largest)
+        # value becomes one atom at that value
+        merged = []
+        run = iter(cleaned)
+        head, mult = next(run)
+        tol = MERGE_RTOL * head
+        for p, m in run:
+            if head - p <= tol:
+                mult += m
             else:
-                merged.append([p, m])
-        mass = math.fsum(_mass_term(p, m) for p, m in merged)
+                merged.append((head, mult))
+                head, mult = p, m
+                tol = MERGE_RTOL * head
+        merged.append((head, mult))
+        del cleaned, run  # free the sorted pairs before the mass terms are built
+        try:
+            mass = math.fsum([p * m for p, m in merged])
+        except OverflowError:
+            mass = math.fsum([_mass_term(p, m) for p, m in merged])
         if abs(mass - 1.0) > mass_tol:
             raise ValueError(f"spectrum mass {mass!r} deviates from 1 beyond tolerance {mass_tol}")
-        atoms = tuple((p, m) for p, m in merged)
-        return cls(atoms=atoms, total_dim=sum(m for _, m in atoms))
+        return cls(atoms=tuple(merged), total_dim=sum(m for _, m in merged))
 
     @classmethod
     def from_probs(cls, values: Sequence[float], *, mass_tol: float = MASS_TOL) -> "Spectrum":
@@ -236,33 +239,73 @@ def schmidt_from_amplitudes(amps) -> Spectrum:
 # Sequence models
 
 
-def _compositions(n: int, k: int):
-    # all k-tuples of nonnegative ints summing to n, first coordinate descending
-    if k == 1:
-        yield (n,)
+def _type_classes(base: Spectrum, n: int) -> Iterator[tuple[float, int]]:
+    """(probability, multiplicity) of each type class of n letters over `base`.
+
+    A class with c_i copies of letter i has probability
+    ((1.0 * p_0**c_0) * p_1**c_1) * ..., multiplied left to right from
+    per-letter tables of p_i**c, and multiplicity multinomial(n; c) times the
+    product of m_i**c_i.  Along a run of classes that trade copies between two
+    letters the multiplicity steps exactly by C(r, c - 1) = C(r, c) * c //
+    (r - c + 1), with the letters' m_i folded into the same step.
+    """
+    atoms = base.atoms
+    powers = [[p**c for c in range(n + 1)] for p, _ in atoms]
+    if len(atoms) == 1:
+        yield powers[0][n], atoms[0][1] ** n
         return
-    for first in range(n, -1, -1):
-        for rest in _compositions(n - first, k - 1):
-            yield (first,) + rest
+    # (probability, multiplicity, copies left) of each prefix over all
+    # letters but the last two
+    prefixes = [(1.0, 1, n)]
+    for (_, w), pw in zip(atoms[:-2], powers):
+        level = []
+        for prob, mult, r in prefixes:
+            mult *= w**r
+            for c in range(r, -1, -1):
+                level.append((prob * pw[c], mult, r - c))
+                mult = mult * c // ((r - c + 1) * w)
+        prefixes = level
+    # the last two letters take c and r - c copies in the loop that emits
+    (_, wa), (_, wb) = atoms[-2:]
+    pa, pb = powers[-2:]
+    for prob, mult, r in prefixes:
+        mult *= wa**r
+        for c in range(r, -1, -1):
+            yield prob * pa[c] * pb[r - c], mult
+            mult = mult * (c * wb) // ((r - c + 1) * wa)
 
 
-def _multinomial(n: int, counts: Sequence[int]) -> int:
-    out = 1
-    rem = n
-    for c in counts:
-        out *= math.comb(rem, c)
-        rem -= c
-    return out
+def _normal_spectrum(pairs: Iterable[tuple[float, int]]) -> Spectrum:
+    """Spectrum of the pairs whose probability is a normal double.
+
+    The others (subnormal or 0.0) are dropped; when the mass left deviates
+    from 1 by more than MASS_TOL, the `iid_underflow_mass` budget is exceeded.
+    """
+    tiny = sys.float_info.min
+    kept = []
+    dropped = False
+    for pair in pairs:
+        if pair[0] >= tiny:
+            kept.append(pair)
+        else:
+            dropped = True
+    if dropped:
+        lost = 1.0 - math.fsum(_mass_term(p, m) for p, m in kept)
+        if abs(lost) > MASS_TOL:
+            raise BudgetExceededError("iid_underflow_mass", lost, MASS_TOL)
+    return Spectrum.from_atoms(kept)
 
 
 def iid_spectrum(base: Spectrum, n: int, *, max_type_classes: int = DEFAULT_MAX_TYPE_CLASSES) -> Spectrum:
     """Spectrum of the n-fold tensor power of `base`, in compressed type-class form.
 
     There is one candidate atom per composition of n over the base atoms; the
-    atom count is capped by `max_type_classes` before enumeration starts.
-    Atoms below the smallest normal double (subnormal or 0.0) are dropped;
-    when the mass left deviates from 1 by more than MASS_TOL, the
-    `iid_underflow_mass` budget is exceeded.
+    atom count K is capped by `max_type_classes` before enumeration starts.
+    The K classes cost O(K) big-int multiplies and (n + 1) * k float pows for
+    k base atoms, with no per-class math.comb; Spectrum.from_atoms then sorts
+    once and merges in one pass.  Atoms below the smallest normal double
+    (subnormal or 0.0) are dropped; when the mass left deviates from 1 by more
+    than MASS_TOL, the `iid_underflow_mass` budget is exceeded.
     """
     if n < 1:
         raise ValueError("n must be a positive integer")
@@ -270,22 +313,7 @@ def iid_spectrum(base: Spectrum, n: int, *, max_type_classes: int = DEFAULT_MAX_
     n_classes = math.comb(n + k - 1, k - 1)
     if n_classes > max_type_classes:
         raise BudgetExceededError("max_type_classes", n_classes, max_type_classes)
-    pairs = []
-    for comp in _compositions(n, k):
-        prob = 1.0
-        mult = _multinomial(n, comp)
-        for (pv, pm), c in zip(base.atoms, comp):
-            if c:
-                prob *= pv**c
-                if pm != 1:
-                    mult *= pm**c
-        if prob >= sys.float_info.min:
-            pairs.append((prob, mult))
-    if len(pairs) < n_classes:
-        lost = 1.0 - math.fsum(_mass_term(p, m) for p, m in pairs)
-        if abs(lost) > MASS_TOL:
-            raise BudgetExceededError("iid_underflow_mass", lost, MASS_TOL)
-    return Spectrum.from_atoms(pairs)
+    return _normal_spectrum(_type_classes(base, n))
 
 
 def maxent_spectrum(rank: int) -> Spectrum:
@@ -375,11 +403,12 @@ def generate(model: SequenceModel, n: int, *, max_type_classes: int = DEFAULT_MA
             raise ValueError(f"rank function must return a positive integer, got {rank!r}")
         return maxent_spectrum(rank)
     if isinstance(model, Mixture):
-        pairs = []
-        for w, sub in model.components:
-            s = generate(sub, n, max_type_classes=max_type_classes)
-            pairs.extend((w * p, m) for p, m in s.atoms)
-        return Spectrum.from_atoms(pairs)
+        # w * p can fall below the smallest normal double, as an i.i.d. class can
+        return _normal_spectrum(
+            (w * p, m)
+            for w, sub in model.components
+            for p, m in generate(sub, n, max_type_classes=max_type_classes).atoms
+        )
     if isinstance(model, Explicit):
         if n > len(model.spectra):
             raise ValueError(f"explicit sequence has {len(model.spectra)} entries, asked for n={n}")

@@ -22,8 +22,6 @@ from entspec.spectra import (
     BudgetExceededError,
     MaxEnt,
     Spectrum,
-    _dyadic_exponent,
-    _scaled,
     _scaled_atoms,
     generate,
     iid_spectrum,
@@ -189,6 +187,15 @@ def test_convergence_improves_with_block_length():
 # The row-wise greedy kernel the columnar ones replaced: it re-sorts every fiber
 # twice per source run, allocates one object per fiber and merges in a second
 # pass.  Kept as the oracle the deficit-ordered kernel must match bit for bit.
+def _dyadic_exponent(x: float) -> int:
+    return x.as_integer_ratio()[1].bit_length() - 1
+
+
+def _scaled(x: float, e: int) -> int:
+    num, den = x.as_integer_ratio()
+    return num << (e - (den.bit_length() - 1))
+
+
 def _common_exponent(*spectra):
     return max((_dyadic_exponent(p) for s in spectra for p, _ in s.atoms), default=0)
 

@@ -2,6 +2,7 @@ import json
 import math
 import sys
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -11,6 +12,7 @@ from entspec.hermitian import rand_unitary
 from entspec.infospec import entropy_proxies
 from entspec.spectra import (
     IID,
+    MASS_TOL,
     AmplitudeMatrix,
     BudgetExceededError,
     Explicit,
@@ -137,6 +139,93 @@ def test_iid_drops_subnormal_atoms():
     assert abs(lower - exact) < 1e-12
 
 
+# The recursive enumeration iid_spectrum replaced: one composition tuple and
+# one math.comb per letter per type class.  Kept as the oracle the flat loops
+# must match bit for bit.
+def _compositions(n: int, k: int):
+    # all k-tuples of nonnegative ints summing to n, first coordinate descending
+    if k == 1:
+        yield (n,)
+        return
+    for first in range(n, -1, -1):
+        for rest in _compositions(n - first, k - 1):
+            yield (first,) + rest
+
+
+def _multinomial(n: int, counts) -> int:
+    out = 1
+    rem = n
+    for c in counts:
+        out *= math.comb(rem, c)
+        rem -= c
+    return out
+
+
+def _oracle_iid_spectrum(base: Spectrum, n: int) -> Spectrum:
+    k = len(base.atoms)
+    n_classes = math.comb(n + k - 1, k - 1)
+    pairs = []
+    for comp in _compositions(n, k):
+        prob = 1.0
+        mult = _multinomial(n, comp)
+        for (pv, pm), c in zip(base.atoms, comp):
+            if c:
+                prob *= pv**c
+                if pm != 1:
+                    mult *= pm**c
+        if prob >= sys.float_info.min:
+            pairs.append((prob, mult))
+    if len(pairs) < n_classes:
+        lost = 1.0 - math.fsum(_mass_term(p, m) for p, m in pairs)
+        if abs(lost) > MASS_TOL:
+            raise BudgetExceededError("iid_underflow_mass", lost, MASS_TOL)
+    return Spectrum.from_atoms(pairs)
+
+
+def _generated(gen, base: Spectrum, n: int):
+    try:
+        s = gen(base, n)
+    except BudgetExceededError as exc:
+        return exc.budget, exc.needed
+    return [(p.hex(), m) for p, m in s.atoms], s.total_dim
+
+
+# n stays where the oracle enumerates a few thousand classes at most
+_MAX_N = {1: 60, 2: 60, 3: 60, 4: 30, 5: 16}
+
+
+@st.composite
+def _iid_cases(draw):
+    k = draw(st.integers(1, 5))
+    # weights down to 1e-9 put the far classes below the smallest normal
+    # double, so the drop rule runs too
+    weights = draw(st.lists(st.floats(1e-9, 1.0), min_size=k, max_size=k))
+    mults = draw(st.lists(st.integers(1, 3), min_size=k, max_size=k))
+    total = math.fsum(w * m for w, m in zip(weights, mults))
+    base = Spectrum.from_atoms([(w / total, m) for w, m in zip(weights, mults)])
+    return base, draw(st.integers(1, _MAX_N[k]))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_iid_cases())
+@example((Spectrum.from_atoms([(0.25, 2), (0.1, 4), (0.05, 2)]), 30))
+@example((Spectrum.from_probs([1.0 - 1e-9, 1e-9]), 60))
+def test_iid_spectrum_matches_enumeration_oracle(case):
+    base, n = case
+    assert _generated(iid_spectrum, base, n) == _generated(_oracle_iid_spectrum, base, n)
+
+
+@pytest.mark.parametrize(
+    "probs, n", [((0.6, 0.3, 0.1), 150), ((0.9, 0.1), 1200), ((0.9, 0.1), 1500), ((0.9, 0.1), 2000)]
+)
+def test_iid_spectrum_matches_oracle_at_benchmark_sizes(probs, n):
+    # at n = 2000 both raise the underflow budget with the same lost mass
+    base = Spectrum.from_probs(list(probs))
+    got = _generated(iid_spectrum, base, n)
+    assert got == _generated(_oracle_iid_spectrum, base, n)
+    assert (got[0] == "iid_underflow_mass") == (n == 2000)
+
+
 def test_maxent_spectrum():
     assert maxent_spectrum(1).atoms == ((1.0, 1),)
     assert maxent_spectrum(4).atoms == ((0.25, 4),)
@@ -173,6 +262,26 @@ def test_generate_mixture_merges_atoms():
     assert abs(generate(mx, 6).mass() - 1.0) < 1e-12
 
 
+def test_mixture_drops_subnormal_atoms():
+    # a weight of 1e-15 puts 16 of IID(0.9, 0.1)'s type classes at n = 1400
+    # below the smallest normal double; kept, the smallest (4e-323) put the
+    # eps = 1 proxy 1.8e-5 nats off its exact rate
+    n = 1400
+    iid = IID(Spectrum.from_probs([0.9, 0.1]))
+    w = 0.000000000000001
+    assert sum(w * p < sys.float_info.min for p, _ in generate(iid, n).atoms) == 16
+    s = generate(Mixture(((w, iid), (0.999999999999999, MaxEnt(0.3)))), n)
+    assert min(p for p, _ in s.atoms) >= sys.float_info.min
+    # the eps = 1 proxy is the rate of the last kept atom, w times a class
+    # with k copies of 0.9
+    p_last = s.atoms[-1][0]
+    k = round((math.log(p_last / w) - n * math.log(0.1)) / (math.log(0.9) - math.log(0.1)))
+    with mpmath.workprec(200):
+        exact = -(mpmath.log(w) + k * mpmath.log(0.9) + (n - k) * mpmath.log(0.1)) / n
+    lower, _ = entropy_proxies(s, n, 1.0)
+    assert abs(lower - float(exact)) < 1e-12
+
+
 def test_generate_explicit_indexing():
     s1 = Spectrum.from_probs([1.0])
     s2 = Spectrum.from_atoms([(0.5, 2)])
@@ -200,18 +309,44 @@ def test_entropy_examples():
 
 
 def test_from_atoms_validation():
-    with pytest.raises(ValueError):
-        Spectrum.from_atoms([(0.5, 1)])  # mass 0.5
-    with pytest.raises(ValueError):
-        Spectrum.from_atoms([(0.5, 2), (0.1, 1)])  # mass 1.1
-    with pytest.raises(ValueError):
-        Spectrum.from_atoms([(1.0, 0)])  # nonpositive multiplicity
+    nan = float("nan")
+    for pairs, match in (
+        ([(nan, 1)], "nonnegative"),
+        ([(-0.1, 1), (1.0, 1)], "nonnegative"),
+        ([(1.0, 0.5)], "positive integer"),
+        ([(1.0, 0)], "must be positive"),
+        ([(0.0, 3)], "no positive atoms"),
+        ([(0.5, 1)], "deviates from 1"),
+        ([(0.5, 2), (0.1, 1)], "deviates from 1"),
+    ):
+        with pytest.raises(ValueError, match=match):
+            Spectrum.from_atoms(pairs)
+    # an integer-valued float multiplicity is taken as that int
+    s = Spectrum.from_atoms([(0.5, 2.0)])
+    assert s.atoms == ((0.5, 2),) and type(s.atoms[0][1]) is int
 
 
 def test_from_atoms_merges_and_sorts():
     s = Spectrum.from_atoms([(0.25, 1), (0.5, 1), (0.25, 1)])
     assert s.atoms == ((0.5, 1), (0.25, 2))
     assert s.total_dim == 3
+    # a run merges within MERGE_RTOL of its first value, not of its last:
+    # x(1 - 1.2e-12) is 0.6e-12 below its neighbour but 1.2e-12 below x
+    x = 1.0 / 3.0
+    s = Spectrum.from_atoms([(x * (1 - 1.2e-12), 1), (x, 1), (x * (1 - 0.6e-12), 1)])
+    assert s.atoms == ((x, 2), (x * (1 - 1.2e-12), 1))
+
+
+def test_from_atoms_mass_beyond_float_range():
+    # the mass term of this atom overflows p * m, so the mass check takes
+    # _mass_term's exp/log route (2.0**-1100 would underflow to 0.0)
+    p, m = 2.0**-1070, 2**1070
+    with pytest.raises(OverflowError):
+        p * m
+    s = Spectrum.from_atoms([(p, m)])
+    assert s.atoms == ((p, m),) and s.total_dim == m
+    with pytest.raises(ValueError, match="deviates from 1"):
+        Spectrum.from_atoms([(p, 2 * m)])
 
 
 def test_zero_atoms_dropped():
