@@ -187,10 +187,11 @@ def _cmd_rates(args) -> int:
     return code
 
 
-def _experiment_rows(verdict) -> list[list[str]]:
+def _conversion_rows(reports) -> list[list[str]]:
+    """CSV rows n,error,fidelity,nielsen_ok; the error is the trace-distance upper bound."""
     return [
-        [str(n), _fmt(err), _fmt(rep.fidelity), _fmt_bool(rep.nielsen_ok)]
-        for (n, err), rep in zip(verdict.epsilon_error_series, verdict.reports)
+        [str(r.n), _fmt(r.trace_distance_upper), _fmt(r.fidelity), _fmt_bool(r.nielsen_ok)]
+        for r in reports
     ]
 
 
@@ -209,13 +210,7 @@ def _cmd_convert(args) -> int:
         print(f"budget exceeded, output truncated: {exc}", file=sys.stderr)
         code = 3
     if args.format == "csv":
-        text = _csv_text(
-            "n,error,fidelity,nielsen_ok",
-            [
-                [str(r.n), _fmt(r.trace_distance_upper), _fmt(r.fidelity), _fmt_bool(r.nielsen_ok)]
-                for r in reports
-            ],
-        )
+        text = _csv_text("n,error,fidelity,nielsen_ok", _conversion_rows(reports))
     else:
         text = _json_text({"reports": [r.to_json_dict() for r in reports]})
     _emit(text, args.out)
@@ -232,7 +227,7 @@ def _cmd_experiment(args, task: str) -> int:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return 3
     if args.format == "csv":
-        text = _csv_text("n,error,fidelity,nielsen_ok", _experiment_rows(verdict))
+        text = _csv_text("n,error,fidelity,nielsen_ok", _conversion_rows(verdict.reports))
     else:
         text = _json_text(verdict.to_json_dict())
     _emit(text, args.out)

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 
 from .majorize import majorizes
-from .randgen import FiberAssignment, synthesize_map
+from .randgen import MapSynthesisReport, synthesize_map
 from .spectra import (
     DEFAULT_MAX_TYPE_CLASSES,
     SequenceModel,
@@ -41,52 +41,53 @@ def _sqrt_term(count: int, mu: float, qv: float) -> float:
 
 def fidelity_from_assignments(assignments) -> float:
     """Sum over codomain labels of sqrt(assigned mass * target mass)."""
-    f = math.fsum(_sqrt_term(a.count, a.assigned_mass, a.target_prob) for a in assignments)
+    f = math.fsum(_sqrt_term(c, mu, qv) for qv, mu, c in assignments)
     return min(max(f, 0.0), 1.0)
 
 
 @dataclass(frozen=True)
 class ConversionReport:
-    """One conversion instance with its certificate and error bounds."""
+    """One conversion instance: its synthesis, certificate and fidelity.
+
+    The intermediate spectrum is `synthesis.pushforward`; the trace-distance
+    interval [1 - F, sqrt(1 - F^2)] follows from the fidelity F.
+    """
 
     n: int
     source_spectrum: Spectrum
-    target_spectrum: Spectrum
-    intermediate_spectrum: Spectrum
+    synthesis: MapSynthesisReport
     nielsen_ok: bool
     fidelity: float
-    trace_distance_lower: float
-    trace_distance_upper: float
-    variational_distance: float
-    assignments: tuple[FiberAssignment, ...]
 
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("n must be a positive integer")
         if not 0.0 <= self.fidelity <= 1.0:
             raise ValueError(f"fidelity {self.fidelity!r} outside [0, 1]")
-        if abs(self.trace_distance_lower - (1.0 - self.fidelity)) > 1e-12:
-            raise ValueError("trace_distance_lower must equal 1 - fidelity")
-        expected_upper = math.sqrt(max(0.0, 1.0 - self.fidelity * self.fidelity))
-        if abs(self.trace_distance_upper - expected_upper) > 1e-12:
-            raise ValueError("trace_distance_upper must equal sqrt(1 - fidelity^2)")
-        if self.trace_distance_lower > self.trace_distance_upper + 1e-12:
-            raise ValueError("distance bounds out of order")
-        if self.nielsen_ok != majorizes(self.source_spectrum, self.intermediate_spectrum):
+        if self.nielsen_ok != majorizes(self.source_spectrum, self.synthesis.pushforward):
             raise ValueError("nielsen_ok inconsistent with the majorization predicate")
 
+    @property
+    def trace_distance_lower(self) -> float:
+        return 1.0 - self.fidelity
+
+    @property
+    def trace_distance_upper(self) -> float:
+        return math.sqrt(max(0.0, 1.0 - self.fidelity * self.fidelity))
+
     def to_json_dict(self) -> dict:
+        syn = self.synthesis
         return {
             "n": self.n,
             "source": self.source_spectrum.to_json_dict(),
-            "target": self.target_spectrum.to_json_dict(),
-            "intermediate": self.intermediate_spectrum.to_json_dict(),
+            "target": syn.target.to_json_dict(),
+            "intermediate": syn.pushforward.to_json_dict(),
             "nielsen_ok": self.nielsen_ok,
             "fidelity": self.fidelity,
             "trace_distance_lower": self.trace_distance_lower,
             "trace_distance_upper": self.trace_distance_upper,
-            "variational_distance": self.variational_distance,
-            "assignments": [a.to_json_row() for a in self.assignments],
+            "variational_distance": syn.achieved_distance,
+            "assignments": list(syn.assignments),
         }
 
 
@@ -101,22 +102,12 @@ def direct_convert(
     if n < 1:
         raise ValueError("n must be a positive integer")
     report = synthesize_map(p, q, max_fibers=max_fibers)
-    intermediate = report.pushforward
-    ok = majorizes(p, intermediate)
-    f = fidelity_from_assignments(report.assignments)
-    lower = 1.0 - f
-    upper = math.sqrt(max(0.0, 1.0 - f * f))
     return ConversionReport(
         n=n,
         source_spectrum=p,
-        target_spectrum=q,
-        intermediate_spectrum=intermediate,
-        nielsen_ok=ok,
-        fidelity=f,
-        trace_distance_lower=lower,
-        trace_distance_upper=upper,
-        variational_distance=report.achieved_distance,
-        assignments=report.assignments,
+        synthesis=report,
+        nielsen_ok=majorizes(p, report.pushforward),
+        fidelity=fidelity_from_assignments(report.assignments),
     )
 
 
@@ -126,19 +117,16 @@ class RateVerdict:
 
     task: str
     rate: float
-    epsilon_error_series: tuple[tuple[int, float], ...]
     reports: tuple[ConversionReport, ...]
 
     def __post_init__(self):
         if self.task not in ("concentration", "dilution"):
             raise ValueError(f"unknown task {self.task!r}")
-        if len(self.epsilon_error_series) != len(self.reports):
-            raise ValueError("series and reports disagree in length")
-        for (n, err), rep in zip(self.epsilon_error_series, self.reports):
-            if n != rep.n:
-                raise ValueError("series and reports disagree on n")
-            if not 0.0 <= err <= 2.0:
-                raise ValueError(f"error {err!r} outside [0, 2]")
+
+    @property
+    def epsilon_error_series(self) -> tuple[tuple[int, float], ...]:
+        """(n, trace_distance_upper) per report."""
+        return tuple((r.n, r.trace_distance_upper) for r in self.reports)
 
     def to_json_dict(self) -> dict:
         return {
@@ -146,12 +134,12 @@ class RateVerdict:
             "rate": self.rate,
             "series": [
                 {
-                    "n": n,
-                    "error": err,
-                    "fidelity": rep.fidelity,
-                    "nielsen_ok": rep.nielsen_ok,
+                    "n": r.n,
+                    "error": r.trace_distance_upper,
+                    "fidelity": r.fidelity,
+                    "nielsen_ok": r.nielsen_ok,
                 }
-                for (n, err), rep in zip(self.epsilon_error_series, self.reports)
+                for r in self.reports
             ],
         }
 
@@ -163,8 +151,7 @@ def _experiment(task, model, rate, n_grid, max_type_classes) -> RateVerdict:
         flat = maxent_spectrum(maxent_rank(rate, n))
         src, dst = (modeled, flat) if task == "concentration" else (flat, modeled)
         reports.append(direct_convert(src, dst, n, max_fibers=max_type_classes))
-    series = tuple((rep.n, rep.trace_distance_upper) for rep in reports)
-    return RateVerdict(task=task, rate=rate, epsilon_error_series=series, reports=tuple(reports))
+    return RateVerdict(task=task, rate=rate, reports=tuple(reports))
 
 
 def concentration_experiment(

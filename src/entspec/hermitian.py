@@ -259,10 +259,13 @@ def _require_psd(name: str, a: HermitianOperator, *, tol: float = 1e-8):
 class VerifyResult:
     """Outcome of one verification call: signed margins, violations in full."""
 
-    ok: bool
     worst_slack: float
     checks: int
     violations: tuple
+
+    @property
+    def ok(self) -> bool:
+        return not self.violations
 
 
 def _finish(checks: list, payload: Callable[[], dict]) -> VerifyResult:
@@ -272,7 +275,7 @@ def _finish(checks: list, payload: Callable[[], dict]) -> VerifyResult:
         {"check": name, "margin": margin, "tolerance": tol, "instance": payload()}
         for name, margin, tol in bad
     )
-    return VerifyResult(ok=not violations, worst_slack=worst, checks=len(checks), violations=violations)
+    return VerifyResult(worst_slack=worst, checks=len(checks), violations=violations)
 
 
 def _mat_json(m: np.ndarray) -> list:

@@ -95,13 +95,6 @@ def entropy_proxies(s: Spectrum, n: int, epsilon: float) -> tuple[float, float]:
 # Dense operator tails
 
 
-def _as_matrix(x) -> np.ndarray:
-    m = np.asarray(x, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    return m
-
-
 def _threshold_factor(n: int, a: float) -> float:
     if n < 1:
         raise ValueError("n must be a positive integer")
@@ -110,18 +103,28 @@ def _threshold_factor(n: int, a: float) -> float:
     return math.exp(n * a)
 
 
+def _tail_difference(rho, sigma, n: int, a: float) -> tuple[np.ndarray, np.ndarray]:
+    """rho as a square complex matrix, and the Hermitian part of rho - e^(n a) sigma."""
+    mats = []
+    for x in (rho, sigma):
+        m = np.asarray(x, dtype=complex)
+        if m.ndim != 2 or m.shape[0] != m.shape[1]:
+            raise ValueError(f"expected a square matrix, got shape {m.shape}")
+        mats.append(m)
+    r, s = mats
+    if r.shape != s.shape:
+        raise ValueError(f"dimension mismatch: {r.shape} vs {s.shape}")
+    diff = r - _threshold_factor(n, a) * s
+    return r, (diff + diff.conj().T) / 2.0
+
+
 def tail_D(rho, sigma, n: int, a: float) -> float:
     """Mass of rho on the strictly positive part of rho - e^(n a) sigma.
 
     Computed from the eigendecomposition of the difference; eigenvalues within
     1e-10 of zero relative to the spectral norm count as non-positive.
     """
-    r = _as_matrix(rho)
-    s = _as_matrix(sigma)
-    if r.shape != s.shape:
-        raise ValueError(f"dimension mismatch: {r.shape} vs {s.shape}")
-    diff = r - _threshold_factor(n, a) * s
-    diff = (diff + diff.conj().T) / 2.0
+    r, diff = _tail_difference(rho, sigma, n, a)
     w, v = np.linalg.eigh(diff)
     keep = _positive_eigs(w)
     if not keep.any():
@@ -132,13 +135,7 @@ def tail_D(rho, sigma, n: int, a: float) -> float:
 
 def tail_C(rho, sigma, n: int, a: float) -> float:
     """Trace of the positive part of rho - e^(n a) sigma."""
-    r = _as_matrix(rho)
-    s = _as_matrix(sigma)
-    if r.shape != s.shape:
-        raise ValueError(f"dimension mismatch: {r.shape} vs {s.shape}")
-    diff = r - _threshold_factor(n, a) * s
-    diff = (diff + diff.conj().T) / 2.0
-    w = np.linalg.eigvalsh(diff)
+    w = np.linalg.eigvalsh(_tail_difference(rho, sigma, n, a)[1])
     return float(np.sum(w[_positive_eigs(w)]))
 
 

@@ -198,60 +198,39 @@ def _run_greedy(
 
 
 @dataclass(frozen=True)
-class FiberAssignment:
-    """Run of codomain elements sharing target mass and assigned mass."""
-
-    target_prob: float
-    assigned_mass: float
-    count: int
-
-    def to_json_row(self) -> list:
-        return [self.target_prob, self.assigned_mass, self.count]
-
-
-@dataclass(frozen=True)
 class MapSynthesisReport:
     """Synthesis outcome: the map (when requested), its pushforward,
     and the variational distance sum_y |q(y) - q~(y)| to the target.
 
-    `assignments` preserves the codomain-label pairing that the sorted
-    `pushforward` spectrum forgets; the distance is defined on that pairing.
+    `assignments` holds one (target_prob, assigned_mass, count) row per run
+    of codomain elements, in codomain order.  It preserves the codomain-label
+    pairing that the sorted `pushforward` spectrum forgets; the distance is
+    defined on that pairing.
     """
 
     target: Spectrum
     pushforward: Spectrum
     achieved_distance: float
-    assignments: tuple[FiberAssignment, ...]
+    assignments: tuple[tuple[float, float, int], ...]
     map: Optional[DeterministicMap]
 
     def __post_init__(self):
         if not 0.0 <= self.achieved_distance <= 2.0 + 1e-11:
             raise ValueError(f"variational distance {self.achieved_distance!r} outside [0, 2]")
-        if sum(f.count for f in self.assignments) != self.target.total_dim:
+        if sum(c for _, _, c in self.assignments) != self.target.total_dim:
             raise ValueError("assignments do not cover the codomain")
         if self.map is not None and self.map.codomain_size != self.target.total_dim:
             raise ValueError("map codomain does not match target dimension")
 
-    def to_json_dict(self) -> dict:
-        return {
-            "target": self.target.to_json_dict(),
-            "pushforward": self.pushforward.to_json_dict(),
-            "achieved_distance": self.achieved_distance,
-            "assignments": [f.to_json_row() for f in self.assignments],
-            "map": None if self.map is None else self.map.to_json_dict(),
-        }
-
 
 def _report(
     q: Spectrum,
-    assignments: tuple[FiberAssignment, ...],
+    assignments: tuple[tuple[float, float, int], ...],
     distance: float,
     map_: Optional[DeterministicMap],
 ) -> MapSynthesisReport:
     """The report of a map onto q, with the pushforward built from the assignments."""
-    push = Spectrum.from_atoms(
-        [(a.assigned_mass, a.count) for a in assignments if a.assigned_mass > 0.0], mass_tol=1e-11
-    )
+    push = Spectrum.from_atoms([(mass, c) for _, mass, c in assignments if mass > 0.0], mass_tol=1e-11)
     return MapSynthesisReport(
         target=q, pushforward=push, achieved_distance=distance, assignments=assignments, map=map_
     )
@@ -288,9 +267,7 @@ def synthesize_map(
         map_ = DeterministicMap(p.total_dim, tuple(targets), q.total_dim)
     deficits, _, counts, atoms = fibers
     den = 1 << e
-    assignments = tuple(
-        FiberAssignment(q.atoms[a][0], (qs[a] - d) / den, c) for d, c, a in zip(deficits, counts, atoms)
-    )
+    assignments = tuple((q.atoms[a][0], (qs[a] - d) / den, c) for d, c, a in zip(deficits, counts, atoms))
     return _report(q, assignments, sum(map(abs, map(mul, counts, deficits))) / den, map_)
 
 
@@ -337,5 +314,5 @@ def brute_force_optimal(
             groups[-1][3] += 1
         else:
             groups.append([qs, mu, prob, 1])
-    assignments = tuple(FiberAssignment(prob, mu / den, c) for _, mu, prob, c in groups)
+    assignments = tuple((prob, mu / den, c) for _, mu, prob, c in groups)
     return _report(q, assignments, best_d / den, DeterministicMap(nx, tuple(best_targets), ny))

@@ -62,6 +62,14 @@ def _mass_term(p: float, mult: int) -> float:
         return math.exp(math.log(p) + math.log(mult))
 
 
+def _integer(x, what: str) -> int:
+    """x as an int: integral floats convert; bools and anything else that is
+    not an integer raise a ValueError naming `what`."""
+    if isinstance(x, bool) or not (isinstance(x, int) or isinstance(x, float) and x.is_integer()):
+        raise ValueError(f"{what} must be a positive integer, got {x!r}")
+    return int(x)
+
+
 # ---------------------------------------------------------------------------
 # Exact dyadic arithmetic: finite doubles are integers over powers of two
 
@@ -112,11 +120,8 @@ class Spectrum:
         cleaned = []
         for p, m in pairs:
             p = float(p)
-            if not isinstance(m, int):
-                if isinstance(m, float) and m.is_integer():
-                    m = int(m)
-                else:
-                    raise ValueError(f"multiplicity must be a positive integer, got {m!r}")
+            if type(m) is not int:
+                m = _integer(m, "multiplicity")
             if m <= 0:
                 raise ValueError(f"multiplicity must be positive, got {m}")
             if p > 0.0:
@@ -169,7 +174,7 @@ class Spectrum:
     def from_json_dict(cls, obj: dict) -> "Spectrum":
         if not isinstance(obj, dict) or "atoms" not in obj:
             raise ValueError("spectrum JSON must be an object with an 'atoms' key")
-        return cls.from_atoms([(float(p), int(m)) for p, m in obj["atoms"]])
+        return cls.from_atoms(obj["atoms"])
 
     def to_text(self) -> str:
         return "".join(f"{p!r} {m}\n" for p, m in self.atoms)
@@ -335,6 +340,8 @@ def maxent_rank(rate: float, n: int) -> int:
     """
     if n < 1:
         raise ValueError("n must be a positive integer")
+    if math.isnan(rate):
+        raise ValueError(f"rate must be a number, got {rate!r}")
     x = n * rate
     if x > _EXP_LIMIT:
         raise BudgetExceededError("max_maxent_exponent", x, _EXP_LIMIT)
@@ -373,9 +380,10 @@ class Mixture:
         if not self.components:
             raise ValueError("mixture needs at least one component")
         ws = [w for w, _ in self.components]
-        if any(w <= 0 for w in ws):
+        # written so that NaN fails both checks
+        if any(not w > 0 for w in ws):
             raise ValueError("mixture weights must be strictly positive")
-        if abs(math.fsum(ws) - 1.0) > 1e-12:
+        if not abs(math.fsum(ws) - 1.0) <= 1e-12:
             raise ValueError(f"mixture weights sum to {math.fsum(ws)!r}, expected 1")
 
 
@@ -426,7 +434,7 @@ def model_from_json_dict(obj: dict) -> SequenceModel:
     if kind == "maxent":
         return MaxEnt(float(obj["rate"]))
     if kind == "maxent_explicit":
-        ranks = [int(r) for r in obj["ranks"]]
+        ranks = [_integer(r, "rank") for r in obj["ranks"]]
 
         def rank_fn(n: int, _ranks=tuple(ranks)) -> int:
             if n > len(_ranks):

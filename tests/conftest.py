@@ -19,20 +19,17 @@ from entspec.spectra import Spectrum, _mass_term
 
 
 def check_synthesis_report(r: MapSynthesisReport) -> None:
-    distance = math.fsum(_mass_term(abs(f.target_prob - f.assigned_mass), f.count) for f in r.assignments)
+    distance = math.fsum(_mass_term(abs(qv - mu), c) for qv, mu, c in r.assignments)
     assert abs(distance - r.achieved_distance) <= 1e-12, (r.achieved_distance, distance)
-    rebuilt = Spectrum.from_atoms(
-        [(f.assigned_mass, f.count) for f in r.assignments if f.assigned_mass > 0.0],
-        mass_tol=1e-11,
-    )
+    rebuilt = Spectrum.from_atoms([(mu, c) for _, mu, c in r.assignments if mu > 0.0], mass_tol=1e-11)
     assert rebuilt.atoms == r.pushforward.atoms
 
 
 def check_conversion_report(r: ConversionReport) -> None:
     f = math.fsum(
-        math.exp(math.log(a.count) + 0.5 * (math.log(a.assigned_mass) + math.log(a.target_prob)))
-        for a in r.assignments
-        if a.assigned_mass > 0.0
+        math.exp(math.log(c) + 0.5 * (math.log(mu) + math.log(qv)))
+        for qv, mu, c in r.synthesis.assignments
+        if mu > 0.0
     )
     assert abs(min(f, 1.0) - r.fidelity) <= 1e-10, (r.fidelity, f)
 

@@ -304,6 +304,69 @@ def test_convert_json_matches_golden_digest(argv, sha256, capsys):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == sha256
 
 
+# stdout SHA-256 recorded before the conversion reports stopped storing their
+# error series and trace-distance bounds: the RateVerdict JSON of both
+# experiments and the convert CSV, which read those values
+@pytest.mark.parametrize(
+    "argv, sha256",
+    [
+        (
+            ["concentrate", "iid:0.6,0.3,0.1", "--rate", "0.5", "--n", "20,30", "--format", "json"],
+            "1ec187998e003d52ee612543efb7c59cd7b60771984bc0549d09fa2986178c3f",
+        ),
+        (
+            ["dilute", "iid:0.6,0.3,0.1", "--rate", "1.2", "--n", "20,30", "--format", "json"],
+            "6c4100c8060989c95e6f42a846f8da75f9fc35faa7849a4c605640cb36986dbc",
+        ),
+        (
+            ["convert", "iid:0.5,0.3,0.2", "iid:0.4,0.4,0.2", "--n", "4,12"],
+            "7c284b8f883a34df7a7fb3bc34c56698900afa5662183097ac9fb534a5429ace",
+        ),
+    ],
+)
+def test_conversion_outputs_match_golden_digest(argv, sha256, capsys):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == sha256
+
+
+@pytest.mark.parametrize(
+    "model, message",
+    [
+        ({"atoms": [[0.25, 2.5], [0.5, 1]]}, "multiplicity must be a positive integer, got 2.5"),
+        ({"atoms": [[0.5, True], [0.5, 1]]}, "multiplicity must be a positive integer, got True"),
+        ({"kind": "maxent_explicit", "ranks": [2.7, 4]}, "rank must be a positive integer, got 2.7"),
+    ],
+)
+def test_model_file_non_integer_counts_are_usage_errors(model, message, tmp_path, capsys):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(model))
+    code, out, err = run_cli(capsys, "rates", f"file:{path}", "--n", "1", "--eps", "0.1")
+    assert (code, out) == (2, "")
+    assert message in err
+
+
+def test_model_file_integral_float_counts_are_accepted(tmp_path, capsys):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({"kind": "maxent_explicit", "ranks": [4.0]}))
+    code, out, _ = run_cli(capsys, "rates", f"file:{path}", "--n", "1", "--eps", "0.1")
+    assert code == 0
+    assert out.splitlines()[1] == f"1,0.1,{math.log(4.0)!r},{math.log(4.0)!r}"
+
+
+def test_nan_mixture_weight_is_a_usage_error(capsys):
+    code, out, err = run_cli(capsys, "rates", "mix:nan*iid:0.5,0.5+1*maxent:R=0.1", "--n", "10", "--eps", "0.1")
+    assert (code, out) == (2, "")
+    assert "mixture weights" in err
+
+
+@pytest.mark.parametrize("command", ["concentrate", "dilute"])
+def test_nan_rate_is_a_named_usage_error(command, capsys):
+    code, out, err = run_cli(capsys, command, "iid:0.6,0.4", "--rate", "nan", "--n", "10")
+    assert (code, out) == (2, "")
+    assert "rate must be a number, got nan" in err
+
+
 def test_verify_dim_bounds(capsys):
     # kh never samples a dimension; it is checked all the same
     for suite in ("np", "kh"):

@@ -13,6 +13,7 @@ from entspec.convert import (
 )
 from entspec.hermitian import rand_spectrum
 from entspec.infospec import entropy_proxies
+from entspec.randgen import synthesize_map
 from entspec.spectra import IID, MaxEnt, Spectrum, iid_spectrum
 
 
@@ -25,14 +26,14 @@ def test_reflexive_conversion_is_lossless():
     assert r.fidelity == 1.0
     assert r.trace_distance_lower == 0.0
     assert r.trace_distance_upper == 0.0
-    assert r.variational_distance == 0.0
+    assert r.synthesis.achieved_distance == 0.0
     assert r.nielsen_ok
 
 
 def test_uniform_to_skewed_instance():
     r = direct_convert(_probs(0.5, 0.5), _probs(0.8, 0.2), 1)
-    assert abs(r.variational_distance - 0.4) < 1e-12
-    assert r.intermediate_spectrum.atoms == ((1.0, 1),)
+    assert abs(r.synthesis.achieved_distance - 0.4) < 1e-12
+    assert r.synthesis.pushforward.atoms == ((1.0, 1),)
     # all mass lands on the 0.8 label, so F = sqrt(0.8)
     assert abs(r.fidelity - math.sqrt(0.8)) < 1e-12
     assert r.nielsen_ok
@@ -57,24 +58,25 @@ def test_bound_invariants_on_random_instances():
         assert abs(r.trace_distance_upper - math.sqrt(max(0.0, 1.0 - r.fidelity ** 2))) < 1e-12
         assert r.trace_distance_lower <= r.trace_distance_upper + 1e-12
         assert r.nielsen_ok  # coarse-graining always majorizes its source
-        assert abs(fidelity_from_assignments(r.assignments) - r.fidelity) < 1e-12
+        assert abs(fidelity_from_assignments(r.synthesis.assignments) - r.fidelity) < 1e-12
 
 
-def test_report_validation_rejects_inconsistent_bounds():
+def test_report_validation_rejects_inconsistent_fields():
     good = direct_convert(_probs(0.5, 0.5), _probs(0.8, 0.2), 1)
-    with pytest.raises(ValueError):
-        ConversionReport(
-            n=good.n,
-            source_spectrum=good.source_spectrum,
-            target_spectrum=good.target_spectrum,
-            intermediate_spectrum=good.intermediate_spectrum,
-            nielsen_ok=good.nielsen_ok,
-            fidelity=good.fidelity,
-            trace_distance_lower=0.5,  # must be 1 - F
-            trace_distance_upper=good.trace_distance_upper,
-            variational_distance=good.variational_distance,
-            assignments=good.assignments,
-        )
+    fields = dict(n=good.n, source_spectrum=good.source_spectrum, synthesis=good.synthesis)
+    for f in (-1e-9, 1.0 + 1e-9, math.nan):
+        with pytest.raises(ValueError, match=r"outside \[0, 1\]"):
+            ConversionReport(**fields, nielsen_ok=True, fidelity=f)
+    with pytest.raises(ValueError, match="majorization"):
+        ConversionReport(**fields, nielsen_ok=False, fidelity=good.fidelity)
+    with pytest.raises(ValueError, match="positive integer"):
+        ConversionReport(**{**fields, "n": 0}, nielsen_ok=True, fidelity=good.fidelity)
+    # a point mass cannot reach the flat intermediate (0.5, 0.5), so only
+    # nielsen_ok=False is consistent
+    spread = synthesize_map(_probs(0.5, 0.5), _probs(0.5, 0.5))
+    with pytest.raises(ValueError, match="majorization"):
+        ConversionReport(n=1, source_spectrum=_probs(1.0), synthesis=spread, nielsen_ok=True, fidelity=1.0)
+    ConversionReport(n=1, source_spectrum=_probs(1.0), synthesis=spread, nielsen_ok=False, fidelity=1.0)
 
 
 def test_concentration_below_entropy_rate_converges():
@@ -130,8 +132,9 @@ def test_rate_verdict_json_shape():
 
 
 def test_rate_verdict_validation():
-    v = concentration_experiment(MaxEnt(math.log(2.0)), 0.5, (20,))
-    with pytest.raises(ValueError):
-        RateVerdict(task="swap", rate=0.5, epsilon_error_series=v.epsilon_error_series, reports=v.reports)
-    with pytest.raises(ValueError):
-        RateVerdict(task="dilution", rate=0.5, epsilon_error_series=(), reports=v.reports)
+    v = concentration_experiment(MaxEnt(math.log(2.0)), 0.5, (20, 30))
+    with pytest.raises(ValueError, match="unknown task"):
+        RateVerdict(task="swap", rate=0.5, reports=v.reports)
+    # the series is read off the reports, so it cannot disagree with them
+    assert v.epsilon_error_series == tuple((r.n, r.trace_distance_upper) for r in v.reports)
+    assert [n for n, _ in v.epsilon_error_series] == [20, 30]

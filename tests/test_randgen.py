@@ -44,14 +44,13 @@ def test_uniform_four_to_two_is_exact():
 def test_greedy_three_to_two():
     r = synthesize_map(_probs(0.4, 0.3, 0.3), _probs(0.5, 0.5))
     assert abs(r.achieved_distance - 0.2) < 1e-12
-    got = [(a.target_prob, a.assigned_mass) for a in r.assignments]
-    assert got == [(0.5, 0.4), (0.5, 0.6)]
+    assert r.assignments == ((0.5, 0.4, 1), (0.5, 0.6, 1))
 
 
 def test_point_mass_to_uniform():
     r = synthesize_map(_probs(1.0), _probs(0.5, 0.5))
     assert r.achieved_distance == 1.0
-    assert [(a.target_prob, a.assigned_mass) for a in r.assignments] == [(0.5, 1.0), (0.5, 0.0)]
+    assert r.assignments == ((0.5, 1.0, 1), (0.5, 0.0, 1))
 
 
 def test_brute_force_matches_greedy_on_three_to_two():
@@ -73,7 +72,7 @@ def test_label_pairing_survives_order_inversion():
     # assigned masses come out non-monotone; the per-label pairing must not
     # be re-sorted before the distance is taken
     r = synthesize_map(_probs(0.39, 0.21, 0.2, 0.2), _probs(0.4, 0.38, 0.22))
-    got = [(a.target_prob, a.assigned_mass, a.count) for a in r.assignments]
+    got = r.assignments
     assert len(got) == 3
     assert got[0] == (0.4, 0.39, 1)
     assert abs(got[1][1] - 0.41) < 1e-12 and got[1][0] == 0.38
@@ -129,7 +128,7 @@ def test_compressed_map_without_materialization():
     r = synthesize_map(p, q)
     assert r.map is None
     assert 0.0 <= r.achieved_distance <= 2.0
-    assert sum(a.count for a in r.assignments) == 2 ** 12
+    assert sum(c for _, _, c in r.assignments) == 2 ** 12
 
 
 def test_requested_map_above_expansion_budget():
@@ -403,7 +402,7 @@ def test_tie_across_level_blocks_takes_lowest_start_first():
     r = synthesize_map(p, q, with_map=True)
     assert r.map.targets == (0, 1, 1, 1, 0, 1, 0)
     _assert_map_matches_heap(p, q)
-    assert [(a.assigned_mass, a.count) for a in r.assignments] == [(5 / 9, 1), (4 / 9, 1)]
+    assert [(mu, c) for _, mu, c in r.assignments] == [(5 / 9, 1), (4 / 9, 1)]
 
 
 @st.composite

@@ -314,6 +314,7 @@ def test_from_atoms_validation():
         ([(nan, 1)], "nonnegative"),
         ([(-0.1, 1), (1.0, 1)], "nonnegative"),
         ([(1.0, 0.5)], "positive integer"),
+        ([(1.0, True)], "positive integer"),
         ([(1.0, 0)], "must be positive"),
         ([(0.0, 3)], "no positive atoms"),
         ([(0.5, 1)], "deviates from 1"),
