@@ -4,13 +4,26 @@ The calculus: Jordan decomposition of a Hermitian operator with the
 convention that zero eigenvalues belong to the non-positive part, the trace
 of the positive part, and three families of trace-preserving maps (Kraus,
 column-stochastic on eigenvalues, transpose mixing; only the first is
-completely positive).
+completely positive).  Every function of the calculus, and every validation
+(Hermitian deviation, contraction, density, Kraus completeness, column
+sums), takes one matrix or a (..., d, d) stack; a map whose arrays are
+stacks is a stack of maps applied matrix by matrix.  The per-instance
+verifiers run the stacked code on a stack of one.
 
 The suites: seeded randomized checks of every operator inequality the
 conversion analysis rests on, plus structural suites for the majorization
 certificates and the greedy-versus-exhaustive map synthesis.  Each instance
-draws its generator from (master seed, suite id, instance index), so results
-are independent of execution order and reruns are byte-identical.
+draws from its own generator seeded by (master seed, suite id, instance
+index), so results are independent of execution order and reruns are
+byte-identical.  A suite takes up to _CHUNK instances at a time.  The dense
+suites first draw every instance's random numbers, then evaluate one shape
+group at a time (dimension, map family, and, wherever a positive projector
+is formed, the count of positive eigenvalues), so a chunk costs one NumPy
+call per step per shape group instead of one per instance, plus one
+generator per instance.  Stacked LAPACK, BLAS and reductions run the
+per-matrix routine on per-matrix memory layouts, so every margin is bit for
+bit the per-instance one.  The spectrum suites draw as they evaluate, one
+instance at a time.
 """
 
 from __future__ import annotations
@@ -21,7 +34,18 @@ from typing import Callable, NamedTuple, Optional, Union
 
 import numpy as np
 
-from .infospec import _positive_eigs, cdf_selfinfo, tail_C, tail_D
+from .infospec import (
+    _columns,
+    _count_groups,
+    _per_matrix,
+    _positive_sum,
+    _positive_trace,
+    _projected_mass,
+    _tail_difference,
+    cdf_selfinfo,
+    tail_C,
+    tail_D,
+)
 from .majorize import (
     BistochasticMatrix,
     DeterministicMap,
@@ -35,6 +59,41 @@ from .randgen import brute_force_optimal, synthesize_map
 from .spectra import BudgetExceededError, Spectrum, _mass_term, expand
 
 
+def _dagger(m: np.ndarray) -> np.ndarray:
+    return m.conj().swapaxes(-1, -2)
+
+
+def _symmetrized(m: np.ndarray) -> np.ndarray:
+    return (m + _dagger(m)) / 2.0
+
+
+def _trace(m: np.ndarray) -> np.ndarray:
+    return np.trace(m, axis1=-2, axis2=-1)
+
+
+def _first(bad: np.ndarray) -> Optional[int]:
+    """Flat index of the first flagged matrix of a stack, or None."""
+    return int(np.argmax(bad)) if bad.any() else None
+
+
+def _check_hermitian(m: np.ndarray) -> np.ndarray:
+    """The symmetrized stack; a deviation above 1e-10 of a matrix's largest entry is rejected."""
+    scale = np.abs(m).max(axis=(-2, -1))
+    dev = np.abs(m - _dagger(m)).max(axis=(-2, -1))
+    i = _first(dev > 1e-10 * scale)
+    if i is not None:
+        raise ValueError(f"matrix deviates from Hermitian by {float(dev.flat[i])!r} (scale {float(scale.flat[i])!r})")
+    return _symmetrized(m)
+
+
+def _check_unit_interval(m: np.ndarray) -> None:
+    w = np.linalg.eigvalsh(m)
+    lo, hi = w.min(axis=-1), w.max(axis=-1)
+    i = _first((lo < -1e-10) | (hi > 1.0 + 1e-10))
+    if i is not None:
+        raise ValueError(f"eigenvalues [{lo.flat[i]!r}, {hi.flat[i]!r}] leave the interval [0, 1]")
+
+
 class HermitianOperator:
     """Square complex matrix equal to its conjugate transpose.
 
@@ -45,23 +104,18 @@ class HermitianOperator:
     __slots__ = ("entries",)
 
     def __init__(self, entries):
-        m = np.array(entries, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
+        m = np.asarray(entries, dtype=complex)
+        if m.ndim != 2:
             raise ValueError(f"expected a nonempty square matrix, got shape {m.shape}")
-        scale = float(np.abs(m).max())
-        dev = float(np.abs(m - m.conj().T).max())
-        if dev > 1e-10 * scale:
-            raise ValueError(f"matrix deviates from Hermitian by {dev!r} (scale {scale!r})")
-        self.entries = (m + m.conj().T) / 2.0
+        self.entries = _as_entries(m)
 
     @classmethod
     def _wrap(cls, m) -> "HermitianOperator":
         # trusted internal algebra: rounding dust can dominate a near-zero
         # result (e.g. I minus a full projector), so symmetrize without the
         # relative deviation gate
-        obj = object.__new__(HermitianOperator)
-        mm = np.asarray(m, dtype=complex)
-        obj.entries = (mm + mm.conj().T) / 2.0
+        obj = object.__new__(cls)
+        obj.entries = _symmetrized(np.asarray(m, dtype=complex))
         return obj
 
     @property
@@ -87,29 +141,31 @@ class Contraction(HermitianOperator):
 
     def __init__(self, entries):
         super().__init__(entries)
-        w = np.linalg.eigvalsh(self.entries)
-        if w.min() < -1e-10 or w.max() > 1.0 + 1e-10:
-            raise ValueError(f"eigenvalues [{w.min()!r}, {w.max()!r}] leave the interval [0, 1]")
+        _check_unit_interval(self.entries)
 
 
 @dataclass(frozen=True, eq=False)
 class CPTPMap:
-    """Kraus map A -> sum_i K_i A K_i^dagger with sum_i K_i^dagger K_i = I."""
+    """Kraus map A -> sum_i K_i A K_i^dagger with sum_i K_i^dagger K_i = I.
+
+    Kraus operators that are (..., d, d) stacks make a stack of maps.
+    """
 
     kraus: tuple
 
     def __post_init__(self):
         if not self.kraus:
             raise ValueError("need at least one Kraus operator")
-        d = self.kraus[0].shape[0]
-        acc = np.zeros((d, d), dtype=complex)
+        shape = self.kraus[0].shape
+        acc = np.zeros(shape, dtype=complex)
         for k in self.kraus:
-            if k.shape != (d, d):
+            if k.shape != shape or len(shape) < 2 or shape[-1] != shape[-2]:
                 raise ValueError("Kraus operators must be square and equally sized")
-            acc += k.conj().T @ k
-        dev = float(np.abs(acc - np.eye(d)).max())
-        if dev > 1e-10:
-            raise ValueError(f"Kraus completeness fails by {dev!r}")
+            acc += _dagger(k) @ k
+        dev = np.abs(acc - np.eye(shape[-1])).max(axis=(-2, -1))
+        i = _first(dev > 1e-10)
+        if i is not None:
+            raise ValueError(f"Kraus completeness fails by {float(dev.flat[i])!r}")
 
     @property
     def kind(self) -> str:
@@ -117,24 +173,30 @@ class CPTPMap:
 
     @property
     def dimension(self) -> int:
-        return self.kraus[0].shape[0]
+        return self.kraus[0].shape[-1]
 
 
 @dataclass(frozen=True, eq=False)
 class StochasticMap:
-    """Column-stochastic action on eigenvalues (trace preserving, not CP)."""
+    """Column-stochastic action on eigenvalues (trace preserving, not CP).
+
+    A (..., d, d) matrix stack makes a stack of maps.
+    """
 
     matrix: np.ndarray
 
     def __post_init__(self):
         m = self.matrix
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
             raise ValueError(f"expected a square matrix, got shape {m.shape}")
-        if m.min() < -1e-12:
-            raise ValueError(f"negative entry {m.min()!r}")
-        dev = float(np.abs(m.sum(axis=0) - 1.0).max())
-        if dev > 1e-10:
-            raise ValueError(f"column sums deviate from 1 by {dev!r}")
+        low = m.min(axis=(-2, -1))
+        i = _first(low < -1e-12)
+        if i is not None:
+            raise ValueError(f"negative entry {low.flat[i]!r}")
+        dev = np.abs(m.sum(axis=-2) - 1.0).max(axis=-1)
+        i = _first(dev > 1e-10)
+        if i is not None:
+            raise ValueError(f"column sums deviate from 1 by {float(dev.flat[i])!r}")
 
     @property
     def kind(self) -> str:
@@ -142,18 +204,23 @@ class StochasticMap:
 
     @property
     def dimension(self) -> int:
-        return self.matrix.shape[0]
+        return self.matrix.shape[-1]
 
 
 @dataclass(frozen=True)
 class TransposeMix:
-    """A -> (1 - t) A + t A^T; trace preserving, not completely positive."""
+    """A -> (1 - t) A + t A^T; trace preserving, not completely positive.
+
+    An array of weights makes a stack of maps.
+    """
 
     t: float
 
     def __post_init__(self):
-        if not 0.0 <= self.t <= 1.0:
-            raise ValueError(f"mixing weight must lie in [0, 1], got {self.t!r}")
+        t = np.asarray(self.t)
+        i = _first(~((t >= 0.0) & (t <= 1.0)))
+        if i is not None:
+            raise ValueError(f"mixing weight must lie in [0, 1], got {self.t if t.ndim == 0 else float(t.flat[i])!r}")
 
     @property
     def kind(self) -> str:
@@ -167,93 +234,132 @@ def _as_hermitian(x) -> HermitianOperator:
     return x if isinstance(x, HermitianOperator) else HermitianOperator(x)
 
 
-def jordan(a) -> tuple[HermitianOperator, HermitianOperator, HermitianOperator, HermitianOperator]:
+def _as_entries(x) -> np.ndarray:
+    """Entries of an operator, or a validated Hermitian matrix or (..., d, d) stack."""
+    if isinstance(x, HermitianOperator):
+        return x.entries
+    m = np.asarray(x, dtype=complex)
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2] or m.shape[-1] < 1:
+        raise ValueError(f"expected a nonempty square matrix, got shape {m.shape}")
+    return _check_hermitian(m)
+
+
+def _operator(m: np.ndarray):
+    """An operator for a single matrix, the array for a stack."""
+    return HermitianOperator._wrap(m) if m.ndim == 2 else m
+
+
+def _jordan(m: np.ndarray) -> tuple:
+    w, v = np.linalg.eigh(m)
+    d = m.shape[-1]
+    a_plus, a_minus, proj_pos = (np.zeros_like(m) for _ in range(3))
+    for c, sel in _count_groups(w):
+        ws, vs = w[sel], v[sel]
+        vp, vn = _columns(vs, d - c, d), _columns(vs, 0, d - c)
+        a_plus[sel] = (vp * ws[..., None, d - c:]) @ _dagger(vp)
+        a_minus[sel] = -((vn * ws[..., None, : d - c]) @ _dagger(vn))
+        proj_pos[sel] = vp @ _dagger(vp)
+    return tuple(_symmetrized(x) for x in (a_plus, a_minus, proj_pos, np.eye(d) - proj_pos))
+
+
+def jordan(a) -> tuple:
     """(positive part, negative part, positive projector, non-positive projector).
 
     A = A_plus - A_minus and |A| = A_plus + A_minus.  Eigenvalues within
     1e-10 of zero relative to the spectral norm count as non-positive, so the
-    zero operator has a full non-positive projector.
+    zero operator has a full non-positive projector.  Operators for a matrix,
+    (..., d, d) arrays for a stack.
     """
-    a = _as_hermitian(a)
-    w, v = np.linalg.eigh(a.entries)
-    pos = _positive_eigs(w)
-    vp = v[:, pos]
-    vn = v[:, ~pos]
-    a_plus = (vp * w[pos]) @ vp.conj().T
-    a_minus = -((vn * w[~pos]) @ vn.conj().T)
-    proj_pos = vp @ vp.conj().T
-    proj_nonpos = np.eye(a.dimension) - proj_pos
-    return (
-        HermitianOperator._wrap(a_plus),
-        HermitianOperator._wrap(a_minus),
-        HermitianOperator._wrap(proj_pos),
-        HermitianOperator._wrap(proj_nonpos),
-    )
+    return tuple(_operator(x) for x in _jordan(_as_entries(a)))
 
 
-def trace_plus(a) -> float:
-    """Trace of the positive part: the sum of the positive eigenvalues."""
-    a = _as_hermitian(a)
-    w = np.linalg.eigvalsh(a.entries)
-    return float(w[_positive_eigs(w)].sum())
+def trace_plus(a):
+    """Trace of the positive part: the sum of the positive eigenvalues (an array for a stack)."""
+    return _per_matrix(_positive_trace(_as_entries(a)))
 
 
-def trace_norm(a) -> float:
-    a = _as_hermitian(a)
-    w = np.linalg.eigvalsh(a.entries)
-    return float(np.abs(w).sum())
+def _trace_norm(m: np.ndarray) -> np.ndarray:
+    return np.abs(np.linalg.eigvalsh(m)).sum(axis=-1)
 
 
-def _is_diagonal(m: np.ndarray) -> bool:
-    off = m - np.diag(np.diagonal(m))
-    scale = max(float(np.abs(m).max()), 1.0)
-    return float(np.abs(off).max()) <= 1e-12 * scale
+def trace_norm(a):
+    return _per_matrix(_trace_norm(_as_entries(a)))
 
 
-def apply_tp(f: TPMap, a) -> HermitianOperator:
-    """Apply a trace-preserving map.
+def _diag_embed(x: np.ndarray) -> np.ndarray:
+    """np.diag over a stack of diagonals."""
+    d = x.shape[-1]
+    out = np.zeros(x.shape + (d,), dtype=x.dtype)
+    out[..., np.arange(d), np.arange(d)] = x
+    return out
+
+
+def _is_diagonal(m: np.ndarray) -> np.ndarray:
+    off = m - _diag_embed(np.diagonal(m, axis1=-2, axis2=-1))
+    scale = np.maximum(np.abs(m).max(axis=(-2, -1)), 1.0)
+    return np.abs(off).max(axis=(-2, -1)) <= 1e-12 * scale
+
+
+def _matvec(m: np.ndarray, x: np.ndarray) -> np.ndarray:
+    return (m @ x[..., None])[..., 0]
+
+
+def _apply_tp(f: TPMap, m: np.ndarray) -> np.ndarray:
+    if isinstance(f, TransposeMix):
+        t = np.asarray(f.t)[..., None, None]
+        return _symmetrized((1.0 - t) * m + t * m.swapaxes(-1, -2))
+    if not isinstance(f, (CPTPMap, StochasticMap)):
+        raise TypeError(f"not a TP map: {f!r}")
+    if f.dimension != m.shape[-1]:
+        raise ValueError(f"dimension mismatch: map {f.dimension}, operator {m.shape[-1]}")
+    if isinstance(f, CPTPMap):
+        out = np.zeros(np.broadcast_shapes(f.kraus[0].shape, m.shape), dtype=complex)
+        for k in f.kraus:
+            out += k @ m @ _dagger(k)
+        return _symmetrized(out)
+    shape = np.broadcast_shapes(f.matrix.shape, m.shape)
+    mats, m = np.broadcast_to(f.matrix, shape), np.broadcast_to(m, shape)
+    out = np.empty(shape, dtype=complex)
+    diagonal = _is_diagonal(m)
+    if diagonal.any():
+        out[diagonal] = _diag_embed(_matvec(mats[diagonal], np.diagonal(m[diagonal], axis1=-2, axis2=-1).real))
+    rest = ~diagonal
+    if rest.any():
+        w, v = np.linalg.eigh(m[rest])
+        out[rest] = (v * _matvec(mats[rest], w)[..., None, :]) @ _dagger(v)
+    return _symmetrized(out)
+
+
+def apply_tp(f: TPMap, a):
+    """Apply a trace-preserving map to a matrix or a (..., d, d) stack.
 
     The stochastic kind acts on the eigenvalues of its argument: directly on
     the diagonal when the argument is diagonal (so commuting families see one
     and the same classical map), otherwise in the argument's eigenbasis.
     """
-    a = _as_hermitian(a)
-    m = a.entries
-    if isinstance(f, CPTPMap):
-        if f.dimension != a.dimension:
-            raise ValueError(f"dimension mismatch: map {f.dimension}, operator {a.dimension}")
-        out = np.zeros_like(m)
-        for k in f.kraus:
-            out += k @ m @ k.conj().T
-        return HermitianOperator._wrap(out)
-    if isinstance(f, StochasticMap):
-        if f.dimension != a.dimension:
-            raise ValueError(f"dimension mismatch: map {f.dimension}, operator {a.dimension}")
-        if _is_diagonal(m):
-            return HermitianOperator._wrap(np.diag(f.matrix @ np.real(np.diagonal(m))))
-        w, v = np.linalg.eigh(m)
-        return HermitianOperator._wrap((v * (f.matrix @ w)) @ v.conj().T)
-    if isinstance(f, TransposeMix):
-        return HermitianOperator._wrap((1.0 - f.t) * m + f.t * m.T)
-    raise TypeError(f"not a TP map: {f!r}")
+    return _operator(_apply_tp(f, _as_entries(a)))
 
 
-def _require_density(name: str, a: HermitianOperator, *, tol: float = 1e-8):
-    w = np.linalg.eigvalsh(a.entries)
-    if float(w.min()) < -tol:
-        raise ValueError(f"{name} has negative eigenvalue {float(w.min())!r}")
-    if abs(float(w.sum()) - 1.0) > tol:
-        raise ValueError(f"{name} has trace {float(w.sum())!r}, expected 1")
+def _require_psd(name: str, m: np.ndarray, *, tol: float = 1e-8) -> np.ndarray:
+    w = np.linalg.eigvalsh(m)
+    low = w.min(axis=-1)
+    i = _first(low < -tol)
+    if i is not None:
+        raise ValueError(f"{name} has negative eigenvalue {float(low.flat[i])!r}")
+    return w
 
 
-def _require_psd(name: str, a: HermitianOperator, *, tol: float = 1e-8):
-    w = np.linalg.eigvalsh(a.entries)
-    if float(w.min()) < -tol:
-        raise ValueError(f"{name} has negative eigenvalue {float(w.min())!r}")
+def _require_density(name: str, m: np.ndarray, *, tol: float = 1e-8):
+    tr = _require_psd(name, m, tol=tol).sum(axis=-1)
+    i = _first(np.abs(tr - 1.0) > tol)
+    if i is not None:
+        raise ValueError(f"{name} has trace {float(tr.flat[i])!r}, expected 1")
 
 
 # ---------------------------------------------------------------------------
-# per-instance verifiers
+# verifiers: each stacked check takes (N, d, d) stacks and gives one list of
+# (name, signed margin, tolerance) per instance; the public verifiers run it
+# on a stack of one
 
 @dataclass(frozen=True)
 class VerifyResult:
@@ -312,6 +418,46 @@ def _payload(**kw) -> Callable[[], dict]:
     return build
 
 
+def _pick(v, i: int):
+    """Instance i of a stacked input: a matrix, a map, or an entry of a sequence."""
+    if isinstance(v, CPTPMap):
+        return CPTPMap(tuple(k[i] for k in v.kraus))
+    if isinstance(v, StochasticMap):
+        return StochasticMap(v.matrix[i])
+    if isinstance(v, TransposeMix):
+        return TransposeMix(float(v.t[i]))
+    return v[i]
+
+
+def _stack_payload(stacks: dict, i: int) -> Callable[[], dict]:
+    return lambda: {k: _json_value(_pick(v, i)) for k, v in stacks.items()}
+
+
+def _results(checks: list, **stacks) -> list:
+    """One VerifyResult per instance; a violation's payload holds instance i of each stack."""
+    return [_finish(c, _stack_payload(stacks, i)) for i, c in enumerate(checks)]
+
+
+def _lemma_np_checks(a: np.ndarray, t: np.ndarray) -> list:
+    """Checks of operators a (N, d, d) against contractions t (N, trials, d, d).
+
+    Gives each instance's checks and the index of its tightest contraction.
+    """
+    tp = _positive_trace(a).tolist()
+    vals = _trace(a[:, None] @ t).real.tolist()
+    attained = _trace(a @ _jordan(a)[2]).real.tolist()
+    out = []
+    for tp_i, vals_i, attained_i in zip(tp, vals, attained):
+        checks = [("upper-bound", tp_i - val, 1e-9) for val in vals_i]
+        tightest, worst_val = None, -math.inf
+        for j, val in enumerate(vals_i):
+            if val > worst_val:
+                tightest, worst_val = j, val
+        checks.append(("attained-at-positive-projector", 1e-10 - abs(attained_i - tp_i), 0.0))
+        out.append((checks, tightest))
+    return out
+
+
 def verify_lemma_np(a, trials: int, *, rng=None) -> VerifyResult:
     """Tr A T <= Tr A_plus over sampled contractions T, with attainment at A > 0."""
     a = _as_hermitian(a)
@@ -319,47 +465,61 @@ def verify_lemma_np(a, trials: int, *, rng=None) -> VerifyResult:
         raise ValueError("trials must be positive")
     if rng is None:
         rng = np.random.default_rng(0)
-    tp = trace_plus(a)
-    checks = []
-    worst_t = None
-    worst_val = -math.inf
-    for _ in range(trials):
-        t = rand_contraction(rng, a.dimension)
-        val = float(np.trace(a.entries @ t.entries).real)
-        checks.append(("upper-bound", tp - val, 1e-9))
-        if val > worst_val:
-            worst_val, worst_t = val, t
-    _, _, proj_pos, _ = jordan(a)
-    attained = float(np.trace(a.entries @ proj_pos.entries).real)
-    checks.append(("attained-at-positive-projector", 1e-10 - abs(attained - tp), 0.0))
-    return _finish(checks, _payload(operator=a, tightest_contraction=worst_t))
+    g, vals = zip(*(_draw_contraction(rng, a.dimension) for _ in range(trials)))
+    t = _contractions(np.array(g), np.array(vals))
+    ((checks, j),) = _lemma_np_checks(a.entries[None], t[None])
+    return _finish(checks, _payload(operator=a, tightest_contraction=None if j is None else t[j]))
+
+
+def _bdm_checks(f: TPMap, a: np.ndarray) -> list:
+    before = _positive_trace(a).tolist()
+    after = _positive_trace(_apply_tp(f, a)).tolist()
+    return [[("positive-part-monotone", x - y, 1e-9)] for x, y in zip(before, after)]
 
 
 def verify_lemma_bdm(f: TPMap, a) -> VerifyResult:
     """Tr F(A)_plus <= Tr A_plus for a trace-preserving map F."""
     a = _as_hermitian(a)
-    before = trace_plus(a)
-    after = trace_plus(apply_tp(f, a))
-    checks = [("positive-part-monotone", before - after, 1e-9)]
-    return _finish(checks, _payload(map=f, operator=a))
+    return _finish(_bdm_checks(f, a.entries[None])[0], _payload(map=f, operator=a))
+
+
+def _bd_checks(rho: np.ndarray, sigma: np.ndarray, n, a, gamma) -> list:
+    if any(g <= 0.0 for g in gamma):
+        raise ValueError("gamma must be positive")
+    _require_density("rho", rho)
+    _require_psd("sigma", sigma)
+    # tail_C and tail_D at the same cut share one difference operator
+    r, diff = _tail_difference(rho, sigma, n, a)
+    c_a = _positive_trace(diff).tolist()
+    d_a = _projected_mass(r, diff).tolist()
+    d_b = tail_D(rho, sigma, n, [x + g for x, g in zip(a, gamma)]).tolist()
+    return [
+        [
+            ("positive-part-below-projection", y - x, 1e-9),
+            ("shifted-cut-lower-bound", x - (z - math.exp(-k * g)), 1e-9),
+        ]
+        for x, y, z, k, g in zip(c_a, d_a, d_b, n, gamma)
+    ]
 
 
 def verify_bd_sandwich(rho, sigma, n: int, a: float, gamma: float) -> VerifyResult:
     """Positive-part tail below projector tail, and the shifted-cut lower bound."""
     rho = _as_hermitian(rho)
     sigma = _as_hermitian(sigma)
-    if gamma <= 0.0:
-        raise ValueError("gamma must be positive")
-    _require_density("rho", rho)
-    _require_psd("sigma", sigma)
-    c_a = tail_C(rho, sigma, n, a)
-    d_a = tail_D(rho, sigma, n, a)
-    d_b = tail_D(rho, sigma, n, a + gamma)
-    checks = [
-        ("positive-part-below-projection", d_a - c_a, 1e-9),
-        ("shifted-cut-lower-bound", c_a - (d_b - math.exp(-n * gamma)), 1e-9),
-    ]
+    checks = _bd_checks(rho.entries[None], sigma.entries[None], [n], [a], [gamma])[0]
     return _finish(checks, _payload(rho=rho, sigma=sigma, n=n, a=a, gamma=gamma))
+
+
+def _continuity_checks(rho: np.ndarray, rho_prime: np.ndarray, sigma: np.ndarray, n, a) -> list:
+    _require_density("rho", rho)
+    _require_density("rho_prime", rho_prime)
+    half_l1 = (0.5 * _trace_norm(_symmetrized(rho - rho_prime))).tolist()
+    c = tail_C(rho, sigma, n, a).tolist()
+    c_prime = tail_C(rho_prime, sigma, n, a).tolist()
+    return [
+        [("perturbation-bound", y + h - x, 1e-9), ("perturbation-bound-swapped", x + h - y, 1e-9)]
+        for x, y, h in zip(c, c_prime, half_l1)
+    ]
 
 
 def verify_continuity(rho, rho_prime, sigma, n: int, a: float) -> VerifyResult:
@@ -367,15 +527,7 @@ def verify_continuity(rho, rho_prime, sigma, n: int, a: float) -> VerifyResult:
     rho = _as_hermitian(rho)
     rho_prime = _as_hermitian(rho_prime)
     sigma = _as_hermitian(sigma)
-    _require_density("rho", rho)
-    _require_density("rho_prime", rho_prime)
-    half_l1 = 0.5 * trace_norm(HermitianOperator._wrap(rho.entries - rho_prime.entries))
-    c = tail_C(rho, sigma, n, a)
-    c_prime = tail_C(rho_prime, sigma, n, a)
-    checks = [
-        ("perturbation-bound", c_prime + half_l1 - c, 1e-9),
-        ("perturbation-bound-swapped", c + half_l1 - c_prime, 1e-9),
-    ]
+    checks = _continuity_checks(rho.entries[None], rho_prime.entries[None], sigma.entries[None], [n], [a])[0]
     return _finish(checks, _payload(rho=rho, rho_prime=rho_prime, sigma=sigma, n=n, a=a))
 
 
@@ -412,6 +564,16 @@ def verify_product_tails(p_a: Spectrum, s_b: Spectrum, n: int, a: float) -> Veri
     return _finish(checks, _payload(first=p_a, second=s_b, n=n, a=a))
 
 
+def _monotonicity_checks(rho: np.ndarray, sigma: np.ndarray, f: TPMap, n, a) -> list:
+    if isinstance(f, StochasticMap) and not (_is_diagonal(rho) & _is_diagonal(sigma)).all():
+        raise ValueError("stochastic maps require diagonal arguments for two-sided application")
+    fr = _apply_tp(f, rho)
+    fs = _apply_tp(f, sigma)
+    before = tail_C(rho, sigma, n, a).tolist()
+    after = tail_C(fr, fs, n, a).tolist()
+    return [[("tail-monotone", x - y, 1e-9)] for x, y in zip(before, after)]
+
+
 def verify_tail_monotonicity(rho, sigma, f: TPMap, n: int, a: float) -> VerifyResult:
     """tail_C never grows under a single trace-preserving map on both arguments.
 
@@ -420,103 +582,151 @@ def verify_tail_monotonicity(rho, sigma, f: TPMap, n: int, a: float) -> VerifyRe
     """
     rho = _as_hermitian(rho)
     sigma = _as_hermitian(sigma)
-    if isinstance(f, StochasticMap) and not (_is_diagonal(rho.entries) and _is_diagonal(sigma.entries)):
-        raise ValueError("stochastic maps require diagonal arguments for two-sided application")
-    fr = apply_tp(f, rho)
-    fs = apply_tp(f, sigma)
-    before = tail_C(rho, sigma, n, a)
-    after = tail_C(fr, fs, n, a)
-    checks = [("tail-monotone", before - after, 1e-9)]
+    checks = _monotonicity_checks(rho.entries[None], sigma.entries[None], f, [n], [a])[0]
     return _finish(checks, _payload(rho=rho, sigma=sigma, map=f, n=n, a=a))
 
 
-def _verify_projector_split(a, b) -> VerifyResult:
+def _projector_split_checks(a: np.ndarray, b: np.ndarray) -> list:
     """On P = {A - B > 0}: Tr A P >= Tr B P, and Tr(A-B)_plus = Tr A P - Tr B P."""
-    a = _as_hermitian(a)
-    b = _as_hermitian(b)
-    diff = HermitianOperator._wrap(a.entries - b.entries)
-    _, _, proj, _ = jordan(diff)
-    t_a = float(np.trace(a.entries @ proj.entries).real)
-    t_b = float(np.trace(b.entries @ proj.entries).real)
-    t_plus = trace_plus(diff)
-    checks = [
-        ("projection-dominance", t_a - t_b, 1e-9),
-        ("difference-split-identity", 1e-9 - abs(t_plus - (t_a - t_b)), 0.0),
+    diff = _symmetrized(a - b)
+    proj = _jordan(diff)[2]
+    t_a = _trace(a @ proj).real.tolist()
+    t_b = _trace(b @ proj).real.tolist()
+    t_plus = _positive_trace(diff).tolist()
+    return [
+        [("projection-dominance", x - y, 1e-9), ("difference-split-identity", 1e-9 - abs(p - (x - y)), 0.0)]
+        for x, y, p in zip(t_a, t_b, t_plus)
     ]
-    return _finish(checks, _payload(first=a, second=b))
 
 
-def _verify_traceless_abs(a) -> VerifyResult:
-    """For traceless A the trace norm is twice the positive part's trace."""
-    a = _as_hermitian(a)
-    d = a.dimension
-    a0 = HermitianOperator._wrap(a.entries - (np.trace(a.entries).real / d) * np.eye(d))
-    checks = [("traceless-abs-identity", 1e-9 - abs(trace_norm(a0) - 2.0 * trace_plus(a0)), 0.0)]
-    return _finish(checks, _payload(operator=a0))
+def _traceless_abs_checks(a: np.ndarray) -> tuple:
+    """For traceless A the trace norm is twice the positive part's trace.
+
+    Both come from one eigendecomposition; gives the checks and the traceless parts.
+    """
+    d = a.shape[-1]
+    a0 = _symmetrized(a - (_trace(a).real / d)[..., None, None] * np.eye(d))
+    w = np.linalg.eigvalsh(a0)
+    norms = np.abs(w).sum(axis=-1).tolist()
+    plus = _positive_sum(w).tolist()
+    return [[("traceless-abs-identity", 1e-9 - abs(x - 2.0 * y), 0.0)] for x, y in zip(norms, plus)], a0
 
 
 # ---------------------------------------------------------------------------
-# samplers
+# samplers: each draws from the generator first, then builds on a
+# (..., d, d) stack; no draw depends on a built value
 
-def rand_unitary(rng, dim: int) -> np.ndarray:
-    g = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / math.sqrt(2.0)
-    q, r = np.linalg.qr(g)
-    ph = np.diagonal(r).copy()
+def _draw_gaussian(rng, dim: int) -> np.ndarray:
+    """Real and imaginary parts, (2, dim, dim): the same draws as two (dim, dim) calls."""
+    return rng.standard_normal((2, dim, dim))
+
+
+def _gaussian(g: np.ndarray) -> np.ndarray:
+    return g[..., 0, :, :] + 1j * g[..., 1, :, :]
+
+
+def _hermitians(g: np.ndarray) -> np.ndarray:
+    return _check_hermitian(_symmetrized(_gaussian(g)))
+
+
+def _unitaries(g: np.ndarray) -> np.ndarray:
+    q, r = np.linalg.qr(_gaussian(g) / math.sqrt(2.0))
+    ph = np.diagonal(r, axis1=-2, axis2=-1).copy()
     ph /= np.abs(ph)
-    return q * ph
+    return q * ph[..., None, :]
 
 
-def rand_hermitian(rng, dim: int) -> HermitianOperator:
-    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    return HermitianOperator((g + g.conj().T) / 2.0)
+def _densities(g: np.ndarray) -> np.ndarray:
+    g = _gaussian(g)
+    m = g @ _dagger(g)
+    return _check_hermitian(m / _trace(m).real[..., None, None])
 
 
-def rand_density(rng, dim: int) -> HermitianOperator:
-    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    m = g @ g.conj().T
-    return HermitianOperator(m / np.trace(m).real)
+def _diagonal_densities(v: np.ndarray) -> np.ndarray:
+    return _check_hermitian(_diag_embed(v.astype(complex)))
 
 
-def rand_diagonal_density(rng, dim: int) -> HermitianOperator:
-    v = rng.dirichlet(np.ones(dim))
-    return HermitianOperator(np.diag(v.astype(complex)))
+def _draw_contraction(rng, dim: int) -> tuple:
+    return _draw_gaussian(rng, dim), rng.uniform(0.0, 1.0, dim)
 
 
-def rand_contraction(rng, dim: int) -> Contraction:
-    u = rand_unitary(rng, dim)
-    vals = rng.uniform(0.0, 1.0, dim)
-    return Contraction((u * vals) @ u.conj().T)
+def _contractions(g: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    u = _unitaries(g)
+    m = _check_hermitian((u * vals[..., None, :]) @ _dagger(u))
+    _check_unit_interval(m)
+    return m
 
 
-def rand_cptp(rng, dim: int, n_kraus: int = 3) -> CPTPMap:
-    ks = [
-        (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / math.sqrt(2.0)
-        for _ in range(n_kraus)
-    ]
+def _draw_cptp(rng, dim: int, n_kraus: int = 3) -> np.ndarray:
+    return np.array([_draw_gaussian(rng, dim) for _ in range(n_kraus)])
+
+
+def _cptps(g: np.ndarray) -> CPTPMap:
+    """Maps from (..., n_kraus, 2, d, d) Gaussian draws."""
+    ks = [_gaussian(g[..., j, :, :, :]) / math.sqrt(2.0) for j in range(g.shape[-4])]
     # two normalization passes pin the completeness defect near machine epsilon
     for _ in range(2):
-        m = np.zeros((dim, dim), dtype=complex)
+        m = np.zeros(ks[0].shape, dtype=complex)
         for k in ks:
-            m += k.conj().T @ k
+            m += _dagger(k) @ k
         w, v = np.linalg.eigh(m)
-        inv_half = (v / np.sqrt(w)) @ v.conj().T
+        inv_half = (v / np.sqrt(w)[..., None, :]) @ _dagger(v)
         ks = [k @ inv_half for k in ks]
     return CPTPMap(tuple(ks))
 
 
+def _stochastics(u: np.ndarray) -> StochasticMap:
+    m = -np.log(u)
+    return StochasticMap(m / m.sum(axis=-2, keepdims=True))
+
+
+def _draw_doubly_stochastic(rng, dim: int) -> tuple:
+    w = rng.uniform(size=dim + 2)
+    return w, np.array([rng.permutation(dim) for _ in range(dim + 2)])
+
+
+def _doubly_stochastics(u: np.ndarray, perms: np.ndarray) -> StochasticMap:
+    """Mixtures of permutations from (..., terms) uniform draws and (..., terms, d) permutations."""
+    w = -np.log(u)
+    w /= w.sum(axis=-1, keepdims=True)
+    d = perms.shape[-1]
+    m = np.zeros(perms.shape[:-2] + (d, d))
+    lead = np.indices(perms.shape[:-2], sparse=True)
+    # add.at adds the terms to each entry in term order, as one += per term does
+    np.add.at(m, (*(i[..., None, None] for i in lead), np.arange(d), perms), w[..., None])
+    return StochasticMap(m)
+
+
+def rand_unitary(rng, dim: int) -> np.ndarray:
+    return _unitaries(_draw_gaussian(rng, dim))
+
+
+def rand_hermitian(rng, dim: int) -> HermitianOperator:
+    return HermitianOperator._wrap(_hermitians(_draw_gaussian(rng, dim)))
+
+
+def rand_density(rng, dim: int) -> HermitianOperator:
+    return HermitianOperator._wrap(_densities(_draw_gaussian(rng, dim)))
+
+
+def rand_diagonal_density(rng, dim: int) -> HermitianOperator:
+    return HermitianOperator._wrap(_diagonal_densities(rng.dirichlet(np.ones(dim))))
+
+
+def rand_contraction(rng, dim: int) -> Contraction:
+    return Contraction._wrap(_contractions(*_draw_contraction(rng, dim)))
+
+
+def rand_cptp(rng, dim: int, n_kraus: int = 3) -> CPTPMap:
+    return _cptps(_draw_cptp(rng, dim, n_kraus))
+
+
 def rand_stochastic(rng, dim: int) -> StochasticMap:
-    m = -np.log(rng.uniform(size=(dim, dim)))
-    return StochasticMap(m / m.sum(axis=0, keepdims=True))
+    return _stochastics(rng.uniform(size=(dim, dim)))
 
 
 def rand_doubly_stochastic(rng, dim: int) -> StochasticMap:
-    terms = dim + 2
-    w = -np.log(rng.uniform(size=terms))
-    w /= w.sum()
-    m = np.zeros((dim, dim))
-    for i in range(terms):
-        m[np.arange(dim), rng.permutation(dim)] += w[i]
-    return StochasticMap(m)
+    return _doubly_stochastics(*_draw_doubly_stochastic(rng, dim))
 
 
 def rand_spectrum(rng, max_dim: int) -> Spectrum:
@@ -531,58 +741,127 @@ def rand_spectrum(rng, max_dim: int) -> Spectrum:
 
 
 # ---------------------------------------------------------------------------
-# suites: one instance function per suite, taking (rng, instance index, dim)
-# and returning the instance's results plus a note for the suite's summary
+# suites: each draws one instance from its generator, (rng, instance index,
+# dim) -> draws, and evaluates a list of draws, giving one (results, note)
+# per instance for the suite's summary
 
 # dense eigen calls cost d^3 per instance, so --dim is capped: `verify all`
-# with default trials took 12 s at the cap, 3 s at the default dim 8 and
-# about a minute at dim 128 (2-core x86_64 VM, NumPy 2.4)
+# with default trials took 16 s at the cap (peak RSS 57 MB) and 2.7 s at the
+# default dim 8 (40 MB), against 15 s and 4.2 s evaluating one instance at a
+# time (2-core x86_64 VM, NumPy 2.4, same host state)
 MAX_VERIFY_DIM = 64
 
+# instances drawn and evaluated together: a code constant, so the memory of
+# the stacks does not grow with --trials
+_CHUNK = 128
 
-def _np_instance(rng, k: int, dim: int):
+
+def _grouped(check: Callable) -> Callable:
+    """Evaluate dense draws one shape group at a time.
+
+    A draw is (group key, field, ...); check(key, *fields) gets each field as
+    a tuple over the group and gives one sequence of results per instance.
+    """
+
+    def evaluate(drawn: list) -> list:
+        groups: dict = {}
+        for i, (key, *_) in enumerate(drawn):
+            groups.setdefault(key, []).append(i)
+        out: list = [None] * len(drawn)
+        for key, members in groups.items():
+            fields = zip(*(drawn[i][1:] for i in members))
+            for i, results in zip(members, check(key, *fields)):
+                out[i] = (list(results), None)
+        return out
+
+    return evaluate
+
+
+def _defer(rng, k: int, dim: int):
+    """The spectrum suites draw as they evaluate, one instance at a time."""
+    return rng, k, dim
+
+
+def _each(instance: Callable) -> Callable:
+    return lambda drawn: [instance(*x) for x in drawn]
+
+
+def _np_draw(rng, k: int, dim: int):
     d = int(rng.integers(2, dim + 1))
-    a = rand_hermitian(rng, d)
-    return [
-        verify_lemma_np(a, 1, rng=rng),
-        _verify_projector_split(a, rand_hermitian(rng, d)),
-        _verify_traceless_abs(a),
-    ], None
+    a = _draw_gaussian(rng, d)
+    g, vals = _draw_contraction(rng, d)
+    return d, a, g, vals, _draw_gaussian(rng, d)
 
 
-def _bdm_instance(rng, k: int, dim: int):
+def _np_check(d, a, g, vals, b):
+    a = _hermitians(np.array(a))
+    t = _contractions(np.array(g), np.array(vals))[:, None]
+    b = _hermitians(np.array(b))
+    lemma = _lemma_np_checks(a, t)
+    tightest = [None if j is None else t[i, j] for i, (_, j) in enumerate(lemma)]
+    traceless, a0 = _traceless_abs_checks(a)
+    return zip(
+        _results([checks for checks, _ in lemma], operator=a, tightest_contraction=tightest),
+        _results(_projector_split_checks(a, b), first=a, second=b),
+        _results(traceless, operator=a0),
+    )
+
+
+def _bdm_draw(rng, k: int, dim: int):
     d = int(rng.integers(2, dim + 1))
-    a = rand_hermitian(rng, d)
+    a = _draw_gaussian(rng, d)
     kind = k % 3
     if kind == 0:
-        f: TPMap = rand_cptp(rng, d)
+        f = _draw_cptp(rng, d)
     elif kind == 1:
-        f = rand_stochastic(rng, d)
-        w = np.linalg.eigvalsh(a.entries)
-        a = HermitianOperator(np.diag(w.astype(complex)))
+        f = rng.uniform(size=(d, d))
     else:
-        f = TransposeMix(float(rng.uniform()))
-    return [verify_lemma_bdm(f, a)], None
+        f = float(rng.uniform())
+    return (d, kind), a, f
 
 
-def _bd_instance(rng, k: int, dim: int):
+def _bdm_check(key, a, f):
+    kind = key[1]
+    a = _hermitians(np.array(a))
+    if kind == 0:
+        f = _cptps(np.array(f))
+    elif kind == 1:
+        f = _stochastics(np.array(f))
+        a = _check_hermitian(_diag_embed(np.linalg.eigvalsh(a).astype(complex)))
+    else:
+        f = TransposeMix(np.array(f))
+    return zip(_results(_bdm_checks(f, a), map=f, operator=a))
+
+
+def _bd_draw(rng, k: int, dim: int):
     d = int(rng.integers(2, dim + 1))
-    rho = rand_density(rng, d)
-    sigma = rand_density(rng, d)
+    rho = _draw_gaussian(rng, d)
+    sigma = _draw_gaussian(rng, d)
     n = int(rng.integers(1, 6))
     a = float(rng.uniform(-2.0, 2.0))
-    gamma = 0.1 if k % 2 == 0 else 0.5
-    return [verify_bd_sandwich(rho, sigma, n, a, gamma)], None
+    return d, rho, sigma, n, a, 0.1 if k % 2 == 0 else 0.5
 
 
-def _continuity_instance(rng, k: int, dim: int):
+def _bd_check(d, rho, sigma, n, a, gamma):
+    rho = _densities(np.array(rho))
+    sigma = _densities(np.array(sigma))
+    return zip(_results(_bd_checks(rho, sigma, n, a, gamma), rho=rho, sigma=sigma, n=n, a=a, gamma=gamma))
+
+
+def _continuity_draw(rng, k: int, dim: int):
     d = int(rng.integers(2, dim + 1))
-    rho = rand_density(rng, d)
-    rho_prime = rand_density(rng, d)
-    sigma = rand_density(rng, d)
+    rho = _draw_gaussian(rng, d)
+    rho_prime = _draw_gaussian(rng, d)
+    sigma = _draw_gaussian(rng, d)
     n = int(rng.integers(1, 6))
     a = float(rng.uniform(-2.0, 2.0))
-    return [verify_continuity(rho, rho_prime, sigma, n, a)], None
+    return d, rho, rho_prime, sigma, n, a
+
+
+def _continuity_check(d, rho, rho_prime, sigma, n, a):
+    rho, rho_prime, sigma = (_densities(np.array(x)) for x in (rho, rho_prime, sigma))
+    checks = _continuity_checks(rho, rho_prime, sigma, n, a)
+    return zip(_results(checks, rho=rho, rho_prime=rho_prime, sigma=sigma, n=n, a=a))
 
 
 def _product_instance(rng, k: int, dim: int):
@@ -593,29 +872,46 @@ def _product_instance(rng, k: int, dim: int):
     return [verify_product_tails(p_a, s_b, n, a)], None
 
 
-def _monotonicity_instance(rng, k: int, dim: int):
+def _monotonicity_draw(rng, k: int, dim: int):
     d = int(rng.integers(2, dim + 1))
     n = int(rng.integers(1, 6))
     a = float(rng.uniform(-2.0, 2.0))
     kind = k % 3
     if kind == 0:
-        rho = rand_density(rng, d)
-        sigma = rand_density(rng, d)
-        f: TPMap = rand_cptp(rng, d)
+        family = "cptp"
+        rho, sigma = _draw_gaussian(rng, d), _draw_gaussian(rng, d)
+        f = _draw_cptp(rng, d)
     elif kind == 1:
-        rho = rand_diagonal_density(rng, d)
+        rho = rng.dirichlet(np.ones(d))
         if (k // 3) % 2 == 0:
-            sigma = rand_diagonal_density(rng, d)
-            f = rand_stochastic(rng, d)
+            family = "stochastic"
+            sigma = rng.dirichlet(np.ones(d))
+            f = rng.uniform(size=(d, d))
         else:
             # unital sub-family: doubly stochastic map fixes the identity
-            sigma = HermitianOperator(np.eye(d, dtype=complex))
-            f = rand_doubly_stochastic(rng, d)
+            family = "unital"
+            sigma = None
+            f = _draw_doubly_stochastic(rng, d)
     else:
-        rho = rand_density(rng, d)
-        sigma = rand_density(rng, d)
-        f = TransposeMix(float(rng.uniform()))
-    return [verify_tail_monotonicity(rho, sigma, f, n, a)], None
+        family = "transpose"
+        rho, sigma = _draw_gaussian(rng, d), _draw_gaussian(rng, d)
+        f = float(rng.uniform())
+    return (d, family), rho, sigma, n, a, f
+
+
+def _monotonicity_check(key, rho, sigma, n, a, f):
+    d, family = key
+    if family in ("cptp", "transpose"):
+        rho, sigma = _densities(np.array(rho)), _densities(np.array(sigma))
+        f = _cptps(np.array(f)) if family == "cptp" else TransposeMix(np.array(f))
+    elif family == "stochastic":
+        rho, sigma = _diagonal_densities(np.array(rho)), _diagonal_densities(np.array(sigma))
+        f = _stochastics(np.array(f))
+    else:
+        rho = _diagonal_densities(np.array(rho))
+        sigma = _check_hermitian(np.broadcast_to(np.eye(d, dtype=complex), rho.shape))
+        f = _doubly_stochastics(*(np.array(x) for x in zip(*f)))
+    return zip(_results(_monotonicity_checks(rho, sigma, f, n, a), rho=rho, sigma=sigma, map=f, n=n, a=a))
 
 
 def _bistochastic_defect(m: np.ndarray) -> float:
@@ -693,21 +989,22 @@ def _gap_summary(gaps: list) -> dict:
 class Suite(NamedTuple):
     id: int  # mixed into every instance seed; never reuse or renumber
     trials: int  # default instance count
-    instance: Callable  # (rng, instance index, dim) -> (results, note)
+    draw: Callable  # (rng, instance index, dim) -> the instance's draws
+    evaluate: Callable  # list of draws -> one (results, note) per instance
     summary: Optional[Callable[[list], dict]] = None  # notes -> the report's extras
 
 
 # in `verify all` order
 SUITES = {
-    "np": Suite(1, 1000, _np_instance),
-    "bdm": Suite(2, 1000, _bdm_instance),
-    "bd": Suite(3, 1000, _bd_instance),
-    "continuity": Suite(4, 1000, _continuity_instance),
-    "product": Suite(5, 1000, _product_instance),
-    "monotonicity": Suite(6, 1000, _monotonicity_instance),
-    "kh": Suite(7, 500, _kh_instance),
-    "transfer": Suite(8, 500, _transfer_instance),
-    "greedy-vs-brute": Suite(9, 500, _greedy_vs_brute_instance, _gap_summary),
+    "np": Suite(1, 1000, _np_draw, _grouped(_np_check)),
+    "bdm": Suite(2, 1000, _bdm_draw, _grouped(_bdm_check)),
+    "bd": Suite(3, 1000, _bd_draw, _grouped(_bd_check)),
+    "continuity": Suite(4, 1000, _continuity_draw, _grouped(_continuity_check)),
+    "product": Suite(5, 1000, _defer, _each(_product_instance)),
+    "monotonicity": Suite(6, 1000, _monotonicity_draw, _grouped(_monotonicity_check)),
+    "kh": Suite(7, 500, _defer, _each(_kh_instance)),
+    "transfer": Suite(8, 500, _defer, _each(_transfer_instance)),
+    "greedy-vs-brute": Suite(9, 500, _defer, _each(_greedy_vs_brute_instance), _gap_summary),
 }
 
 
@@ -742,6 +1039,15 @@ class SuiteReport:
         return out
 
 
+def _instance_results(suite: Suite, seed: int, trials: int, dim: int):
+    """(k, results, note) for instances 0..trials-1, drawn and evaluated _CHUNK at a time."""
+    for start in range(0, trials, _CHUNK):
+        ks = range(start, min(start + _CHUNK, trials))
+        drawn = [suite.draw(np.random.default_rng([seed % (1 << 63), suite.id, k]), k, dim) for k in ks]
+        for k, (results, note) in zip(ks, suite.evaluate(drawn)):
+            yield k, results, note
+
+
 def run_suite(name: str, *, seed: int, trials: Optional[int] = None, dim: int = 8) -> SuiteReport:
     """Run one named suite; instance k draws from the generator seeded by (seed, suite id, k)."""
     if name not in SUITES:
@@ -759,8 +1065,7 @@ def run_suite(name: str, *, seed: int, trials: Optional[int] = None, dim: int = 
     checks = 0
     violations = []
     notes = []
-    for k in range(trials):
-        results, note = suite.instance(np.random.default_rng([seed % (1 << 63), suite.id, k]), k, dim)
+    for k, results, note in _instance_results(suite, seed, trials, dim):
         notes.append(note)
         for res in results:
             worst = min(worst, res.worst_slack)

@@ -33,10 +33,50 @@ _QUANTILE_TOL = 1e-12
 _EIG_CUT_REL = 1e-10
 
 
-def _positive_eigs(w: np.ndarray) -> np.ndarray:
-    """Mask of the eigenvalues above 1e-10 relative to the spectral norm."""
-    cut = _EIG_CUT_REL * float(np.abs(w).max()) if w.size else 0.0
-    return w > cut
+def _positive_counts(w: np.ndarray) -> np.ndarray:
+    """How many of each row's ascending eigenvalues exceed 1e-10 of its spectral norm.
+
+    The positive eigenvalues are a suffix of each row.
+    """
+    cut = _EIG_CUT_REL * np.abs(w).max(axis=-1, keepdims=True, initial=0.0)
+    return np.count_nonzero(w > cut, axis=-1)
+
+
+def _count_groups(w: np.ndarray) -> list:
+    """(c, selector) for each distinct count c of positive eigenvalues among the rows of w.
+
+    Stacked work is done per group, never with padding or masking: a zero-padded
+    sum or product rounds differently from the per-matrix one.
+    """
+    counts = _positive_counts(w)
+    return [(c, counts == c) for c in set(counts.ravel().tolist())]
+
+
+def _columns(v: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """Eigenvector columns lo..hi of each matrix, column-major as v[:, mask] lays them out.
+
+    BLAS and einsum round by memory layout, so the layout matches the per-matrix one.
+    """
+    return np.ascontiguousarray(v[..., lo:hi].swapaxes(-1, -2)).swapaxes(-1, -2)
+
+
+def _positive_sum(w: np.ndarray) -> np.ndarray:
+    """Sum of the positive eigenvalues of each row of ascending eigenvalues."""
+    out = np.zeros(w.shape[:-1])
+    d = w.shape[-1]
+    for c, sel in _count_groups(w):
+        out[sel] = w[sel][..., d - c:].sum(axis=-1)
+    return out
+
+
+def _positive_trace(m: np.ndarray) -> np.ndarray:
+    """Trace of the positive part of each matrix of a (..., d, d) Hermitian stack."""
+    return _positive_sum(np.linalg.eigvalsh(m))
+
+
+def _per_matrix(x: np.ndarray):
+    """A float for a single matrix's result, the array for a stack's."""
+    return float(x) if x.ndim == 0 else x
 
 
 def cdf_selfinfo(s: Spectrum, n: int, a: float, *, boundary: str = "nonstrict") -> float:
@@ -103,40 +143,52 @@ def _threshold_factor(n: int, a: float) -> float:
     return math.exp(n * a)
 
 
-def _tail_difference(rho, sigma, n: int, a: float) -> tuple[np.ndarray, np.ndarray]:
-    """rho as a square complex matrix, and the Hermitian part of rho - e^(n a) sigma."""
+def _tail_difference(rho, sigma, n, a) -> tuple[np.ndarray, np.ndarray]:
+    """rho as a complex (..., d, d) stack, and the Hermitian part of rho - e^(n a) sigma.
+
+    n and a are numbers or sequences broadcast against the stack.
+    """
     mats = []
     for x in (rho, sigma):
         m = np.asarray(x, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
             raise ValueError(f"expected a square matrix, got shape {m.shape}")
         mats.append(m)
     r, s = mats
     if r.shape != s.shape:
         raise ValueError(f"dimension mismatch: {r.shape} vs {s.shape}")
-    diff = r - _threshold_factor(n, a) * s
-    return r, (diff + diff.conj().T) / 2.0
+    ns, xs = np.broadcast_arrays(n, a)
+    factors = [_threshold_factor(k, x) for k, x in zip(ns.ravel().tolist(), xs.ravel().tolist())]
+    diff = r - np.reshape(factors, ns.shape + (1, 1)) * s
+    return r, (diff + diff.conj().swapaxes(-1, -2)) / 2.0
 
 
-def tail_D(rho, sigma, n: int, a: float) -> float:
+def _projected_mass(r: np.ndarray, diff: np.ndarray) -> np.ndarray:
+    """Mass of each r on the strictly positive part of the matching diff."""
+    w, v = np.linalg.eigh(diff)
+    out = np.zeros(w.shape[:-1])
+    d = w.shape[-1]
+    for c, sel in _count_groups(w):
+        if c:
+            # one contraction per matrix: a stacked einsum rounds differently
+            out[sel] = [np.einsum("ij,ik,kj->", x.conj(), y, x).real for x, y in zip(_columns(v[sel], d - c, d), r[sel])]
+    return out
+
+
+def tail_D(rho, sigma, n, a):
     """Mass of rho on the strictly positive part of rho - e^(n a) sigma.
 
     Computed from the eigendecomposition of the difference; eigenvalues within
-    1e-10 of zero relative to the spectral norm count as non-positive.
+    1e-10 of zero relative to the spectral norm count as non-positive.  Takes
+    a matrix pair or a (..., d, d) stack pair with n and a broadcast against it,
+    and gives a float or an array.
     """
-    r, diff = _tail_difference(rho, sigma, n, a)
-    w, v = np.linalg.eigh(diff)
-    keep = _positive_eigs(w)
-    if not keep.any():
-        return 0.0
-    vk = v[:, keep]
-    return float(np.real(np.einsum("ij,ik,kj->", vk.conj(), r, vk)))
+    return _per_matrix(_projected_mass(*_tail_difference(rho, sigma, n, a)))
 
 
-def tail_C(rho, sigma, n: int, a: float) -> float:
-    """Trace of the positive part of rho - e^(n a) sigma."""
-    w = np.linalg.eigvalsh(_tail_difference(rho, sigma, n, a)[1])
-    return float(np.sum(w[_positive_eigs(w)]))
+def tail_C(rho, sigma, n, a):
+    """Trace of the positive part of rho - e^(n a) sigma; stacks as in tail_D."""
+    return _per_matrix(_positive_trace(_tail_difference(rho, sigma, n, a)[1]))
 
 
 def tail_D_spectrum(s: Spectrum, n: int, a: float) -> float:

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 from operator import itemgetter
@@ -68,6 +69,14 @@ def _integer(x, what: str) -> int:
     if isinstance(x, bool) or not (isinstance(x, int) or isinstance(x, float) and x.is_integer()):
         raise ValueError(f"{what} must be a positive integer, got {x!r}")
     return int(x)
+
+
+def _real(x, what: str) -> float:
+    """x as a float: bools, strings and anything else that is not a real
+    number raise a ValueError naming `what`."""
+    if isinstance(x, bool) or not isinstance(x, numbers.Real):
+        raise ValueError(f"{what} must be a real number, got {x!r}")
+    return float(x)
 
 
 # ---------------------------------------------------------------------------
@@ -119,7 +128,8 @@ class Spectrum:
     def from_atoms(cls, pairs: Iterable[tuple[float, int]], *, mass_tol: float = MASS_TOL) -> "Spectrum":
         cleaned = []
         for p, m in pairs:
-            p = float(p)
+            if type(p) is not float:
+                p = _real(p, "probability")
             if type(m) is not int:
                 m = _integer(m, "multiplicity")
             if m <= 0:
@@ -432,7 +442,7 @@ def model_from_json_dict(obj: dict) -> SequenceModel:
     if kind == "iid":
         return IID(Spectrum.from_json_dict(obj["base"]))
     if kind == "maxent":
-        return MaxEnt(float(obj["rate"]))
+        return MaxEnt(_real(obj["rate"], "rate"))
     if kind == "maxent_explicit":
         ranks = [_integer(r, "rank") for r in obj["ranks"]]
 
@@ -443,7 +453,7 @@ def model_from_json_dict(obj: dict) -> SequenceModel:
 
         return MaxEntExplicit(rank_fn)
     if kind == "mixture":
-        comps = tuple((float(w), model_from_json_dict(sub)) for w, sub in obj["components"])
+        comps = tuple((_real(w, "mixture weight"), model_from_json_dict(sub)) for w, sub in obj["components"])
         return Mixture(comps)
     if kind == "explicit":
         return Explicit(tuple(Spectrum.from_json_dict(s) for s in obj["spectra"]))

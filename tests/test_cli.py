@@ -346,6 +346,22 @@ def test_model_file_non_integer_counts_are_usage_errors(model, message, tmp_path
     assert message in err
 
 
+@pytest.mark.parametrize(
+    "model, message",
+    [
+        ({"atoms": [[True, 1]]}, "probability must be a real number, got True"),
+        ({"kind": "mixture", "components": [[True, {"kind": "maxent", "rate": 0.1}]]}, "mixture weight must be a real number, got True"),
+        ({"kind": "maxent", "rate": "0.5"}, "rate must be a real number, got '0.5'"),
+    ],
+)
+def test_model_file_non_real_numbers_are_usage_errors(model, message, tmp_path, capsys):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(model))
+    code, out, err = run_cli(capsys, "rates", f"file:{path}", "--n", "1", "--eps", "0.1")
+    assert (code, out) == (2, "")
+    assert message in err
+
+
 def test_model_file_integral_float_counts_are_accepted(tmp_path, capsys):
     path = tmp_path / "model.json"
     path.write_text(json.dumps({"kind": "maxent_explicit", "ranks": [4.0]}))

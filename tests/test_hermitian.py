@@ -3,7 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from entspec import hermitian
 from entspec.hermitian import (
     MAX_VERIFY_DIM,
     SUITES,
@@ -33,7 +36,10 @@ from entspec.hermitian import (
     verify_product_tails,
     verify_tail_monotonicity,
 )
+from entspec.infospec import tail_C, tail_D
 from entspec.spectra import BudgetExceededError, Spectrum
+
+import dense_oracle
 
 X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
@@ -271,7 +277,7 @@ def test_run_suite_checks_dim_before_sampling(monkeypatch):
         raise AssertionError("sampled an instance")
 
     for name in SUITES:
-        monkeypatch.setitem(SUITES, name, SUITES[name]._replace(instance=boom))
+        monkeypatch.setitem(SUITES, name, SUITES[name]._replace(draw=boom))
         for dim in (1, 0, -3):
             with pytest.raises(ValueError, match="--dim"):
                 run_suite(name, seed=1, trials=1, dim=dim)
@@ -297,3 +303,135 @@ def test_greedy_suite_reports_gap_histogram():
     assert set(g.extras) == {"gap_histogram", "gap_max", "gap_mean"}
     assert sum(g.extras["gap_histogram"].values()) == 20
     assert g.extras["gap_max"] >= 0.0
+
+
+DENSE_SUITES = ("np", "bdm", "bd", "continuity", "monotonicity")
+
+
+def _stacked_results(name, seed, trials, dim):
+    suite = SUITES[name]
+    return [
+        [(r.worst_slack.hex(), r.checks, r.violations) for r in results]
+        for _, results, _ in hermitian._instance_results(suite, seed, trials, dim)
+    ]
+
+
+def _oracle_results(name, seed, trials, dim):
+    suite = SUITES[name]
+    return [
+        [(worst.hex(), checks, violations) for worst, checks, violations in dense_oracle.instance_results(
+            name, np.random.default_rng([seed % (1 << 63), suite.id, k]), k, dim)]
+        for k in range(trials)
+    ]
+
+
+@pytest.mark.parametrize("name", DENSE_SUITES)
+def test_stacked_suites_match_per_instance_oracle_bit_for_bit(name):
+    # 150 trials span a chunk boundary; every instance's margins, check counts
+    # and violations equal the per-instance evaluation's
+    for seed in (0, 7, 11):
+        for dim in (2, 5, 8):
+            assert _stacked_results(name, seed, 150, dim) == _oracle_results(name, seed, 150, dim), (seed, dim)
+    # six instances cover every map family, at the largest allowed dimension
+    assert _stacked_results(name, 5, 6, MAX_VERIFY_DIM) == _oracle_results(name, 5, 6, MAX_VERIFY_DIM)
+
+
+@pytest.mark.parametrize("name", DENSE_SUITES)
+def test_suite_results_do_not_depend_on_the_chunk_size(name, monkeypatch):
+    stacked = _stacked_results(name, 3, 40, 8)
+    report = run_suite(name, seed=3, trials=40).to_json_dict()
+    monkeypatch.setattr(hermitian, "_CHUNK", 1)
+    assert _stacked_results(name, 3, 40, 8) == stacked
+    assert run_suite(name, seed=3, trials=40).to_json_dict() == report
+
+
+def _bits(x):
+    return np.asarray(x).tobytes()
+
+
+@st.composite
+def _operator_stacks(draw):
+    """A seed, a dimension and, per matrix, a sign pattern (-1, 0, 1) of its spectrum.
+
+    Zero patterns give the zero operator; mixed patterns give every count of
+    positive eigenvalues, so a stack spans several count groups.
+    """
+    d = draw(st.integers(1, 6))
+    signs = draw(st.lists(st.lists(st.sampled_from((-1, 0, 1)), min_size=d, max_size=d), min_size=1, max_size=7))
+    return draw(st.integers(0, 2**32 - 1)), d, signs
+
+
+def _stack(seed, d, signs):
+    rng = np.random.default_rng(seed)
+    out = []
+    for pattern in signs:
+        u = rand_unitary(rng, d)
+        out.append(_symmetrize((u * (np.array(pattern) * rng.uniform(0.1, 2.0, d))) @ u.conj().T))
+    return np.array(out)
+
+
+def _symmetrize(m):
+    return (m + m.conj().T) / 2.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(_operator_stacks())
+def test_stacked_calculus_equals_per_matrix_calls_bit_for_bit(case):
+    seed, d, signs = case
+    a = _stack(seed, d, signs)
+    rng = np.random.default_rng(seed + 1)
+    n = [int(x) for x in rng.integers(1, 4, len(a))]
+    x = [float(v) for v in rng.uniform(-1.0, 1.0, len(a))]
+    rho = np.array([rand_density(rng, d).entries for _ in a])
+    sigma = np.array([rand_density(rng, d).entries for _ in a])
+    cptp = CPTPMap(tuple(np.array(k) for k in zip(*(rand_cptp(rng, d).kraus for _ in a))))
+    stochastic = StochasticMap(np.array([rand_stochastic(rng, d).matrix for _ in a]))
+    mix = TransposeMix(rng.uniform(0.0, 1.0, len(a)))
+    # half of the stochastic arguments diagonal, half not: both branches in one stack
+    diag = a.copy()
+    diag[::2] = [np.diag(np.diagonal(m)) for m in a[::2]]
+
+    stacked = {
+        "trace_plus": trace_plus(a),
+        "trace_norm": trace_norm(a),
+        "jordan": jordan(a),
+        "cptp": apply_tp(cptp, a),
+        "stochastic": apply_tp(stochastic, diag),
+        "transpose": apply_tp(mix, a),
+        "tail_C": tail_C(rho, sigma, n, x),
+        "tail_D": tail_D(rho, sigma, n, x),
+    }
+    for i, m in enumerate(a):
+        op = HermitianOperator(m)
+        per_matrix = {
+            "trace_plus": (trace_plus(op), dense_oracle.trace_plus(op.entries)),
+            "trace_norm": (trace_norm(op), dense_oracle.trace_norm(op.entries)),
+            "jordan": ([p.entries for p in jordan(op)], dense_oracle.jordan(op.entries)),
+            "cptp": (apply_tp(CPTPMap(tuple(k[i] for k in cptp.kraus)), op).entries,
+                     dense_oracle.apply_tp(("cptp", tuple(k[i] for k in cptp.kraus)), op.entries)),
+            "stochastic": (apply_tp(StochasticMap(stochastic.matrix[i]), diag[i]).entries,
+                           dense_oracle.apply_tp(("stochastic", stochastic.matrix[i]), HermitianOperator(diag[i]).entries)),
+            "transpose": (apply_tp(TransposeMix(float(mix.t[i])), op).entries,
+                          dense_oracle.apply_tp(("transpose_mix", float(mix.t[i])), op.entries)),
+            "tail_C": (tail_C(rho[i], sigma[i], n[i], x[i]), dense_oracle.tail_C(rho[i], sigma[i], n[i], x[i])),
+            "tail_D": (tail_D(rho[i], sigma[i], n[i], x[i]), dense_oracle.tail_D(rho[i], sigma[i], n[i], x[i])),
+        }
+        for name, (single, oracle) in per_matrix.items():
+            got = [p[i] for p in stacked[name]] if name == "jordan" else stacked[name][i]
+            assert _bits(got) == _bits(single) == _bits(oracle), (name, i)
+    assert trace_plus(np.zeros((d, d))) == 0.0
+    assert np.array_equal(jordan(np.zeros((len(a), d, d)))[3], np.broadcast_to(np.eye(d), (len(a), d, d)))
+
+    # a violation found on the stack reports instance i exactly as a per-instance call would
+    forced = [[("forced", -1.0, 0.0)] for _ in a]
+    maps = (
+        (cptp, lambda i: CPTPMap(tuple(k[i] for k in cptp.kraus))),
+        (stochastic, lambda i: StochasticMap(stochastic.matrix[i])),
+        (mix, lambda i: TransposeMix(float(mix.t[i]))),
+    )
+    for f, instance in maps:
+        from_stack = hermitian._results(forced, map=f, operator=a, n=n)
+        for i, res in enumerate(from_stack):
+            single = instance(i)
+            expected = hermitian._finish(forced[i], hermitian._payload(map=single, operator=HermitianOperator(a[i]), n=n[i]))
+            assert json.dumps(res.violations) == json.dumps(expected.violations)
