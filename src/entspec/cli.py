@@ -28,6 +28,7 @@ from .spectra import (
     Mixture,
     SequenceModel,
     Spectrum,
+    _real,
     entropy,
     generate,
     load_model,
@@ -134,11 +135,8 @@ def _cmd_schmidt(args) -> int:
         return 2
 
     def cell(c):
-        if isinstance(c, (int, float)):
-            return complex(c, 0.0)
-        if isinstance(c, list) and len(c) == 2:
-            return complex(float(c[0]), float(c[1]))
-        raise ValueError(f"amplitude entries must be reals or [re, im] pairs, got {c!r}")
+        re, im = c if isinstance(c, list) and len(c) == 2 else (c, 0.0)
+        return complex(_real(re, "amplitude real part"), _real(im, "amplitude imaginary part"))
 
     spec = schmidt_from_amplitudes(AmplitudeMatrix([[cell(c) for c in row] for row in rows]))
     ent = entropy(spec) / _rate_scale(args.units)

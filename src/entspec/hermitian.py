@@ -6,9 +6,10 @@ of the positive part, and three families of trace-preserving maps (Kraus,
 column-stochastic on eigenvalues, transpose mixing; only the first is
 completely positive).  Every function of the calculus, and every validation
 (Hermitian deviation, contraction, density, Kraus completeness, column
-sums), takes one matrix or a (..., d, d) stack; a map whose arrays are
-stacks is a stack of maps applied matrix by matrix.  The per-instance
-verifiers run the stacked code on a stack of one.
+sums), takes one matrix or a (..., d, d) stack and gives arrays; a map
+whose arrays are stacks is a stack of maps applied matrix by matrix.  Each
+verifier takes one matrix or an (N, d, d) stack, with its scalar parameters
+broadcast against it, and gives one result or one result per matrix.
 
 The suites: seeded randomized checks of every operator inequality the
 conversion analysis rests on, plus structural suites for the majorization
@@ -47,7 +48,6 @@ from .infospec import (
     tail_D,
 )
 from .majorize import (
-    BistochasticMatrix,
     DeterministicMap,
     kh_certificate,
     kh_residual,
@@ -77,8 +77,12 @@ def _first(bad: np.ndarray) -> Optional[int]:
 
 
 def _check_hermitian(m: np.ndarray) -> np.ndarray:
-    """The symmetrized stack; a deviation above 1e-10 of a matrix's largest entry is rejected."""
+    """The symmetrized stack; a non-finite entry, or a deviation above 1e-10 of a matrix's largest entry, is rejected."""
     scale = np.abs(m).max(axis=(-2, -1))
+    # written so that NaN fails
+    i = _first(~(scale < math.inf))
+    if i is not None:
+        raise ValueError(f"matrix has a non-finite entry (largest magnitude {float(scale.flat[i])!r})")
     dev = np.abs(m - _dagger(m)).max(axis=(-2, -1))
     i = _first(dev > 1e-10 * scale)
     if i is not None:
@@ -89,59 +93,10 @@ def _check_hermitian(m: np.ndarray) -> np.ndarray:
 def _check_unit_interval(m: np.ndarray) -> None:
     w = np.linalg.eigvalsh(m)
     lo, hi = w.min(axis=-1), w.max(axis=-1)
-    i = _first((lo < -1e-10) | (hi > 1.0 + 1e-10))
+    # written so that NaN fails
+    i = _first(~((lo >= -1e-10) & (hi <= 1.0 + 1e-10)))
     if i is not None:
         raise ValueError(f"eigenvalues [{lo.flat[i]!r}, {hi.flat[i]!r}] leave the interval [0, 1]")
-
-
-class HermitianOperator:
-    """Square complex matrix equal to its conjugate transpose.
-
-    Deviations up to 1e-10 relative to the largest entry are symmetrized
-    away at construction; anything larger is rejected.
-    """
-
-    __slots__ = ("entries",)
-
-    def __init__(self, entries):
-        m = np.asarray(entries, dtype=complex)
-        if m.ndim != 2:
-            raise ValueError(f"expected a nonempty square matrix, got shape {m.shape}")
-        self.entries = _as_entries(m)
-
-    @classmethod
-    def _wrap(cls, m) -> "HermitianOperator":
-        # trusted internal algebra: rounding dust can dominate a near-zero
-        # result (e.g. I minus a full projector), so symmetrize without the
-        # relative deviation gate
-        obj = object.__new__(cls)
-        obj.entries = _symmetrized(np.asarray(m, dtype=complex))
-        return obj
-
-    @property
-    def dimension(self) -> int:
-        return self.entries.shape[0]
-
-    def __array__(self, dtype=None, copy=None):
-        a = self.entries
-        if dtype is not None:
-            a = a.astype(dtype, copy=False)
-        if copy:
-            a = a.copy()
-        return a
-
-    def to_json(self) -> list:
-        return _mat_json(self.entries)
-
-
-class Contraction(HermitianOperator):
-    """Hermitian operator in the interval 0 <= T <= I."""
-
-    __slots__ = ()
-
-    def __init__(self, entries):
-        super().__init__(entries)
-        _check_unit_interval(self.entries)
 
 
 @dataclass(frozen=True, eq=False)
@@ -163,7 +118,8 @@ class CPTPMap:
                 raise ValueError("Kraus operators must be square and equally sized")
             acc += _dagger(k) @ k
         dev = np.abs(acc - np.eye(shape[-1])).max(axis=(-2, -1))
-        i = _first(dev > 1e-10)
+        # written so that NaN fails
+        i = _first(~(dev <= 1e-10))
         if i is not None:
             raise ValueError(f"Kraus completeness fails by {float(dev.flat[i])!r}")
 
@@ -189,12 +145,13 @@ class StochasticMap:
         m = self.matrix
         if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
             raise ValueError(f"expected a square matrix, got shape {m.shape}")
+        # both checks written so that NaN fails
         low = m.min(axis=(-2, -1))
-        i = _first(low < -1e-12)
+        i = _first(~(low >= -1e-12))
         if i is not None:
             raise ValueError(f"negative entry {low.flat[i]!r}")
         dev = np.abs(m.sum(axis=-2) - 1.0).max(axis=-1)
-        i = _first(dev > 1e-10)
+        i = _first(~(dev <= 1e-10))
         if i is not None:
             raise ValueError(f"column sums deviate from 1 by {float(dev.flat[i])!r}")
 
@@ -230,23 +187,12 @@ class TransposeMix:
 TPMap = Union[CPTPMap, StochasticMap, TransposeMix]
 
 
-def _as_hermitian(x) -> HermitianOperator:
-    return x if isinstance(x, HermitianOperator) else HermitianOperator(x)
-
-
 def _as_entries(x) -> np.ndarray:
-    """Entries of an operator, or a validated Hermitian matrix or (..., d, d) stack."""
-    if isinstance(x, HermitianOperator):
-        return x.entries
+    """A validated, symmetrized Hermitian matrix or (..., d, d) stack."""
     m = np.asarray(x, dtype=complex)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2] or m.shape[-1] < 1:
         raise ValueError(f"expected a nonempty square matrix, got shape {m.shape}")
     return _check_hermitian(m)
-
-
-def _operator(m: np.ndarray):
-    """An operator for a single matrix, the array for a stack."""
-    return HermitianOperator._wrap(m) if m.ndim == 2 else m
 
 
 def _jordan(m: np.ndarray) -> tuple:
@@ -267,10 +213,10 @@ def jordan(a) -> tuple:
 
     A = A_plus - A_minus and |A| = A_plus + A_minus.  Eigenvalues within
     1e-10 of zero relative to the spectral norm count as non-positive, so the
-    zero operator has a full non-positive projector.  Operators for a matrix,
-    (..., d, d) arrays for a stack.
+    zero operator has a full non-positive projector.  Takes a matrix or a
+    (..., d, d) stack and gives arrays of its shape.
     """
-    return tuple(_operator(x) for x in _jordan(_as_entries(a)))
+    return _jordan(_as_entries(a))
 
 
 def trace_plus(a):
@@ -283,6 +229,7 @@ def _trace_norm(m: np.ndarray) -> np.ndarray:
 
 
 def trace_norm(a):
+    """Sum of the absolute eigenvalues (an array for a stack)."""
     return _per_matrix(_trace_norm(_as_entries(a)))
 
 
@@ -337,7 +284,7 @@ def apply_tp(f: TPMap, a):
     the diagonal when the argument is diagonal (so commuting families see one
     and the same classical map), otherwise in the argument's eigenbasis.
     """
-    return _operator(_apply_tp(f, _as_entries(a)))
+    return _apply_tp(f, _as_entries(a))
 
 
 def _require_psd(name: str, m: np.ndarray, *, tol: float = 1e-8) -> np.ndarray:
@@ -357,9 +304,8 @@ def _require_density(name: str, m: np.ndarray, *, tol: float = 1e-8):
 
 
 # ---------------------------------------------------------------------------
-# verifiers: each stacked check takes (N, d, d) stacks and gives one list of
-# (name, signed margin, tolerance) per instance; the public verifiers run it
-# on a stack of one
+# verifiers: each takes one matrix or an (N, d, d) stack, validates it once,
+# and gives one list of (name, signed margin, tolerance) checks per matrix
 
 @dataclass(frozen=True)
 class VerifyResult:
@@ -390,10 +336,6 @@ def _mat_json(m: np.ndarray) -> list:
 
 
 def _json_value(v):
-    if isinstance(v, HermitianOperator):
-        return _mat_json(v.entries)
-    if isinstance(v, BistochasticMatrix):
-        return [[float(x) for x in row] for row in v.entries]
     if isinstance(v, np.ndarray):
         return _mat_json(v) if np.iscomplexobj(v) else [[float(x) for x in row] for row in v]
     if isinstance(v, Spectrum):
@@ -419,13 +361,16 @@ def _payload(**kw) -> Callable[[], dict]:
 
 
 def _pick(v, i: int):
-    """Instance i of a stacked input: a matrix, a map, or an entry of a sequence."""
+    """Instance i of a stacked input: a matrix, a map, or an entry of a sequence.
+
+    A map whose arrays are single matrices applies to every instance.
+    """
     if isinstance(v, CPTPMap):
-        return CPTPMap(tuple(k[i] for k in v.kraus))
+        return v if v.kraus[0].ndim == 2 else CPTPMap(tuple(k[i] for k in v.kraus))
     if isinstance(v, StochasticMap):
-        return StochasticMap(v.matrix[i])
+        return v if v.matrix.ndim == 2 else StochasticMap(v.matrix[i])
     if isinstance(v, TransposeMix):
-        return TransposeMix(float(v.t[i]))
+        return v if np.ndim(v.t) == 0 else TransposeMix(float(v.t[i]))
     return v[i]
 
 
@@ -433,58 +378,74 @@ def _stack_payload(stacks: dict, i: int) -> Callable[[], dict]:
     return lambda: {k: _json_value(_pick(v, i)) for k, v in stacks.items()}
 
 
-def _results(checks: list, **stacks) -> list:
-    """One VerifyResult per instance; a violation's payload holds instance i of each stack."""
-    return [_finish(c, _stack_payload(stacks, i)) for i, c in enumerate(checks)]
+def _results(checks: list, *, single: bool = False, **stacks):
+    """One VerifyResult per instance, or the result alone for a single matrix.
 
-
-def _lemma_np_checks(a: np.ndarray, t: np.ndarray) -> list:
-    """Checks of operators a (N, d, d) against contractions t (N, trials, d, d).
-
-    Gives each instance's checks and the index of its tightest contraction.
+    A violation's payload holds instance i of each stack.
     """
+    out = [_finish(c, _stack_payload(stacks, i)) for i, c in enumerate(checks)]
+    return out[0] if single else out
+
+
+def _operators(*xs) -> tuple:
+    """Validated (N, d, d) stacks of one shape, and whether the inputs were single matrices."""
+    ms = [_as_entries(x) for x in xs]
+    shape = ms[0].shape
+    if len(shape) > 3 or any(m.shape != shape for m in ms):
+        raise ValueError(f"expected matrices or (N, d, d) stacks of one shape, got {[m.shape for m in ms]}")
+    single = len(shape) == 2
+    return [m[None] for m in ms] if single else ms, single
+
+
+def _per_instance(x, count: int) -> list:
+    """A number or a sequence broadcast to one Python number per instance."""
+    return np.broadcast_to(x, (count,)).tolist()
+
+
+def verify_lemma_np(a, t):
+    """Tr A T <= Tr A_plus for the given contractions T, with attainment at A > 0.
+
+    t holds one or more contractions per operator: a (trials, d, d) stack for
+    a matrix A, an (N, trials, d, d) stack for an (N, d, d) stack of them.
+    Each must lie in 0 <= T <= I.
+    """
+    (a,), single = _operators(a)
+    t = _as_entries(t)
+    if single:
+        t = t[None]
+    if t.ndim != 4 or t.shape[0] != a.shape[0] or t.shape[2:] != a.shape[1:] or t.shape[1] < 1:
+        raise ValueError(f"need a nonempty (trials, {a.shape[-1]}, {a.shape[-1]}) stack of contractions per operator")
+    _check_unit_interval(t)
     tp = _positive_trace(a).tolist()
     vals = _trace(a[:, None] @ t).real.tolist()
     attained = _trace(a @ _jordan(a)[2]).real.tolist()
-    out = []
-    for tp_i, vals_i, attained_i in zip(tp, vals, attained):
-        checks = [("upper-bound", tp_i - val, 1e-9) for val in vals_i]
-        tightest, worst_val = None, -math.inf
-        for j, val in enumerate(vals_i):
+    checks, tightest = [], []
+    for i, (tp_i, vals_i, attained_i) in enumerate(zip(tp, vals, attained)):
+        checks.append([("upper-bound", tp_i - val, 1e-9) for val in vals_i])
+        checks[-1].append(("attained-at-positive-projector", 1e-10 - abs(attained_i - tp_i), 0.0))
+        j, worst_val = None, -math.inf
+        for jj, val in enumerate(vals_i):
             if val > worst_val:
-                tightest, worst_val = j, val
-        checks.append(("attained-at-positive-projector", 1e-10 - abs(attained_i - tp_i), 0.0))
-        out.append((checks, tightest))
-    return out
+                j, worst_val = jj, val
+        tightest.append(None if j is None else t[i, j])
+    return _results(checks, single=single, operator=a, tightest_contraction=tightest)
 
 
-def verify_lemma_np(a, trials: int, *, rng=None) -> VerifyResult:
-    """Tr A T <= Tr A_plus over sampled contractions T, with attainment at A > 0."""
-    a = _as_hermitian(a)
-    if trials < 1:
-        raise ValueError("trials must be positive")
-    if rng is None:
-        rng = np.random.default_rng(0)
-    g, vals = zip(*(_draw_contraction(rng, a.dimension) for _ in range(trials)))
-    t = _contractions(np.array(g), np.array(vals))
-    ((checks, j),) = _lemma_np_checks(a.entries[None], t[None])
-    return _finish(checks, _payload(operator=a, tightest_contraction=None if j is None else t[j]))
-
-
-def _bdm_checks(f: TPMap, a: np.ndarray) -> list:
+def verify_lemma_bdm(f: TPMap, a):
+    """Tr F(A)_plus <= Tr A_plus for a trace-preserving map F (or a stack of maps)."""
+    (a,), single = _operators(a)
     before = _positive_trace(a).tolist()
     after = _positive_trace(_apply_tp(f, a)).tolist()
-    return [[("positive-part-monotone", x - y, 1e-9)] for x, y in zip(before, after)]
+    checks = [[("positive-part-monotone", x - y, 1e-9)] for x, y in zip(before, after, strict=True)]
+    return _results(checks, single=single, map=f, operator=a)
 
 
-def verify_lemma_bdm(f: TPMap, a) -> VerifyResult:
-    """Tr F(A)_plus <= Tr A_plus for a trace-preserving map F."""
-    a = _as_hermitian(a)
-    return _finish(_bdm_checks(f, a.entries[None])[0], _payload(map=f, operator=a))
-
-
-def _bd_checks(rho: np.ndarray, sigma: np.ndarray, n, a, gamma) -> list:
-    if any(g <= 0.0 for g in gamma):
+def verify_bd_sandwich(rho, sigma, n, a, gamma):
+    """Positive-part tail below projector tail, and the shifted-cut lower bound."""
+    (rho, sigma), single = _operators(rho, sigma)
+    n, a, gamma = (_per_instance(x, len(rho)) for x in (n, a, gamma))
+    # written so that NaN fails
+    if not all(g > 0.0 for g in gamma):
         raise ValueError("gamma must be positive")
     _require_density("rho", rho)
     _require_psd("sigma", sigma)
@@ -493,42 +454,30 @@ def _bd_checks(rho: np.ndarray, sigma: np.ndarray, n, a, gamma) -> list:
     c_a = _positive_trace(diff).tolist()
     d_a = _projected_mass(r, diff).tolist()
     d_b = tail_D(rho, sigma, n, [x + g for x, g in zip(a, gamma)]).tolist()
-    return [
+    checks = [
         [
             ("positive-part-below-projection", y - x, 1e-9),
             ("shifted-cut-lower-bound", x - (z - math.exp(-k * g)), 1e-9),
         ]
         for x, y, z, k, g in zip(c_a, d_a, d_b, n, gamma)
     ]
+    return _results(checks, single=single, rho=rho, sigma=sigma, n=n, a=a, gamma=gamma)
 
 
-def verify_bd_sandwich(rho, sigma, n: int, a: float, gamma: float) -> VerifyResult:
-    """Positive-part tail below projector tail, and the shifted-cut lower bound."""
-    rho = _as_hermitian(rho)
-    sigma = _as_hermitian(sigma)
-    checks = _bd_checks(rho.entries[None], sigma.entries[None], [n], [a], [gamma])[0]
-    return _finish(checks, _payload(rho=rho, sigma=sigma, n=n, a=a, gamma=gamma))
-
-
-def _continuity_checks(rho: np.ndarray, rho_prime: np.ndarray, sigma: np.ndarray, n, a) -> list:
+def verify_continuity(rho, rho_prime, sigma, n, a):
+    """Positive-part tails move by at most half the trace distance of the state."""
+    (rho, rho_prime, sigma), single = _operators(rho, rho_prime, sigma)
+    n, a = (_per_instance(x, len(rho)) for x in (n, a))
     _require_density("rho", rho)
     _require_density("rho_prime", rho_prime)
     half_l1 = (0.5 * _trace_norm(_symmetrized(rho - rho_prime))).tolist()
     c = tail_C(rho, sigma, n, a).tolist()
     c_prime = tail_C(rho_prime, sigma, n, a).tolist()
-    return [
+    checks = [
         [("perturbation-bound", y + h - x, 1e-9), ("perturbation-bound-swapped", x + h - y, 1e-9)]
         for x, y, h in zip(c, c_prime, half_l1)
     ]
-
-
-def verify_continuity(rho, rho_prime, sigma, n: int, a: float) -> VerifyResult:
-    """Positive-part tails move by at most half the trace distance of the state."""
-    rho = _as_hermitian(rho)
-    rho_prime = _as_hermitian(rho_prime)
-    sigma = _as_hermitian(sigma)
-    checks = _continuity_checks(rho.entries[None], rho_prime.entries[None], sigma.entries[None], [n], [a])[0]
-    return _finish(checks, _payload(rho=rho, rho_prime=rho_prime, sigma=sigma, n=n, a=a))
+    return _results(checks, single=single, rho=rho, rho_prime=rho_prime, sigma=sigma, n=n, a=a)
 
 
 def verify_product_tails(p_a: Spectrum, s_b: Spectrum, n: int, a: float) -> VerifyResult:
@@ -564,26 +513,20 @@ def verify_product_tails(p_a: Spectrum, s_b: Spectrum, n: int, a: float) -> Veri
     return _finish(checks, _payload(first=p_a, second=s_b, n=n, a=a))
 
 
-def _monotonicity_checks(rho: np.ndarray, sigma: np.ndarray, f: TPMap, n, a) -> list:
-    if isinstance(f, StochasticMap) and not (_is_diagonal(rho) & _is_diagonal(sigma)).all():
-        raise ValueError("stochastic maps require diagonal arguments for two-sided application")
-    fr = _apply_tp(f, rho)
-    fs = _apply_tp(f, sigma)
-    before = tail_C(rho, sigma, n, a).tolist()
-    after = tail_C(fr, fs, n, a).tolist()
-    return [[("tail-monotone", x - y, 1e-9)] for x, y in zip(before, after)]
-
-
-def verify_tail_monotonicity(rho, sigma, f: TPMap, n: int, a: float) -> VerifyResult:
+def verify_tail_monotonicity(rho, sigma, f: TPMap, n, a):
     """tail_C never grows under a single trace-preserving map on both arguments.
 
     Stochastic maps are only a single linear map on commuting (diagonal)
     arguments, so they are rejected for non-diagonal inputs.
     """
-    rho = _as_hermitian(rho)
-    sigma = _as_hermitian(sigma)
-    checks = _monotonicity_checks(rho.entries[None], sigma.entries[None], f, [n], [a])[0]
-    return _finish(checks, _payload(rho=rho, sigma=sigma, map=f, n=n, a=a))
+    (rho, sigma), single = _operators(rho, sigma)
+    n, a = (_per_instance(x, len(rho)) for x in (n, a))
+    if isinstance(f, StochasticMap) and not (_is_diagonal(rho) & _is_diagonal(sigma)).all():
+        raise ValueError("stochastic maps require diagonal arguments for two-sided application")
+    before = tail_C(rho, sigma, n, a).tolist()
+    after = tail_C(_apply_tp(f, rho), _apply_tp(f, sigma), n, a).tolist()
+    checks = [[("tail-monotone", x - y, 1e-9)] for x, y in zip(before, after, strict=True)]
+    return _results(checks, single=single, rho=rho, sigma=sigma, map=f, n=n, a=a)
 
 
 def _projector_split_checks(a: np.ndarray, b: np.ndarray) -> list:
@@ -614,7 +557,8 @@ def _traceless_abs_checks(a: np.ndarray) -> tuple:
 
 # ---------------------------------------------------------------------------
 # samplers: each draws from the generator first, then builds on a
-# (..., d, d) stack; no draw depends on a built value
+# (..., d, d) stack; no draw depends on a built value.  The verifiers validate
+# what they are given, so a builder validates only what no verifier sees.
 
 def _draw_gaussian(rng, dim: int) -> np.ndarray:
     """Real and imaginary parts, (2, dim, dim): the same draws as two (dim, dim) calls."""
@@ -626,7 +570,7 @@ def _gaussian(g: np.ndarray) -> np.ndarray:
 
 
 def _hermitians(g: np.ndarray) -> np.ndarray:
-    return _check_hermitian(_symmetrized(_gaussian(g)))
+    return _symmetrized(_gaussian(g))
 
 
 def _unitaries(g: np.ndarray) -> np.ndarray:
@@ -639,22 +583,16 @@ def _unitaries(g: np.ndarray) -> np.ndarray:
 def _densities(g: np.ndarray) -> np.ndarray:
     g = _gaussian(g)
     m = g @ _dagger(g)
-    return _check_hermitian(m / _trace(m).real[..., None, None])
+    return m / _trace(m).real[..., None, None]
 
 
 def _diagonal_densities(v: np.ndarray) -> np.ndarray:
-    return _check_hermitian(_diag_embed(v.astype(complex)))
-
-
-def _draw_contraction(rng, dim: int) -> tuple:
-    return _draw_gaussian(rng, dim), rng.uniform(0.0, 1.0, dim)
+    return _diag_embed(v.astype(complex))
 
 
 def _contractions(g: np.ndarray, vals: np.ndarray) -> np.ndarray:
     u = _unitaries(g)
-    m = _check_hermitian((u * vals[..., None, :]) @ _dagger(u))
-    _check_unit_interval(m)
-    return m
+    return (u * vals[..., None, :]) @ _dagger(u)
 
 
 def _draw_cptp(rng, dim: int, n_kraus: int = 3) -> np.ndarray:
@@ -695,38 +633,6 @@ def _doubly_stochastics(u: np.ndarray, perms: np.ndarray) -> StochasticMap:
     # add.at adds the terms to each entry in term order, as one += per term does
     np.add.at(m, (*(i[..., None, None] for i in lead), np.arange(d), perms), w[..., None])
     return StochasticMap(m)
-
-
-def rand_unitary(rng, dim: int) -> np.ndarray:
-    return _unitaries(_draw_gaussian(rng, dim))
-
-
-def rand_hermitian(rng, dim: int) -> HermitianOperator:
-    return HermitianOperator._wrap(_hermitians(_draw_gaussian(rng, dim)))
-
-
-def rand_density(rng, dim: int) -> HermitianOperator:
-    return HermitianOperator._wrap(_densities(_draw_gaussian(rng, dim)))
-
-
-def rand_diagonal_density(rng, dim: int) -> HermitianOperator:
-    return HermitianOperator._wrap(_diagonal_densities(rng.dirichlet(np.ones(dim))))
-
-
-def rand_contraction(rng, dim: int) -> Contraction:
-    return Contraction._wrap(_contractions(*_draw_contraction(rng, dim)))
-
-
-def rand_cptp(rng, dim: int, n_kraus: int = 3) -> CPTPMap:
-    return _cptps(_draw_cptp(rng, dim, n_kraus))
-
-
-def rand_stochastic(rng, dim: int) -> StochasticMap:
-    return _stochastics(rng.uniform(size=(dim, dim)))
-
-
-def rand_doubly_stochastic(rng, dim: int) -> StochasticMap:
-    return _doubly_stochastics(*_draw_doubly_stochastic(rng, dim))
 
 
 def rand_spectrum(rng, max_dim: int) -> Spectrum:
@@ -789,19 +695,19 @@ def _each(instance: Callable) -> Callable:
 def _np_draw(rng, k: int, dim: int):
     d = int(rng.integers(2, dim + 1))
     a = _draw_gaussian(rng, d)
-    g, vals = _draw_contraction(rng, d)
+    g = _draw_gaussian(rng, d)
+    vals = rng.uniform(0.0, 1.0, d)
     return d, a, g, vals, _draw_gaussian(rng, d)
 
 
 def _np_check(d, a, g, vals, b):
+    # a is validated by verify_lemma_np; b is seen by no verifier
     a = _hermitians(np.array(a))
-    t = _contractions(np.array(g), np.array(vals))[:, None]
-    b = _hermitians(np.array(b))
-    lemma = _lemma_np_checks(a, t)
-    tightest = [None if j is None else t[i, j] for i, (_, j) in enumerate(lemma)]
+    b = _check_hermitian(_hermitians(np.array(b)))
+    lemma = verify_lemma_np(a, _contractions(np.array(g), np.array(vals))[:, None])
     traceless, a0 = _traceless_abs_checks(a)
     return zip(
-        _results([checks for checks, _ in lemma], operator=a, tightest_contraction=tightest),
+        lemma,
         _results(_projector_split_checks(a, b), first=a, second=b),
         _results(traceless, operator=a0),
     )
@@ -827,10 +733,11 @@ def _bdm_check(key, a, f):
         f = _cptps(np.array(f))
     elif kind == 1:
         f = _stochastics(np.array(f))
-        a = _check_hermitian(_diag_embed(np.linalg.eigvalsh(a).astype(complex)))
+        # the verifier sees the diagonal of eigenvalues, not a itself
+        a = _diag_embed(np.linalg.eigvalsh(_check_hermitian(a)).astype(complex))
     else:
         f = TransposeMix(np.array(f))
-    return zip(_results(_bdm_checks(f, a), map=f, operator=a))
+    return zip(verify_lemma_bdm(f, a))
 
 
 def _bd_draw(rng, k: int, dim: int):
@@ -843,9 +750,7 @@ def _bd_draw(rng, k: int, dim: int):
 
 
 def _bd_check(d, rho, sigma, n, a, gamma):
-    rho = _densities(np.array(rho))
-    sigma = _densities(np.array(sigma))
-    return zip(_results(_bd_checks(rho, sigma, n, a, gamma), rho=rho, sigma=sigma, n=n, a=a, gamma=gamma))
+    return zip(verify_bd_sandwich(_densities(np.array(rho)), _densities(np.array(sigma)), n, a, gamma))
 
 
 def _continuity_draw(rng, k: int, dim: int):
@@ -859,9 +764,7 @@ def _continuity_draw(rng, k: int, dim: int):
 
 
 def _continuity_check(d, rho, rho_prime, sigma, n, a):
-    rho, rho_prime, sigma = (_densities(np.array(x)) for x in (rho, rho_prime, sigma))
-    checks = _continuity_checks(rho, rho_prime, sigma, n, a)
-    return zip(_results(checks, rho=rho, rho_prime=rho_prime, sigma=sigma, n=n, a=a))
+    return zip(verify_continuity(*(_densities(np.array(x)) for x in (rho, rho_prime, sigma)), n, a))
 
 
 def _product_instance(rng, k: int, dim: int):
@@ -909,9 +812,9 @@ def _monotonicity_check(key, rho, sigma, n, a, f):
         f = _stochastics(np.array(f))
     else:
         rho = _diagonal_densities(np.array(rho))
-        sigma = _check_hermitian(np.broadcast_to(np.eye(d, dtype=complex), rho.shape))
+        sigma = np.broadcast_to(np.eye(d, dtype=complex), rho.shape)
         f = _doubly_stochastics(*(np.array(x) for x in zip(*f)))
-    return zip(_results(_monotonicity_checks(rho, sigma, f, n, a), rho=rho, sigma=sigma, map=f, n=n, a=a))
+    return zip(verify_tail_monotonicity(rho, sigma, f, n, a))
 
 
 def _bistochastic_defect(m: np.ndarray) -> float:
@@ -941,7 +844,7 @@ def _kh_instance(rng, k: int, dim: int):
 
 def _transfer_instance(rng, k: int, dim: int):
     q = rand_spectrum(rng, 32)
-    mix = rand_doubly_stochastic(rng, q.total_dim)
+    mix = _doubly_stochastics(*_draw_doubly_stochastic(rng, q.total_dim))
     qv = expand(q, 1 << 14)
     p = Spectrum.from_probs([float(x) for x in mix.matrix @ qv])
     cert = transfer_matrix(p, q)

@@ -136,10 +136,11 @@ def entropy_proxies(s: Spectrum, n: int, epsilon: float) -> tuple[float, float]:
 
 
 def _threshold_factor(n: int, a: float) -> float:
-    if n < 1:
+    # both checks written so that NaN fails
+    if not n >= 1:
         raise ValueError("n must be a positive integer")
-    if n * a > _EXP_LIMIT:
-        raise ValueError(f"exp({n * a}) overflows double precision")
+    if not n * a <= _EXP_LIMIT:
+        raise ValueError(f"exp({n * a}) is not a finite double")
     return math.exp(n * a)
 
 

@@ -109,12 +109,13 @@ class BistochasticMatrix:
         m = np.asarray(entries, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {m.shape}")
-        if m.size and m.min() < -tol:
+        # both checks written so that NaN fails
+        if m.size and not m.min() >= -tol:
             raise ValueError(f"negative entry {m.min()!r} below tolerance")
         if m.size:
             rows = np.abs(m.sum(axis=1) - 1.0).max()
             cols = np.abs(m.sum(axis=0) - 1.0).max()
-            if rows > tol or cols > tol:
+            if not (rows <= tol and cols <= tol):
                 raise ValueError(f"row/column sums deviate from 1 by {max(rows, cols)!r}")
         self.entries = m
 

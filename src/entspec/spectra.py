@@ -186,22 +186,6 @@ class Spectrum:
             raise ValueError("spectrum JSON must be an object with an 'atoms' key")
         return cls.from_atoms(obj["atoms"])
 
-    def to_text(self) -> str:
-        return "".join(f"{p!r} {m}\n" for p, m in self.atoms)
-
-    @classmethod
-    def from_text(cls, text: str) -> "Spectrum":
-        pairs = []
-        for line in text.splitlines():
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise ValueError(f"expected 'probability multiplicity' per line, got {line!r}")
-            pairs.append((float(parts[0]), int(parts[1])))
-        return cls.from_atoms(pairs)
-
 
 def entropy(s: Spectrum) -> float:
     """Shannon entropy in nats of the expanded distribution."""
@@ -228,7 +212,8 @@ class AmplitudeMatrix:
         if m.ndim != 2 or m.shape[0] < 1 or m.shape[1] < 1:
             raise ValueError(f"amplitude matrix must be 2-D and nonempty, got shape {m.shape}")
         sq = float(np.sum(np.abs(m) ** 2))
-        if abs(sq - 1.0) > 1e-10:
+        # written so that NaN fails
+        if not abs(sq - 1.0) <= 1e-10:
             raise ValueError(f"amplitude matrix is not normalized: squared norm {sq!r}")
         self.entries = m
 

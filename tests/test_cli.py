@@ -77,6 +77,22 @@ def test_schmidt_malformed_input(tmp_path, capsys):
     assert code == 2 and "matrix" in err
 
 
+@pytest.mark.parametrize("text, field", [
+    ('{"amplitudes": [[true, 0], [0, false]]}', "amplitude real part"),
+    ('[["0.6", "0"], ["0", "0.8"]]', "amplitude real part"),
+    ('[[[0.6, "0"], [0, 0]], [[0, 0], [0.8, 0]]]', "amplitude imaginary part"),
+    ('[[0.6, [0, true]], [0, 0.8]]', "amplitude imaginary part"),
+    ('[[NaN, 0], [0, 1]]', "amplitude matrix is not normalized"),
+])
+def test_schmidt_rejects_non_numeric_amplitudes(tmp_path, capsys, text, field):
+    # the first four exited 0 and the NaN matrix failed inside the SVD
+    path = tmp_path / "amp.json"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, "schmidt", str(path))
+    assert code == 2 and out == ""
+    assert field in err
+
+
 def test_rates_csv_exact(capsys):
     code, out, err = run_cli(capsys, "rates", "maxent:R=0.2", "--n", "10", "--eps", "0.1")
     assert code == 0 and err == ""

@@ -1,5 +1,7 @@
 import json
 import math
+from contextlib import nullcontext
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,22 +12,12 @@ from entspec import hermitian
 from entspec.hermitian import (
     MAX_VERIFY_DIM,
     SUITES,
-    Contraction,
     CPTPMap,
-    HermitianOperator,
     StochasticMap,
     TransposeMix,
     apply_tp,
     jordan,
-    rand_contraction,
-    rand_cptp,
-    rand_density,
-    rand_diagonal_density,
-    rand_doubly_stochastic,
-    rand_hermitian,
     rand_spectrum,
-    rand_stochastic,
-    rand_unitary,
     run_suite,
     trace_norm,
     trace_plus,
@@ -40,6 +32,7 @@ from entspec.infospec import tail_C, tail_D
 from entspec.spectra import BudgetExceededError, Spectrum
 
 import dense_oracle
+from dense_oracle import rand_contraction, rand_density, rand_diagonal_density, rand_hermitian, rand_unitary
 
 X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
@@ -51,22 +44,58 @@ def _depolarizing(p=0.5):
     return CPTPMap((math.sqrt(1.0 - 3.0 * p / 4.0) * np.eye(2, dtype=complex), s * X, s * Y, s * Z))
 
 
+def _rand_cptp(rng, dim):
+    return CPTPMap(dense_oracle.rand_cptp(rng, dim)[1])
+
+
+def _rand_stochastic(rng, dim):
+    return StochasticMap(dense_oracle.rand_stochastic(rng, dim)[1])
+
+
+def _rand_doubly_stochastic(rng, dim):
+    return StochasticMap(dense_oracle.rand_doubly_stochastic(rng, dim)[1])
+
+
 def test_hermitian_construction():
-    h = HermitianOperator([[1.0, 1.0j], [-1.0j, 2.0]])
-    assert h.dimension == 2
-    assert np.array_equal(np.asarray(h), h.entries)
-    with pytest.raises(ValueError):
-        HermitianOperator([[0.0, 1.0], [0.0, 0.0]])
-    with pytest.raises(ValueError):
-        HermitianOperator([[1.0, 2.0]])
+    h = [[1.0, 1.0j], [-1.0j, 2.0]]
+    assert isinstance(trace_plus(h), float)
+    assert all(p.shape == (2, 2) for p in jordan(h))
+    for f in (trace_plus, jordan):
+        with pytest.raises(ValueError, match="Hermitian"):
+            f([[0.0, 1.0], [0.0, 0.0]])
+        with pytest.raises(ValueError, match="square"):
+            f([[1.0, 2.0]])
 
 
 def test_contraction_eigenvalue_gate():
-    Contraction(np.diag([0.0, 0.5, 1.0]))
-    with pytest.raises(ValueError):
-        Contraction(np.diag([0.0, 1.5]))
-    with pytest.raises(ValueError):
-        Contraction(np.diag([-0.2, 0.5]))
+    a = np.diag([1.0, -1.0, 0.5])
+    assert verify_lemma_np(a, [np.diag([0.0, 0.5, 1.0])]).ok
+    for bad in ([0.0, 1.5, 0.5], [-0.2, 0.5, 0.5]):
+        with pytest.raises(ValueError, match="interval"):
+            verify_lemma_np(a, [np.diag([0.0, 0.5, 1.0]), np.diag(bad)])
+
+
+def test_operator_validation_rejects_non_finite_entries():
+    for bad in (math.nan, math.inf, -math.inf):
+        m = np.array([[bad, 0.0], [0.0, 1.0]])
+        for f in (trace_plus, trace_norm, jordan):
+            with pytest.raises(ValueError, match="non-finite"):
+                f(m)
+        with pytest.raises(ValueError, match="non-finite"):
+            trace_plus(np.array([[0.0, bad], [0.0, 1.0]]))
+    # a NaN entry used to pass the deviation check and read as 0.0
+    with pytest.raises(ValueError, match="non-finite"):
+        trace_plus([[math.nan, 0.0], [0.0, 1.0]])
+
+
+def test_contraction_gate_rejects_non_finite_entries():
+    a = np.diag([1.0, -1.0])
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="non-finite"):
+            verify_lemma_np(a, [np.diag([bad, 0.5])])
+    # the eigenvalue gate on its own: an infinite entry gives NaN eigenvalues
+    with pytest.raises(ValueError, match="interval"):
+        hermitian._check_unit_interval(np.diag([math.inf, 0.5]).astype(complex))
 
 
 def test_map_validation():
@@ -78,18 +107,31 @@ def test_map_validation():
         TransposeMix(1.5)
 
 
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_map_validation_rejects_non_finite_entries(bad):
+    with pytest.raises(ValueError, match="Kraus completeness"):
+        CPTPMap((np.array([[bad, 0.0], [0.0, 1.0]], dtype=complex),))
+    with pytest.raises(ValueError, match="negative entry|column sums"):
+        StochasticMap(np.array([[bad, 0.0], [0.0, 1.0]]))
+    with pytest.raises(ValueError, match="negative entry|column sums"):
+        StochasticMap(np.array([[0.5, 0.5], [bad, 0.5]]))
+    with pytest.raises(ValueError):
+        TransposeMix(math.nan)
+
+
 def test_jordan_signed_diagonal():
     ap, am, pp, pn = jordan(np.diag([1.0, -1.0]))
-    assert np.allclose(ap.entries, np.diag([1.0, 0.0]))
-    assert np.allclose(am.entries, np.diag([0.0, 1.0]))
-    assert np.allclose(pp.entries, np.diag([1.0, 0.0]))
-    assert np.allclose(pn.entries, np.diag([0.0, 1.0]))
+    assert np.allclose(ap, np.diag([1.0, 0.0]))
+    assert np.allclose(am, np.diag([0.0, 1.0]))
+    assert np.allclose(pp, np.diag([1.0, 0.0]))
+    assert np.allclose(pn, np.diag([0.0, 1.0]))
 
 
 def test_jordan_zero_operator_convention():
     _, _, pp, pn = jordan(np.zeros((2, 2)))
-    assert np.array_equal(pp.entries, np.zeros((2, 2)))
-    assert np.array_equal(pn.entries, np.eye(2))
+    assert np.array_equal(pp, np.zeros((2, 2)))
+    assert np.array_equal(pn, np.eye(2))
 
 
 def test_jordan_reconstruction():
@@ -97,10 +139,10 @@ def test_jordan_reconstruction():
     for _ in range(20):
         a = rand_hermitian(rng, 8)
         ap, am, pp, pn = jordan(a)
-        assert np.abs(ap.entries - am.entries - a.entries).max() < 1e-9
-        assert np.abs(pp.entries + pn.entries - np.eye(8)).max() < 1e-12
-        assert abs(trace_plus(a) - np.trace(ap.entries).real) < 1e-9
-        assert abs(trace_norm(a) - (np.trace(ap.entries) + np.trace(am.entries)).real) < 1e-9
+        assert np.abs(ap - am - a).max() < 1e-9
+        assert np.abs(pp + pn - np.eye(8)).max() < 1e-12
+        assert abs(trace_plus(a) - np.trace(ap).real) < 1e-9
+        assert abs(trace_norm(a) - (np.trace(ap) + np.trace(am)).real) < 1e-9
 
 
 def test_trace_plus_examples():
@@ -113,50 +155,52 @@ def test_trace_plus_halved_norm_identity():
     rng = np.random.default_rng(6)
     for _ in range(20):
         a = rand_hermitian(rng, 6)
-        tr = float(np.trace(a.entries).real)
+        tr = float(np.trace(a).real)
         assert abs(trace_plus(a) - 0.5 * (trace_norm(a) + tr)) < 1e-9
 
 
 def test_lemma_np_attainment():
-    r = verify_lemma_np(np.diag([1.0, -1.0]), 50)
+    rng = np.random.default_rng(0)
+    r = verify_lemma_np(np.diag([1.0, -1.0]), [rand_contraction(rng, 2) for _ in range(50)])
     assert r.ok
     assert r.checks == 51  # 50 sampled contractions plus the attainment check
     assert r.worst_slack >= -1e-9
     rng = np.random.default_rng(4)
     for _ in range(10):
-        assert verify_lemma_np(rand_hermitian(rng, 5), 20, rng=rng).ok
+        a = rand_hermitian(rng, 5)
+        assert verify_lemma_np(a, [rand_contraction(rng, 5) for _ in range(20)]).ok
 
 
 def test_apply_tp_identity_kraus_is_exact():
     ident = CPTPMap((np.eye(2, dtype=complex),))
-    a = HermitianOperator([[0.3, 0.1], [0.1, 0.7]])
-    assert np.array_equal(apply_tp(ident, a).entries, a.entries)
+    a = np.array([[0.3, 0.1], [0.1, 0.7]], dtype=complex)
+    assert np.array_equal(apply_tp(ident, a), a)
 
 
 def test_apply_tp_transpose_mix():
-    a = HermitianOperator([[0.3, 0.1j], [-0.1j, 0.7]])
+    a = np.array([[0.3, 0.1j], [-0.1j, 0.7]])
     out = apply_tp(TransposeMix(1.0), a)
-    assert np.array_equal(out.entries, a.entries.T)
+    assert np.array_equal(out, a.T)
     half = apply_tp(TransposeMix(0.5), a)
-    assert np.abs(half.entries.imag).max() < 1e-15
+    assert np.abs(half.imag).max() < 1e-15
 
 
 def test_apply_tp_preserves_trace():
     rng = np.random.default_rng(15)
     for _ in range(20):
         a = rand_density(rng, 4)
-        for f in (rand_cptp(rng, 4), TransposeMix(float(rng.uniform(0, 1)))):
+        for f in (_rand_cptp(rng, 4), TransposeMix(float(rng.uniform(0, 1)))):
             out = apply_tp(f, a)
-            assert abs(np.trace(out.entries).real - 1.0) < 1e-10
+            assert abs(np.trace(out).real - 1.0) < 1e-10
         d = rand_diagonal_density(rng, 4)
-        out = apply_tp(rand_stochastic(rng, 4), d)
-        assert abs(np.trace(out.entries).real - 1.0) < 1e-10
+        out = apply_tp(_rand_stochastic(rng, 4), d)
+        assert abs(np.trace(out).real - 1.0) < 1e-10
 
 
 def test_apply_tp_stochastic_on_diagonal():
     f = StochasticMap(np.array([[0.5, 1.0], [0.5, 0.0]]))
     out = apply_tp(f, np.diag([0.8, 0.2]))
-    assert np.allclose(out.entries, np.diag([0.6, 0.4]), atol=1e-15)
+    assert np.allclose(out, np.diag([0.6, 0.4]), atol=1e-15)
 
 
 def test_lemma_bdm_identity_and_depolarizing():
@@ -180,6 +224,11 @@ def test_bd_sandwich_validation():
         verify_bd_sandwich(np.diag([0.7, 0.3]), np.eye(2), 1, 0.0, 0.0)
     with pytest.raises(ValueError):
         verify_bd_sandwich(np.diag([0.7, 0.7]), np.eye(2), 1, 0.0, 0.1)
+    # a NaN gamma used to pass and give NaN margins
+    with pytest.raises(ValueError, match="gamma"):
+        verify_bd_sandwich(np.diag([0.7, 0.3]), np.eye(2), 1, 0.0, math.nan)
+    with pytest.raises(ValueError, match="gamma"):
+        verify_bd_sandwich(np.array([np.diag([0.7, 0.3])] * 2), np.array([np.eye(2)] * 2), 1, 0.0, [0.1, 0.0])
 
 
 def test_continuity_identical_states():
@@ -225,29 +274,30 @@ def test_monotonicity_rejects_stochastic_on_nondiagonal():
     rng = np.random.default_rng(1)
     rho = rand_density(rng, 3)
     with pytest.raises(ValueError):
-        verify_tail_monotonicity(rho, np.eye(3) / 3.0, rand_stochastic(rng, 3), 1, 0.0)
+        verify_tail_monotonicity(rho, np.eye(3) / 3.0, _rand_stochastic(rng, 3), 1, 0.0)
 
 
 def test_monotonicity_doubly_stochastic_diagonal():
     rng = np.random.default_rng(44)
     for _ in range(20):
         rho = rand_diagonal_density(rng, 5)
-        f = rand_doubly_stochastic(rng, 5)
+        f = _rand_doubly_stochastic(rng, 5)
         assert verify_tail_monotonicity(rho, np.eye(5), f, 1, float(rng.uniform(-1, 0.5))).ok
 
 
 def test_sampler_validity():
+    # the stacked builders the suites use, on stacks of three
     rng = np.random.default_rng(100)
-    u = rand_unitary(rng, 6)
-    assert np.abs(u @ u.conj().T - np.eye(6)).max() < 1e-12
-    f = rand_cptp(rng, 5)
-    acc = sum(k.conj().T @ k for k in f.kraus)
-    assert np.abs(acc - np.eye(5)).max() < 1e-12
-    d = rand_doubly_stochastic(rng, 7)
-    assert np.abs(d.matrix.sum(axis=0) - 1.0).max() < 1e-12
-    assert np.abs(d.matrix.sum(axis=1) - 1.0).max() < 1e-12
-    t = rand_contraction(rng, 4)
-    w = np.linalg.eigvalsh(t.entries)
+    u = hermitian._unitaries(rng.standard_normal((3, 2, 6, 6)))
+    assert np.abs(u @ u.conj().swapaxes(-1, -2) - np.eye(6)).max() < 1e-12
+    f = hermitian._cptps(rng.standard_normal((3, 3, 2, 5, 5)))
+    acc = sum(k.conj().swapaxes(-1, -2) @ k for k in f.kraus)
+    assert acc.shape == (3, 5, 5) and np.abs(acc - np.eye(5)).max() < 1e-12
+    d = hermitian._doubly_stochastics(rng.uniform(size=(3, 9)), np.array([[rng.permutation(7) for _ in range(9)] for _ in range(3)]))
+    assert np.abs(d.matrix.sum(axis=-2) - 1.0).max() < 1e-12
+    assert np.abs(d.matrix.sum(axis=-1) - 1.0).max() < 1e-12
+    t = hermitian._contractions(rng.standard_normal((3, 2, 4, 4)), rng.uniform(0.0, 1.0, (3, 4)))
+    w = np.linalg.eigvalsh(t)
     assert w.min() >= -1e-10 and w.max() <= 1.0 + 1e-10
     s = rand_spectrum(rng, 9)
     assert s.total_dim <= 9 and abs(s.mass() - 1.0) < 1e-11
@@ -382,10 +432,10 @@ def test_stacked_calculus_equals_per_matrix_calls_bit_for_bit(case):
     rng = np.random.default_rng(seed + 1)
     n = [int(x) for x in rng.integers(1, 4, len(a))]
     x = [float(v) for v in rng.uniform(-1.0, 1.0, len(a))]
-    rho = np.array([rand_density(rng, d).entries for _ in a])
-    sigma = np.array([rand_density(rng, d).entries for _ in a])
-    cptp = CPTPMap(tuple(np.array(k) for k in zip(*(rand_cptp(rng, d).kraus for _ in a))))
-    stochastic = StochasticMap(np.array([rand_stochastic(rng, d).matrix for _ in a]))
+    rho = np.array([rand_density(rng, d) for _ in a])
+    sigma = np.array([rand_density(rng, d) for _ in a])
+    cptp = CPTPMap(tuple(np.array(k) for k in zip(*(_rand_cptp(rng, d).kraus for _ in a))))
+    stochastic = StochasticMap(np.array([_rand_stochastic(rng, d).matrix for _ in a]))
     mix = TransposeMix(rng.uniform(0.0, 1.0, len(a)))
     # half of the stochastic arguments diagonal, half not: both branches in one stack
     diag = a.copy()
@@ -401,18 +451,18 @@ def test_stacked_calculus_equals_per_matrix_calls_bit_for_bit(case):
         "tail_C": tail_C(rho, sigma, n, x),
         "tail_D": tail_D(rho, sigma, n, x),
     }
+    # the stack's matrices are exactly Hermitian, so validation leaves them unchanged
     for i, m in enumerate(a):
-        op = HermitianOperator(m)
         per_matrix = {
-            "trace_plus": (trace_plus(op), dense_oracle.trace_plus(op.entries)),
-            "trace_norm": (trace_norm(op), dense_oracle.trace_norm(op.entries)),
-            "jordan": ([p.entries for p in jordan(op)], dense_oracle.jordan(op.entries)),
-            "cptp": (apply_tp(CPTPMap(tuple(k[i] for k in cptp.kraus)), op).entries,
-                     dense_oracle.apply_tp(("cptp", tuple(k[i] for k in cptp.kraus)), op.entries)),
-            "stochastic": (apply_tp(StochasticMap(stochastic.matrix[i]), diag[i]).entries,
-                           dense_oracle.apply_tp(("stochastic", stochastic.matrix[i]), HermitianOperator(diag[i]).entries)),
-            "transpose": (apply_tp(TransposeMix(float(mix.t[i])), op).entries,
-                          dense_oracle.apply_tp(("transpose_mix", float(mix.t[i])), op.entries)),
+            "trace_plus": (trace_plus(m), dense_oracle.trace_plus(m)),
+            "trace_norm": (trace_norm(m), dense_oracle.trace_norm(m)),
+            "jordan": (jordan(m), dense_oracle.jordan(m)),
+            "cptp": (apply_tp(CPTPMap(tuple(k[i] for k in cptp.kraus)), m),
+                     dense_oracle.apply_tp(("cptp", tuple(k[i] for k in cptp.kraus)), m)),
+            "stochastic": (apply_tp(StochasticMap(stochastic.matrix[i]), diag[i]),
+                           dense_oracle.apply_tp(("stochastic", stochastic.matrix[i]), diag[i])),
+            "transpose": (apply_tp(TransposeMix(float(mix.t[i])), m),
+                          dense_oracle.apply_tp(("transpose_mix", float(mix.t[i])), m)),
             "tail_C": (tail_C(rho[i], sigma[i], n[i], x[i]), dense_oracle.tail_C(rho[i], sigma[i], n[i], x[i])),
             "tail_D": (tail_D(rho[i], sigma[i], n[i], x[i]), dense_oracle.tail_D(rho[i], sigma[i], n[i], x[i])),
         }
@@ -422,16 +472,39 @@ def test_stacked_calculus_equals_per_matrix_calls_bit_for_bit(case):
     assert trace_plus(np.zeros((d, d))) == 0.0
     assert np.array_equal(jordan(np.zeros((len(a), d, d)))[3], np.broadcast_to(np.eye(d), (len(a), d, d)))
 
-    # a violation found on the stack reports instance i exactly as a per-instance call would
-    forced = [[("forced", -1.0, 0.0)] for _ in a]
+    # each public verifier gives on a stack what it gives matrix by matrix, violations included
+    t = np.array([[rand_contraction(rng, d) for _ in range(2)] for _ in a])
+    gamma = [float(g) for g in rng.uniform(0.05, 1.0, len(a))]
+    diag_rho = np.array([rand_diagonal_density(rng, d) for _ in a])
+    diag_sigma = np.array([rand_diagonal_density(rng, d) for _ in a])
     maps = (
         (cptp, lambda i: CPTPMap(tuple(k[i] for k in cptp.kraus))),
         (stochastic, lambda i: StochasticMap(stochastic.matrix[i])),
         (mix, lambda i: TransposeMix(float(mix.t[i]))),
     )
+    calls = [
+        (verify_lemma_np, (a, t), lambda i: (a[i], t[i])),
+        (verify_bd_sandwich, (rho, sigma, n, x, gamma), lambda i: (rho[i], sigma[i], n[i], x[i], gamma[i])),
+        (verify_continuity, (rho, sigma, sigma, n, x), lambda i: (rho[i], sigma[i], sigma[i], n[i], x[i])),
+        (verify_tail_monotonicity, (diag_rho, diag_sigma, stochastic, n, x),
+         lambda i: (diag_rho[i], diag_sigma[i], maps[1][1](i), n[i], x[i])),
+    ]
     for f, instance in maps:
-        from_stack = hermitian._results(forced, map=f, operator=a, n=n)
-        for i, res in enumerate(from_stack):
-            single = instance(i)
-            expected = hermitian._finish(forced[i], hermitian._payload(map=single, operator=HermitianOperator(a[i]), n=n[i]))
-            assert json.dumps(res.violations) == json.dumps(expected.violations)
+        calls.append((verify_lemma_bdm, (f, diag), lambda i, instance=instance: (instance(i), diag[i])))
+        if f is not stochastic:
+            calls.append((verify_tail_monotonicity, (rho, sigma, f, n, x),
+                          lambda i, instance=instance: (rho[i], sigma[i], instance(i), n[i], x[i])))
+    # a second pass flags every check, so every payload is built and compared
+    finish = hermitian._finish
+    flag_all = mock.patch.object(hermitian, "_finish", lambda checks, payload: finish(
+        [(name, -1.0, 0.0) for name, _, _ in checks], payload))
+    for patch in (nullcontext(), flag_all):
+        with patch:
+            for verify, args, one in calls:
+                stacked = [_verdict(r) for r in verify(*args)]
+                assert stacked == [_verdict(verify(*one(i))) for i in range(len(a))], verify.__name__
+                assert (patch is flag_all) == all(v[2] != "[]" for v in stacked)
+
+
+def _verdict(r):
+    return r.worst_slack.hex(), r.checks, json.dumps(r.violations)

@@ -161,6 +161,18 @@ def test_tail_rejects_shape_mismatch():
         tail_C(np.eye(2) / 2, np.eye(2), 1, 800.0)  # exp overflow
 
 
+def test_tail_rejects_nan_cuts():
+    # a NaN cut or block length used to give a tail of 0.0
+    for tail in (tail_C, tail_D):
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite double"):
+                tail(np.eye(2) / 2, np.eye(2) / 2, 1, bad)
+        with pytest.raises(ValueError, match="positive integer"):
+            tail(np.eye(2) / 2, np.eye(2) / 2, math.nan, 0.1)
+        with pytest.raises(ValueError, match="finite double"):
+            tail(np.eye(2) / 2, np.eye(2) / 2, [1, 2], [0.1, math.nan])
+
+
 def test_rate_curve_iid():
     model = IID(Spectrum.from_probs([0.9, 0.1]))
     lo, hi = entropy_proxies(generate(model, 400), 400, 0.1)

@@ -175,6 +175,14 @@ def test_bistochastic_validation():
     assert b.dim == 2
 
 
+def test_bistochastic_validation_rejects_non_finite_entries():
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            BistochasticMatrix([[bad, 0.0], [0.0, 1.0]])
+        with pytest.raises(ValueError):
+            BistochasticMatrix([[0.5, 0.5], [0.5, bad]])
+
+
 def test_transfer_matrix_identity_when_equal():
     p = Spectrum.from_probs([0.4, 0.35, 0.25])
     d = transfer_matrix(p, p)
