@@ -35,9 +35,7 @@ from .infospec import (
     cdf_selfinfo,
     entropy_proxies,
     tail_C,
-    tail_C_spectrum,
     tail_D,
-    tail_D_spectrum,
 )
 from .majorize import (
     BistochasticMatrix,
@@ -122,9 +120,7 @@ __all__ = [
     "schmidt_from_amplitudes",
     "synthesize_map",
     "tail_C",
-    "tail_C_spectrum",
     "tail_D",
-    "tail_D_spectrum",
     "trace_plus",
     "transfer_matrix",
     "verify_bd_sandwich",

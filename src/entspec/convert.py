@@ -123,11 +123,6 @@ class RateVerdict:
         if self.task not in ("concentration", "dilution"):
             raise ValueError(f"unknown task {self.task!r}")
 
-    @property
-    def epsilon_error_series(self) -> tuple[tuple[int, float], ...]:
-        """(n, trace_distance_upper) per report."""
-        return tuple((r.n, r.trace_distance_upper) for r in self.reports)
-
     def to_json_dict(self) -> dict:
         return {
             "task": self.task,

@@ -16,12 +16,13 @@ conversion analysis rests on, plus structural suites for the majorization
 certificates and the greedy-versus-exhaustive map synthesis.  Each instance
 draws from its own generator seeded by (master seed, suite id, instance
 index), so results are independent of execution order and reruns are
-byte-identical.  A suite takes up to _CHUNK instances at a time.  The dense
-suites first draw every instance's random numbers, then evaluate one shape
-group at a time (dimension, map family, and, wherever a positive projector
-is formed, the count of positive eigenvalues), so a chunk costs one NumPy
-call per step per shape group instead of one per instance, plus one
-generator per instance.  Stacked LAPACK, BLAS and reductions run the
+byte-identical.  A suite takes its instances a chunk at a time, about
+_CHUNK * 64 / d^2 of them at --dim d.  The dense suites first draw every
+instance's random numbers, then evaluate one shape group at a time
+(dimension, map family, and, wherever a positive projector is formed, the
+count of positive eigenvalues), so a chunk costs one NumPy call per step
+per shape group instead of one per instance, plus one generator per
+instance.  Stacked LAPACK, BLAS and reductions run the
 per-matrix routine on per-matrix memory layouts, so every margin is bit for
 bit the per-instance one.  The spectrum suites draw as they evaluate, one
 instance at a time.
@@ -195,16 +196,26 @@ def _as_entries(x) -> np.ndarray:
     return _check_hermitian(m)
 
 
+def _projector(w: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Projector onto each matrix's positive eigenvectors, from its eigh, not yet symmetrized."""
+    d = w.shape[-1]
+    proj = np.zeros_like(v)
+    for c, sel in _count_groups(w):
+        vp = _columns(v[sel], d - c, d)
+        proj[sel] = vp @ _dagger(vp)
+    return proj
+
+
 def _jordan(m: np.ndarray) -> tuple:
     w, v = np.linalg.eigh(m)
     d = m.shape[-1]
-    a_plus, a_minus, proj_pos = (np.zeros_like(m) for _ in range(3))
+    a_plus, a_minus = np.zeros_like(m), np.zeros_like(m)
     for c, sel in _count_groups(w):
         ws, vs = w[sel], v[sel]
         vp, vn = _columns(vs, d - c, d), _columns(vs, 0, d - c)
         a_plus[sel] = (vp * ws[..., None, d - c:]) @ _dagger(vp)
         a_minus[sel] = -((vn * ws[..., None, : d - c]) @ _dagger(vn))
-        proj_pos[sel] = vp @ _dagger(vp)
+    proj_pos = _projector(w, v)
     return tuple(_symmetrized(x) for x in (a_plus, a_minus, proj_pos, np.eye(d) - proj_pos))
 
 
@@ -287,18 +298,18 @@ def apply_tp(f: TPMap, a):
     return _apply_tp(f, _as_entries(a))
 
 
-def _require_psd(name: str, m: np.ndarray, *, tol: float = 1e-8) -> np.ndarray:
+def _require_psd(name: str, m: np.ndarray) -> np.ndarray:
     w = np.linalg.eigvalsh(m)
     low = w.min(axis=-1)
-    i = _first(low < -tol)
+    i = _first(low < -1e-8)
     if i is not None:
         raise ValueError(f"{name} has negative eigenvalue {float(low.flat[i])!r}")
     return w
 
 
-def _require_density(name: str, m: np.ndarray, *, tol: float = 1e-8):
-    tr = _require_psd(name, m, tol=tol).sum(axis=-1)
-    i = _first(np.abs(tr - 1.0) > tol)
+def _require_density(name: str, m: np.ndarray):
+    tr = _require_psd(name, m).sum(axis=-1)
+    i = _first(np.abs(tr - 1.0) > 1e-8)
     if i is not None:
         raise ValueError(f"{name} has trace {float(tr.flat[i])!r}, expected 1")
 
@@ -418,7 +429,7 @@ def verify_lemma_np(a, t):
     _check_unit_interval(t)
     tp = _positive_trace(a).tolist()
     vals = _trace(a[:, None] @ t).real.tolist()
-    attained = _trace(a @ _jordan(a)[2]).real.tolist()
+    attained = _trace(a @ _symmetrized(_projector(*np.linalg.eigh(a)))).real.tolist()
     checks, tightest = [], []
     for i, (tp_i, vals_i, attained_i) in enumerate(zip(tp, vals, attained)):
         checks.append([("upper-bound", tp_i - val, 1e-9) for val in vals_i])
@@ -532,7 +543,7 @@ def verify_tail_monotonicity(rho, sigma, f: TPMap, n, a):
 def _projector_split_checks(a: np.ndarray, b: np.ndarray) -> list:
     """On P = {A - B > 0}: Tr A P >= Tr B P, and Tr(A-B)_plus = Tr A P - Tr B P."""
     diff = _symmetrized(a - b)
-    proj = _jordan(diff)[2]
+    proj = _symmetrized(_projector(*np.linalg.eigh(diff)))
     t_a = _trace(a @ proj).real.tolist()
     t_b = _trace(b @ proj).real.tolist()
     t_plus = _positive_trace(diff).tolist()
@@ -652,13 +663,15 @@ def rand_spectrum(rng, max_dim: int) -> Spectrum:
 # per instance for the suite's summary
 
 # dense eigen calls cost d^3 per instance, so --dim is capped: `verify all`
-# with default trials took 16 s at the cap (peak RSS 57 MB) and 2.7 s at the
-# default dim 8 (40 MB), against 15 s and 4.2 s evaluating one instance at a
-# time (2-core x86_64 VM, NumPy 2.4, same host state)
+# with default trials took 15-17 s at the cap (peak RSS 41 MB; 13-14 s and
+# 58 MB with 128-instance chunks) and 2.7 s at the default dim 8 (40 MB),
+# against 15 s and 4.2 s evaluating one instance at a time (2-core x86_64
+# VM, NumPy 2.4, same host state)
 MAX_VERIFY_DIM = 64
 
-# instances drawn and evaluated together: a code constant, so the memory of
-# the stacks does not grow with --trials
+# instances drawn and evaluated together at --dim 8; a chunk holds at most
+# _CHUNK * 8**2 matrix entries per stack, so --dim 64 takes 2 instances at a
+# time and the memory of the stacks grows with neither --trials nor --dim
 _CHUNK = 128
 
 
@@ -817,13 +830,6 @@ def _monotonicity_check(key, rho, sigma, n, a, f):
     return zip(verify_tail_monotonicity(rho, sigma, f, n, a))
 
 
-def _bistochastic_defect(m: np.ndarray) -> float:
-    """Largest deviation of a row or column sum from 1."""
-    rows = float(np.abs(m.sum(axis=1) - 1.0).max())
-    cols = float(np.abs(m.sum(axis=0) - 1.0).max())
-    return max(rows, cols)
-
-
 def _kh_instance(rng, k: int, dim: int):
     p = rand_spectrum(rng, 64)
     ny = int(rng.integers(1, p.total_dim + 1))
@@ -832,11 +838,10 @@ def _kh_instance(rng, k: int, dim: int):
     push = pushforward(p, phi)
     gap, _ = prefix_gap_min(p, push)
     cert = kh_certificate(p, phi)
-    defect = _bistochastic_defect(cert.entries)
     residual = kh_residual(p, phi, cert)
     checks = [
         ("pushforward-majorizes-source", gap, 1e-10),
-        ("certificate-bistochastic", 1e-10 - defect, 0.0),
+        ("certificate-bistochastic", 1e-10 - cert.defect, 0.0),
         ("certificate-reproduces-source", 1e-10 - residual, 0.0),
     ]
     return [_finish(checks, _payload(source=p, map=phi))], None
@@ -855,7 +860,7 @@ def _transfer_instance(rng, k: int, dim: int):
     qv2[: q.total_dim] = qv
     dev = float(np.abs(cert.entries @ qv2 - pv).max())
     checks = [
-        ("transfer-bistochastic", 1e-10 - _bistochastic_defect(cert.entries), 0.0),
+        ("transfer-bistochastic", 1e-10 - cert.defect, 0.0),
         ("transfer-carries-target", 1e-8 - dev, 0.0),
     ]
     return [_finish(checks, _payload(source=p, target=q))], None
@@ -943,9 +948,10 @@ class SuiteReport:
 
 
 def _instance_results(suite: Suite, seed: int, trials: int, dim: int):
-    """(k, results, note) for instances 0..trials-1, drawn and evaluated _CHUNK at a time."""
-    for start in range(0, trials, _CHUNK):
-        ks = range(start, min(start + _CHUNK, trials))
+    """(k, results, note) for instances 0..trials-1, drawn and evaluated one chunk at a time."""
+    chunk = max(1, _CHUNK * 8**2 // dim**2)
+    for start in range(0, trials, chunk):
+        ks = range(start, min(start + chunk, trials))
         drawn = [suite.draw(np.random.default_rng([seed % (1 << 63), suite.id, k]), k, dim) for k in ks]
         for k, (results, note) in zip(ks, suite.evaluate(drawn)):
             yield k, results, note

@@ -8,7 +8,7 @@ spectra and costs one pass over the atoms, no gridding.
 
 Conventions (fixed, documented):
   * natural log everywhere; unit conversion is a display concern,
-  * the CDF includes the boundary atom by default (`boundary="nonstrict"`),
+  * the CDF includes an atom whose rate equals the threshold,
   * the upper proxy takes the left edge of a flat stretch of the CDF, the
     lower proxy the right edge,
   * at epsilon = 1 the proxies clamp to the extreme atom rates.
@@ -25,7 +25,7 @@ import math
 
 import numpy as np
 
-from .spectra import _EXP_LIMIT, Spectrum, _mass_term, cumulative_mass
+from .spectra import _EXP_LIMIT, Spectrum, cumulative_mass
 # no caller here; perfbench/spans.py rebinds infospec.generate (ROADMAP item 1)
 from .spectra import generate  # noqa: F401
 
@@ -79,19 +79,18 @@ def _per_matrix(x: np.ndarray):
     return float(x) if x.ndim == 0 else x
 
 
-def cdf_selfinfo(s: Spectrum, n: int, a: float, *, boundary: str = "nonstrict") -> float:
-    """Mass of atoms whose self-information rate is <= a (or < a when strict).
+def cdf_selfinfo(s: Spectrum, n: int, a: float) -> float:
+    """Mass of atoms whose self-information rate is <= a; a NaN threshold raises.
 
     Costs O(k) big-int adds over the k atoms below the cut.
     """
     if n < 1:
         raise ValueError("n must be a positive integer")
-    if boundary not in ("nonstrict", "strict"):
-        raise ValueError(f"boundary must be 'nonstrict' or 'strict', got {boundary!r}")
+    if math.isnan(a):
+        raise ValueError("threshold a must be a number, got nan")
     total = 0.0
     for (p, _), cum in zip(s.atoms, cumulative_mass(s.atoms)):
-        rate = -math.log(p) / n + 0.0
-        if not (rate <= a if boundary == "nonstrict" else rate < a):
+        if not -math.log(p) / n <= a:
             break  # atoms are rate-ascending
         total = cum
     return total
@@ -144,6 +143,14 @@ def _threshold_factor(n: int, a: float) -> float:
     return math.exp(n * a)
 
 
+def _finite(rho, sigma) -> list:
+    """rho and sigma as complex arrays; a NaN or infinite entry is rejected."""
+    ms = [np.asarray(x, dtype=complex) for x in (rho, sigma)]
+    if not all(np.isfinite(m).all() for m in ms):
+        raise ValueError("rho or sigma has a non-finite entry")
+    return ms
+
+
 def _tail_difference(rho, sigma, n, a) -> tuple[np.ndarray, np.ndarray]:
     """rho as a complex (..., d, d) stack, and the Hermitian part of rho - e^(n a) sigma.
 
@@ -182,26 +189,11 @@ def tail_D(rho, sigma, n, a):
     Computed from the eigendecomposition of the difference; eigenvalues within
     1e-10 of zero relative to the spectral norm count as non-positive.  Takes
     a matrix pair or a (..., d, d) stack pair with n and a broadcast against it,
-    and gives a float or an array.
+    and gives a float or an array; a NaN or infinite entry raises a ValueError.
     """
-    return _per_matrix(_projected_mass(*_tail_difference(rho, sigma, n, a)))
+    return _per_matrix(_projected_mass(*_tail_difference(*_finite(rho, sigma), n, a)))
 
 
 def tail_C(rho, sigma, n, a):
     """Trace of the positive part of rho - e^(n a) sigma; stacks as in tail_D."""
-    return _per_matrix(_positive_trace(_tail_difference(rho, sigma, n, a)[1]))
-
-
-def tail_D_spectrum(s: Spectrum, n: int, a: float) -> float:
-    """Diagonal fast path of tail_D against the identity reference.
-
-    Equals the mass of atoms with p > e^(n a), i.e. the strict CDF of the
-    self-information rate at -a.
-    """
-    return cdf_selfinfo(s, n, -a, boundary="strict")
-
-
-def tail_C_spectrum(s: Spectrum, n: int, a: float) -> float:
-    """Diagonal fast path of tail_C against the identity reference."""
-    t = _threshold_factor(n, a)
-    return math.fsum(_mass_term(p - t, m) for p, m in s.atoms if p > t)
+    return _per_matrix(_positive_trace(_tail_difference(*_finite(rho, sigma), n, a)[1]))

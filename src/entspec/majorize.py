@@ -36,6 +36,9 @@ from .spectra import (
 )
 
 MAJORIZE_TOL = 1e-10
+# largest expanded dimensions of the dense d x d certificates
+MAX_CERTIFICATE_DIM = 2048
+MAX_TRANSFER_DIM = 4096
 
 
 def _prefix_mass(atoms, cum_counts, cum_masses, k: int) -> float:
@@ -66,15 +69,15 @@ def prefix_gap_min(p: Spectrum, q: Spectrum) -> tuple[float, int]:
     return best, best_k
 
 
-def majorizes(p: Spectrum, q: Spectrum, *, tol: float = MAJORIZE_TOL) -> bool:
+def majorizes(p: Spectrum, q: Spectrum) -> bool:
     """True when p is majorized by q (q at least as ordered), within tolerance.
 
-    Prefix gaps within `tol` of zero count as satisfied; total masses are
+    Prefix gaps within MAJORIZE_TOL of zero count as satisfied; total masses are
     already pinned to 1 by the spectrum invariant.  Costs O(k) big-int adds
     for k atoms (see `prefix_gap_min`).
     """
     gap, _ = prefix_gap_min(p, q)
-    return gap >= -tol
+    return gap >= -MAJORIZE_TOL
 
 
 @dataclass(frozen=True)
@@ -103,20 +106,24 @@ class DeterministicMap:
 
 
 class BistochasticMatrix:
-    """Square matrix with nonnegative entries and unit row and column sums."""
+    """Square matrix with nonnegative entries and unit row and column sums, within 1e-10.
 
-    def __init__(self, entries, *, tol: float = 1e-10):
+    `defect` is the largest deviation of a row or column sum from 1.
+    """
+
+    def __init__(self, entries):
         m = np.asarray(entries, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {m.shape}")
-        # both checks written so that NaN fails
-        if m.size and not m.min() >= -tol:
-            raise ValueError(f"negative entry {m.min()!r} below tolerance")
-        if m.size:
-            rows = np.abs(m.sum(axis=1) - 1.0).max()
-            cols = np.abs(m.sum(axis=0) - 1.0).max()
-            if not (rows <= tol and cols <= tol):
-                raise ValueError(f"row/column sums deviate from 1 by {max(rows, cols)!r}")
+        # both checks written so that NaN fails (a NaN entry makes its row's sum NaN)
+        low = m.min(initial=math.inf)
+        if not low >= -1e-10:
+            raise ValueError(f"negative entry {low!r} below tolerance")
+        rows = float(np.abs(m.sum(axis=1) - 1.0).max(initial=0.0))
+        cols = float(np.abs(m.sum(axis=0) - 1.0).max(initial=0.0))
+        self.defect = max(rows, cols)
+        if not (rows <= 1e-10 and cols <= 1e-10):
+            raise ValueError(f"row/column sums deviate from 1 by {self.defect!r}")
         self.entries = m
 
     @property
@@ -124,25 +131,10 @@ class BistochasticMatrix:
         return self.entries.shape[0]
 
 
-def pushforward(p: Spectrum, phi: DeterministicMap, *, max_expanded_dim: int = DEFAULT_MAX_EXPANDED_DIM) -> Spectrum:
-    """Distribution of phi(X) when X has the expanded law of p, descending order.
-
-    Domain index i carries the i-th entry of the descending expansion of p.
-    Codomain elements with zero mass are dropped.
-    """
-    xs = expand(p, max_expanded_dim)
-    if phi.domain_size != len(xs):
-        raise ValueError(f"map domain {phi.domain_size} does not match expanded dimension {len(xs)}")
-    masses = [[] for _ in range(phi.codomain_size)]
-    for i, y in enumerate(phi.targets):
-        masses[y].append(float(xs[i]))
-    values = [math.fsum(bucket) for bucket in masses if bucket]
-    return Spectrum.from_probs(values)
-
-
-def _fibers_of(p: Spectrum, phi: DeterministicMap, max_dim: int):
+def _fibers_of(p: Spectrum, phi: DeterministicMap, max_dim: int, budget: str):
+    """p's descending expansion, and the domain indices phi sends to each codomain element."""
     if p.total_dim > max_dim:
-        raise BudgetExceededError("max_certificate_dim", p.total_dim, max_dim)
+        raise BudgetExceededError(budget, p.total_dim, max_dim)
     xs = expand(p, max_dim)
     if phi.domain_size != len(xs):
         raise ValueError(f"map domain {phi.domain_size} does not match expanded dimension {len(xs)}")
@@ -152,22 +144,29 @@ def _fibers_of(p: Spectrum, phi: DeterministicMap, max_dim: int):
     return xs, fibers
 
 
-def _split_and_reconstruction(xs, fibers, d: int):
+def pushforward(p: Spectrum, phi: DeterministicMap) -> Spectrum:
+    """Distribution of phi(X) when X has the expanded law of p, descending order.
+
+    Domain index i carries the i-th entry of the descending expansion of p.
+    Codomain elements with zero mass are dropped.
+    """
+    xs, fibers = _fibers_of(p, phi, DEFAULT_MAX_EXPANDED_DIM, "max_expanded_dim")
+    return Spectrum.from_probs([math.fsum(float(xs[i]) for i in members) for members in fibers if members])
+
+
+def _split_and_reconstruction(xs, fibers):
     """Mass-on-first-slot vector per fiber, and the fiber-ordered source masses."""
-    split = np.zeros(d)
-    recon = np.zeros(d)
+    split = np.zeros(len(xs))
+    recon = np.zeros(len(xs))
     offset = 0
-    for members in fibers:
-        k = len(members)
-        if k == 0:
-            continue
+    for members in filter(None, fibers):
         split[offset] = math.fsum(float(xs[i]) for i in members)
-        recon[offset : offset + k] = [float(xs[i]) for i in members]
-        offset += k
+        recon[offset : offset + len(members)] = [float(xs[i]) for i in members]
+        offset += len(members)
     return split, recon
 
 
-def kh_certificate(p: Spectrum, phi: DeterministicMap, *, max_dim: int = 2048) -> BistochasticMatrix:
+def kh_certificate(p: Spectrum, phi: DeterministicMap) -> BistochasticMatrix:
     """Doubly stochastic block witness that p is majorized by its pushforward.
 
     One block per codomain element in index order, sized by its fiber.  The
@@ -175,53 +174,39 @@ def kh_certificate(p: Spectrum, phi: DeterministicMap, *, max_dim: int = 2048) -
     sum_j (p(x_j)/q) T_j where T_j transposes coordinates 1 and j.  Applied
     to the vector that puts the whole image mass on the first fiber slot, the
     block reproduces the source masses on that fiber; empty fibers contribute
-    nothing (a zero-size identity block).
+    nothing (a zero-size identity block).  The certificate is checked
+    against the same expansion and fibers it is built from.
     """
-    xs, fibers = _fibers_of(p, phi, max_dim)
+    xs, fibers = _fibers_of(p, phi, MAX_CERTIFICATE_DIM, "max_certificate_dim")
+    split, recon = _split_and_reconstruction(xs, fibers)
     d = len(xs)
     block = np.zeros((d, d))
     offset = 0
-    for members in fibers:
-        k = len(members)
-        if k == 0:
-            continue
-        qy = math.fsum(float(xs[i]) for i in members)
-        weights = [float(xs[i]) / qy for i in members]
+    for k in map(len, filter(None, fibers)):
+        qy = float(split[offset])
         sub = block[offset : offset + k, offset : offset + k]
-        for j, w in enumerate(weights):
-            if j == 0:
-                for i in range(k):
-                    sub[i, i] += w
-            else:
-                # transposition of coordinates 1 and j+1 fixes the rest
-                sub[0, j] += w
-                sub[j, 0] += w
-                for i in range(1, k):
-                    if i != j:
-                        sub[i, i] += w
+        for j, x in enumerate(recon[offset : offset + k]):
+            w = float(x) / qy
+            # T_j swaps slots 0 and j (T_0 is the identity) and fixes the rest
+            for i in range(k):
+                sub[i, j if i == 0 else 0 if i == j else i] += w
         offset += k
     cert = BistochasticMatrix(block)
-    if kh_residual(p, phi, cert, max_dim=max_dim) > 1e-10:
+    if np.abs(block @ split - recon).max() > 1e-10:
         raise RuntimeError("certificate failed to reproduce the source masses")
     return cert
 
 
-def kh_residual(p: Spectrum, phi: DeterministicMap, cert: BistochasticMatrix, *, max_dim: int = 2048) -> float:
+def kh_residual(p: Spectrum, phi: DeterministicMap, cert: BistochasticMatrix) -> float:
     """Worst entrywise error of the certificate reproducing the source masses."""
-    xs, fibers = _fibers_of(p, phi, max_dim)
+    xs, fibers = _fibers_of(p, phi, MAX_CERTIFICATE_DIM, "max_certificate_dim")
     if cert.dim != len(xs):
         raise ValueError(f"certificate dimension {cert.dim} does not match source {len(xs)}")
-    split, recon = _split_and_reconstruction(xs, fibers, len(xs))
+    split, recon = _split_and_reconstruction(xs, fibers)
     return float(np.abs(cert.entries @ split - recon).max())
 
 
-def transfer_matrix(
-    p: Spectrum,
-    q: Spectrum,
-    *,
-    tol: float = MAJORIZE_TOL,
-    max_expanded_dim: int = 4096,
-) -> BistochasticMatrix:
+def transfer_matrix(p: Spectrum, q: Spectrum) -> BistochasticMatrix:
     """Doubly stochastic D with D q = p on descending zero-padded expansions.
 
     Built as a product of at most m - 1 two-coordinate averaging steps, each
@@ -229,10 +214,10 @@ def transfer_matrix(
     underweight coordinate after it.  Requires majorizes(p, q).
     """
     gap, at = prefix_gap_min(p, q)
-    if gap < -tol:
+    if gap < -MAJORIZE_TOL:
         raise ValueError(f"majorization fails at prefix count {at}: gap {gap!r}")
-    pv = expand(p, max_expanded_dim)
-    qv = expand(q, max_expanded_dim)
+    pv = expand(p, MAX_TRANSFER_DIM)
+    qv = expand(q, MAX_TRANSFER_DIM)
     m = max(len(pv), len(qv))
     target = np.zeros(m)
     target[: len(pv)] = pv

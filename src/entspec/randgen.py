@@ -49,7 +49,7 @@ from .spectra import (
 # no caller here; perfbench/spans.py rebinds randgen.generate (ROADMAP item 1)
 from .spectra import generate  # noqa: F401
 
-DEFAULT_BRUTE_FORCE_CAP = 10**6
+BRUTE_FORCE_CAP = 10**6
 
 
 # Fiber state: parallel lists of scaled deficit, start index, element count
@@ -271,21 +271,17 @@ def synthesize_map(
     return _report(q, assignments, sum(map(abs, map(mul, counts, deficits))) / den, map_)
 
 
-def brute_force_optimal(
-    p: Spectrum,
-    q: Spectrum,
-    *,
-    cap: int = DEFAULT_BRUTE_FORCE_CAP,
-) -> MapSynthesisReport:
+def brute_force_optimal(p: Spectrum, q: Spectrum) -> MapSynthesisReport:
     """Exhaustive minimum of the variational distance over all deterministic maps.
 
     Ties resolve to the first optimum in lexicographic target order.  The
-    search space is |Y|^|X|; anything above `cap` is rejected.
+    search space is |Y|^|X|; anything above BRUTE_FORCE_CAP maps raises a
+    BudgetExceededError naming the `brute_force_cap` budget.
     """
     nx, ny = p.total_dim, q.total_dim
     total = ny**nx
-    if total > cap:
-        raise BudgetExceededError("brute_force_cap", total, cap)
+    if total > BRUTE_FORCE_CAP:
+        raise BudgetExceededError("brute_force_cap", total, BRUTE_FORCE_CAP)
     e, (p_sc, q_sc) = _scaled_atoms(p, q)
     xs = []
     for sc, (_, mult) in zip(p_sc, p.atoms):

@@ -168,15 +168,6 @@ class Spectrum:
     def from_probs(cls, values: Sequence[float], *, mass_tol: float = MASS_TOL) -> "Spectrum":
         return cls.from_atoms([(v, 1) for v in values], mass_tol=mass_tol)
 
-    def mass(self) -> float:
-        return math.fsum(_mass_term(p, m) for p, m in self.atoms)
-
-    def rates(self, n: int) -> list[float]:
-        """Self-information rates -(1/n) ln p per atom, ascending."""
-        if n < 1:
-            raise ValueError("n must be a positive integer")
-        return [-math.log(p) / n + 0.0 for p, _ in self.atoms]
-
     def to_json_dict(self) -> dict:
         return {"atoms": [[p, m] for p, m in self.atoms]}
 
@@ -216,10 +207,6 @@ class AmplitudeMatrix:
         if not abs(sq - 1.0) <= 1e-10:
             raise ValueError(f"amplitude matrix is not normalized: squared norm {sq!r}")
         self.entries = m
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.entries.shape
 
 
 def schmidt_from_amplitudes(amps) -> Spectrum:

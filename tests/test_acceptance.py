@@ -121,13 +121,13 @@ def test_conversion_converges_below_rate_limits():
     t0 = time.perf_counter()
     conc = concentration_experiment(model, 0.2, (50, 100, 200))
     t_conc = time.perf_counter() - t0
-    errs_c = [e for _, e in conc.epsilon_error_series]
+    errs_c = [r.trace_distance_upper for r in conc.reports]
     assert all(b < a for a, b in zip(errs_c, errs_c[1:]))
     assert errs_c[-1] < 0.2
     t0 = time.perf_counter()
     dilu = dilution_experiment(model, 0.45, (50, 100, 200))
     t_dilu = time.perf_counter() - t0
-    errs_d = [e for _, e in dilu.epsilon_error_series]
+    errs_d = [r.trace_distance_upper for r in dilu.reports]
     assert all(b < a for a, b in zip(errs_d, errs_d[1:]))
     assert errs_d[-1] < 0.2
     print(
@@ -142,7 +142,7 @@ def test_conversion_obstructed_beyond_rate_limits():
     model = IID(Spectrum.from_probs([0.9, 0.1]))
     conc = concentration_experiment(model, 0.45, (100, 150, 200))
     dilu = dilution_experiment(model, 0.2, (100, 150, 200))
-    errs = [e for _, e in conc.epsilon_error_series] + [e for _, e in dilu.epsilon_error_series]
+    errs = [r.trace_distance_upper for r in conc.reports] + [r.trace_distance_upper for r in dilu.reports]
     assert all(e >= 0.5 for e in errs)
     print(
         "CRITERION 4 (rate obstruction): PASS: concentration at 0.45 and dilution at "

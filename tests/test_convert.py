@@ -81,7 +81,7 @@ def test_report_validation_rejects_inconsistent_fields():
 
 def test_concentration_below_entropy_rate_converges():
     v = concentration_experiment(IID(_probs(0.9, 0.1)), 0.2, (50, 100, 200))
-    errs = [e for _, e in v.epsilon_error_series]
+    errs = [r.trace_distance_upper for r in v.reports]
     assert all(b < a for a, b in zip(errs, errs[1:]))
     assert errs[-1] < 0.2
     assert all(rep.nielsen_ok for rep in v.reports)
@@ -89,7 +89,7 @@ def test_concentration_below_entropy_rate_converges():
 
 def test_concentration_above_entropy_rate_stalls():
     v = concentration_experiment(IID(_probs(0.9, 0.1)), 0.45, (100, 150, 200))
-    assert all(e >= 0.5 for _, e in v.epsilon_error_series)
+    assert all(r.trace_distance_upper >= 0.5 for r in v.reports)
 
 
 def test_error_decay_forces_rate_below_proxies():
@@ -97,7 +97,7 @@ def test_error_decay_forces_rate_below_proxies():
     # the source's lower entropy proxy cannot sit far below R
     for rate in (0.1, 0.2, 0.3):
         v = concentration_experiment(IID(_probs(0.9, 0.1)), rate, (200,))
-        n, err = v.epsilon_error_series[-1]
+        n, err = v.reports[-1].n, v.reports[-1].trace_distance_upper
         if err <= 0.1:
             src = v.reports[-1].source_spectrum
             for eps in (0.1, 0.25):
@@ -108,14 +108,14 @@ def test_error_decay_forces_rate_below_proxies():
 def test_flat_concentration_just_below_rate():
     rate = math.log(2.0) - 0.05
     v = concentration_experiment(MaxEnt(math.log(2.0)), rate, (20, 40, 80))
-    errs = [e for _, e in v.epsilon_error_series]
+    errs = [r.trace_distance_upper for r in v.reports]
     assert all(e <= 0.2 for e in errs)
     assert errs[-1] < 0.01
 
 
 def test_flat_dilution_at_exact_rate_is_lossless():
     v = dilution_experiment(MaxEnt(math.log(2.0)), math.log(2.0), (20, 40, 80))
-    assert all(e == 0.0 for _, e in v.epsilon_error_series)
+    assert all(r.trace_distance_upper == 0.0 for r in v.reports)
     assert v.task == "dilution"
 
 
@@ -135,6 +135,3 @@ def test_rate_verdict_validation():
     v = concentration_experiment(MaxEnt(math.log(2.0)), 0.5, (20, 30))
     with pytest.raises(ValueError, match="unknown task"):
         RateVerdict(task="swap", rate=0.5, reports=v.reports)
-    # the series is read off the reports, so it cannot disagree with them
-    assert v.epsilon_error_series == tuple((r.n, r.trace_distance_upper) for r in v.reports)
-    assert [n for n, _ in v.epsilon_error_series] == [20, 30]

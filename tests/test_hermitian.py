@@ -300,7 +300,7 @@ def test_sampler_validity():
     w = np.linalg.eigvalsh(t)
     assert w.min() >= -1e-10 and w.max() <= 1.0 + 1e-10
     s = rand_spectrum(rng, 9)
-    assert s.total_dim <= 9 and abs(s.mass() - 1.0) < 1e-11
+    assert s.total_dim <= 9 and abs(math.fsum(p * m for p, m in s.atoms) - 1.0) < 1e-11
 
 
 def test_suite_table_ids_are_unique():

@@ -8,9 +8,7 @@ from entspec.infospec import (
     cdf_selfinfo,
     entropy_proxies,
     tail_C,
-    tail_C_spectrum,
     tail_D,
-    tail_D_spectrum,
 )
 from entspec.spectra import IID, MaxEnt, Mixture, Spectrum, entropy, expand, generate, iid_spectrum
 
@@ -19,7 +17,15 @@ def test_cdf_point_mass():
     s = Spectrum.from_probs([1.0])
     assert cdf_selfinfo(s, 1, 0.0) == 1.0
     assert cdf_selfinfo(s, 1, -0.1) == 0.0
-    assert cdf_selfinfo(s, 1, 0.0, boundary="strict") == 0.0
+
+
+def test_cdf_rejects_nan_threshold():
+    # a NaN threshold used to give a CDF of 0.0
+    s = Spectrum.from_probs([0.9, 0.1])
+    with pytest.raises(ValueError, match="nan"):
+        cdf_selfinfo(s, 1, math.nan)
+    assert cdf_selfinfo(s, 1, math.inf) == 1.0
+    assert cdf_selfinfo(s, 1, -math.inf) == 0.0
 
 
 def test_cdf_two_atom():
@@ -33,9 +39,6 @@ def test_cdf_boundary_strictness():
     s = Spectrum.from_probs([0.9, 0.1])
     a = -math.log(0.9) / 1 + 0.0
     assert cdf_selfinfo(s, 1, a) == 0.9
-    assert cdf_selfinfo(s, 1, a, boundary="strict") == 0.0
-    with pytest.raises(ValueError):
-        cdf_selfinfo(s, 1, a, boundary="open")
 
 
 def test_cdf_concentrates_at_entropy_rate():
@@ -52,7 +55,7 @@ def test_cdf_monotone_in_threshold():
     s = iid_spectrum(Spectrum.from_probs([0.6, 0.3, 0.1]), 7)
     values = [cdf_selfinfo(s, 7, a) for a in np.linspace(0.0, 2.5, 41)]
     assert all(b >= a for a, b in zip(values, values[1:]))
-    assert values[-1] == s.mass()  # grid end exceeds the largest atom rate
+    assert values[-1] == math.fsum(p * m for p, m in s.atoms)  # grid end exceeds the largest atom rate
 
 
 def test_cdf_on_threshold_grid():
@@ -74,7 +77,7 @@ def test_proxies_point_mass_eps_zero():
 def test_proxies_eps_one_clamps_to_extremes():
     s = Spectrum.from_probs([0.9, 0.1])
     lo, hi = entropy_proxies(s, 1, 1.0)
-    rates = s.rates(1)
+    rates = [-math.log(p) / 1 + 0.0 for p, _ in s.atoms]
     assert lo == rates[-1]
     assert hi == rates[0]
 
@@ -135,6 +138,15 @@ def test_tail_tiny_threshold_keeps_all_mass():
     assert abs(tail_D(rho, sigma, 1, -50.0) - 1.0) < 1e-12
 
 
+def _atom_tails(s, n, a):
+    """(tail_D, tail_C) of diag(expand(s)) against the identity, summed over atoms."""
+    t = math.exp(n * a)
+    return (
+        math.fsum(p * m for p, m in s.atoms if p > t),
+        math.fsum((p - t) * m for p, m in s.atoms if p > t),
+    )
+
+
 def test_tail_spectrum_matches_dense():
     rng = np.random.default_rng(17)
     for _ in range(50):
@@ -143,14 +155,18 @@ def test_tail_spectrum_matches_dense():
         a = float(rng.uniform(-3.0, 0.5))
         diag = np.diag(expand(s))
         eye = np.eye(diag.shape[0])
-        assert abs(tail_D(diag, eye, n, a) - tail_D_spectrum(s, n, a)) < 1e-10
-        assert abs(tail_C(diag, eye, n, a) - tail_C_spectrum(s, n, a)) < 1e-10
+        want_d, want_c = _atom_tails(s, n, a)
+        assert abs(tail_D(diag, eye, n, a) - want_d) < 1e-10
+        assert abs(tail_C(diag, eye, n, a) - want_c) < 1e-10
 
 
 def test_tail_C_nonincreasing_in_a():
     rng = np.random.default_rng(3)
     s = rand_spectrum(rng, 8)
-    vals = [tail_C_spectrum(s, 2, float(a)) for a in np.linspace(-2.0, 1.0, 25)]
+    diag = np.diag(expand(s))
+    grid = [float(a) for a in np.linspace(-2.0, 1.0, 25)]
+    vals = [tail_C(diag, np.eye(s.total_dim), 2, a) for a in grid]
+    assert all(abs(v - _atom_tails(s, 2, a)[1]) < 1e-10 for v, a in zip(vals, grid))
     assert all(b <= a + 1e-12 for a, b in zip(vals, vals[1:]))
 
 
@@ -171,6 +187,27 @@ def test_tail_rejects_nan_cuts():
             tail(np.eye(2) / 2, np.eye(2) / 2, math.nan, 0.1)
         with pytest.raises(ValueError, match="finite double"):
             tail(np.eye(2) / 2, np.eye(2) / 2, [1, 2], [0.1, math.nan])
+
+
+def test_tail_C_rejects_non_finite_entries():
+    # a NaN or infinite entry used to give a tail of 0.0
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="non-finite"):
+            tail_C(np.diag([bad, 0.5]), np.eye(2) / 2, 1, 0.1)
+        with pytest.raises(ValueError, match="non-finite"):
+            tail_C(np.eye(2) / 2, np.diag([0.5, bad]), 1, 0.1)
+        with pytest.raises(ValueError, match="non-finite"):
+            tail_C(np.array([np.eye(2) / 2, np.diag([bad, 0.5])]), np.array([np.eye(2) / 2] * 2), 1, 0.1)
+
+
+def test_tail_D_rejects_non_finite_entries():
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="non-finite"):
+            tail_D(np.diag([bad, 0.5]), np.eye(2) / 2, 1, 0.1)
+        with pytest.raises(ValueError, match="non-finite"):
+            tail_D(np.eye(2) / 2, np.diag([0.5, bad]), 1, 0.1)
+        with pytest.raises(ValueError, match="non-finite"):
+            tail_D(np.eye(2) / 2, [[0.5, complex(0.0, bad)], [0.0, 0.5]], 1, 0.1)
 
 
 def test_rate_curve_iid():

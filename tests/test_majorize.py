@@ -161,7 +161,7 @@ def test_kh_certificate_budget():
     p = iid_spectrum(Spectrum.from_probs([0.9, 0.1]), 20)
     phi = DeterministicMap(2 ** 20, tuple([0] * 2 ** 20), 1)
     with pytest.raises(BudgetExceededError):
-        kh_certificate(p, phi, max_dim=2048)
+        kh_certificate(p, phi)
 
 
 def test_bistochastic_validation():

@@ -84,7 +84,7 @@ def test_brute_force_cap():
     p = iid_spectrum(_probs(0.9, 0.1), 5)
     q = _probs(0.5, 0.5)
     with pytest.raises(BudgetExceededError):
-        brute_force_optimal(p, q, cap=100)
+        brute_force_optimal(p, q)
 
 
 def test_fiber_budget():
