@@ -252,10 +252,21 @@ def _add_output_flags(sp, *, formats: bool = True) -> None:
         sp.add_argument("--format", choices=("csv", "json"), default="csv", help="output format")
 
 
+def _positive_int(text: str) -> int:
+    """argparse type of a budget: a positive integer, else a usage error."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
 def _add_budget_flags(sp) -> None:
     sp.add_argument(
         "--budget-max-type-classes",
-        type=int,
+        type=_positive_int,
         default=DEFAULT_MAX_TYPE_CLASSES,
         help="largest number of type classes a modeled spectrum may hold",
     )

@@ -17,12 +17,22 @@ counts when the expanded dimensions are astronomical.
 Cost: the F fibers stay sorted by deficit across the k_p source runs, so the
 fibers of one level (deficit // P) form a contiguous block.  A run finds the
 cut from the blocks at or above it, with one bisect and one big-int division
-per block (O(B·log F) for B blocks, no division per fiber); it makes one
-big-int subtraction per fiber it lowers or takes, and merges the few sorted
-blocks it lowers onto the cut level.  Moving and comparing fibers is done by
-list slices and C-level maps.  One sort by start index at the end restores
-codomain order.  A run splits at most one fiber, so F <= k_p + k_q, the bound
-the max_greedy_fibers budget checks up front.
+per block (O(B·log F) for B blocks, no division per fiber).  It lowers each
+block above the cut by one amount and the fibers it takes by one more; in
+each step the largest group of fibers that moves by one amount (the fibers
+that do not move count as one) stays put and one shared offset records its
+shift, so with the usual two blocks a run makes at most F/2 big-int
+subtractions per step.  It then sorts the cut level by deficit, which merges
+the presorted blocks it lowered there, and moves three columns (deficit,
+count, fiber id) by list slices and C-level gathers: O(F) pointer moves and
+O(F·log B) comparisons per run, O(k_p·F) over the synthesis while B stays
+small (for i.i.d. sources onto flat targets, two or three blocks per run
+once F is large).  Fibers of equal deficit stay in any order except the one
+group at the boundary of the take, which is put in start order there, the
+only place the rule reads it; codomain neighbours that come to share target
+and deficit are coalesced once, after the last run, by one sort by start
+index.  A run splits at most one fiber, so F <= k_p + k_q, the bound the
+max_greedy_fibers budget checks up front.
 
 A DeterministicMap is built only on request (`with_map=True`): the same
 kernel is then stepped one source element at a time, one kernel call per
@@ -35,7 +45,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate, compress, count, islice, product, repeat
-from operator import eq, itemgetter, mul, neg, sub
+from operator import add, eq, itemgetter, mul, neg, sub
 from typing import Optional
 
 from .majorize import DeterministicMap
@@ -52,20 +62,43 @@ from .spectra import generate  # noqa: F401
 BRUTE_FORCE_CAP = 10**6
 
 
-# Fiber state: parallel lists of scaled deficit, start index, element count
-# and target atom (the index in q.atoms of the fiber's target), one entry per
-# run of codomain elements.  Between source runs they are in (deficit
-# descending, start ascending) order, the order the greedy rule consumes
-# elements in.  Codomain neighbours never share (target, deficit), and fibers
-# that share a deficit are adjacent in that order.
-Fibers = tuple[list[int], list[int], list[int], list[int]]
+class _Fibers:
+    """Fiber state between source runs, one fiber per run of codomain
+    elements that share target and deficit.
+
+    The moving columns `deficit`, `count` and `fid` (fiber id) are parallel
+    lists in deficit-descending order, equal deficits in any order.  A
+    fiber's codomain `start` and target `atom` (its index in q.atoms) never
+    change and are looked up by id; a split appends one id.  Stored
+    deficits are true deficits minus `offset`, so a uniform shift of one
+    side of the order can move the other side instead.  Codomain neighbours
+    may share target and deficit until `_run_greedy` coalesces them.
+    """
+
+    __slots__ = ("deficit", "count", "fid", "start", "atom", "offset")
+
+    def __init__(self, deficits: list[int], counts: list[int]):
+        self.deficit = list(deficits)
+        self.count = list(counts)
+        self.fid = list(range(len(counts)))
+        self.start = [0, *accumulate(counts[:-1])]
+        self.atom = self.fid.copy()
+        self.offset = 0
 
 
-def _permute(fibers: Fibers, lo: int, order: list[int]) -> None:
-    """Overwrite fibers lo.. with the fibers at the indices in order."""
+def _permute(cols: tuple[list[int], ...], lo: int, order: list[int]) -> None:
+    """Overwrite entries lo.. of each column with those at the indices in order."""
     pick = itemgetter(*order)
-    for col in fibers:
+    for col in cols:
         col[lo : lo + len(order)] = pick(col)
+
+
+def _shift(D: list[int], i: int, j: int, x: int) -> None:
+    """Subtract x from D[i:j]."""
+    if j == i + 1:
+        D[i] -= x
+    elif j > i:
+        D[i:j] = map(sub, D[i:j], repeat(x))
 
 
 def _block_end(D: list[int], i: int, floor: int) -> int:
@@ -76,9 +109,13 @@ def _block_end(D: list[int], i: int, floor: int) -> int:
     return bisect_right(D, -floor, j + 1, key=neg)
 
 
-def _assign_run(fibers: Fibers, P: int, m: int) -> None:
-    """Assign a run of m source elements of scaled probability P, in place."""
-    D, S, C, A = fibers
+def _assign_run(f: _Fibers, P: int, m: int) -> int:
+    """Assign a run of m source elements of scaled probability P, in place.
+
+    Returns the start of the first element taken at the cut level: for
+    m = 1, the codomain index the one element goes to."""
+    D, C, I, off = f.deficit, f.count, f.fid, f.offset
+    cols = (D, C, I)
 
     # Elements of a fiber at level L = deficit // P (one per codomain slot,
     # value t*P + residue, residue in [0, P)) exist for every t <= L.  T(t)
@@ -87,38 +124,51 @@ def _assign_run(fibers: Fibers, P: int, m: int) -> None:
     # downwards.  Over the blocks walked, T(t) = a - b*t, so the cut is
     # (a - m) // b once that lies above the next block's level.
     a = b = i = 0
-    L = D[0] // P
+    L = (D[0] + off) // P
     blocks = []
     while True:
-        j = _block_end(D, i, L * P)
+        j = _block_end(D, i, L * P - off)
         n = C[i] if j == i + 1 else sum(islice(C, i, j))
         a += n * (L + 1)
         b += n
         blocks.append((i, j, L))
         if j < len(D):
-            L = D[j] // P
+            L = (D[j] + off) // P
         if j == len(D) or a - m >= b * (L + 1):
             break
         i = j
     t, cut = (a - m) // b, j
 
     # everything strictly above the cut is consumed outright: lower those
-    # blocks to the cut level and merge them there by deficit, equal
-    # deficits in block order for now
-    for i, j, L in blocks:
-        if L > t:
-            if j == i + 1:
-                D[i] -= (L - t) * P
-            else:
-                D[i:j] = map(sub, D[i:j], repeat((L - t) * P))
+    # blocks to the cut level.  The fibers from `below` on stay where they
+    # are.  If the largest lowered block outnumbers them, its shift goes
+    # into the offset and every other group moves by the difference.  Then
+    # merge the lowered blocks by deficit.
+    lowered = blocks if blocks[-1][2] > t else blocks[:-1]
+    x = below = 0
+    if lowered:
+        below = lowered[-1][1]
+        sizes = list(map(sub, map(itemgetter(1), lowered), map(itemgetter(0), lowered)))
+        big = max(sizes)
+        if big > len(D) - below:
+            x = (lowered[sizes.index(big)][2] - t) * P
+    for i, j, L in lowered:
+        y = (L - t) * P - x
+        if j == i + 1:
+            D[i] -= y
+        elif y:
+            _shift(D, i, j, y)
+    if x:
+        _shift(D, below, len(D), -x)
+        off -= x
     if len(blocks) > 1:
-        _permute(fibers, 0, sorted(range(cut), key=D.__getitem__, reverse=True))
+        _permute(cols, 0, sorted(range(cut), key=D.__getitem__, reverse=True))
 
     # T(t + 1) < m elements lay above the cut, so r >= 1 remain for the cut
     # level; they are consumed from the front of the order, every fiber but
-    # the last taking its full count.  Only the group of equal deficits at
-    # the boundary needs its start order before the take; the others get it
-    # at the end of the run.
+    # the last taking its full count.  The greedy rule breaks deficit ties
+    # by lowest start, so the group of equal deficits at the boundary is put
+    # in start order before the take; no other tie is ever read.
     r = m - (a - b * (t + 1))
     for k in range(cut):
         if C[k] >= r:
@@ -131,70 +181,76 @@ def _assign_run(fibers: Fibers, P: int, m: int) -> None:
         lo -= 1
     while hi + 1 < cut and D[hi + 1] == D[k]:
         hi += 1
+    S = f.start
     if hi > lo:
         r += sum(islice(C, lo, k))
-        _permute(fibers, lo, sorted(range(lo, hi + 1), key=S.__getitem__))
+        _permute(cols, lo, sorted(range(lo, hi + 1), key=lambda x: S[I[x]]))
         for k in range(lo, hi + 1):
             if C[k] >= r:
                 break
             r -= C[k]
+    taken = S[I[k]]
     if C[k] > r:
-        for col, v in zip(fibers, (D[k], S[k] + r, C[k] - r, A[k])):
-            col.insert(k + 1, v)
+        D.insert(k + 1, D[k])
+        C.insert(k + 1, C[k] - r)
+        I.insert(k + 1, len(S))
+        S.append(taken + r)
+        f.atom.append(f.atom[I[k]])
         C[k] = r
         cut += 1
     k += 1
-    D[:k] = map(sub, D[:k], repeat(P))
+    # lower the k taken fibers by P, or raise the others into the offset
+    if 2 * k <= len(D):
+        _shift(D, 0, k, P)
+    else:
+        _shift(D, k, len(D), -P)
+        off -= P
 
     # the taken fibers now lie one level below the cut: move them behind the
     # rest of the cut level and merge them into the block already there
-    floor = (t - 1) * P
+    floor = (t - 1) * P - off
     end = _block_end(D, cut, floor) if cut < len(D) and D[cut] >= floor else cut
-    for col in fibers:
+    for col in cols:
         col[:cut] = col[k:cut] + col[:k]
     if end > cut:
-        _permute(fibers, cut - k, sorted(range(cut - k, end), key=D.__getitem__, reverse=True))
-
-    # put every group of equal deficits in start order; codomain neighbours
-    # that now share target and deficit become one fiber
-    ties = list(compress(count(1), map(eq, islice(D, 1, end), D)))
-    for x in ties:
-        while x and D[x] == D[x - 1] and S[x] < S[x - 1]:
-            for col in (S, C, A):
-                col[x - 1], col[x] = col[x], col[x - 1]
-            x -= 1
-    for x in reversed(ties):
-        if S[x - 1] + C[x - 1] == S[x] and A[x - 1] == A[x]:
-            C[x - 1] += C[x]
-            for col in fibers:
-                del col[x]
+        _permute(cols, cut - k, sorted(range(cut - k, end), key=D.__getitem__, reverse=True))
+    f.offset = off
+    return taken
 
 
 def _run_greedy(
     p: Spectrum, q: Spectrum, targets: Optional[list[int]] = None
-) -> tuple[Fibers, list[int], int]:
+) -> tuple[tuple[list[int], list[int], list[int], list[int]], list[int], int]:
     """Fiber columns (deficits, starts, counts, target atoms) in codomain order
     after every source run, q's probabilities, all scaled by 2**e, and e.
 
-    Given a `targets` list, the kernel steps one source element at a time and
-    appends the codomain index each element goes to: the first element of
-    the front fiber, which has the largest deficit and, among equal
-    deficits, the lowest start.
+    Codomain neighbours that share target and deficit are one fiber.  Given
+    a `targets` list, the kernel steps one source element at a time and
+    appends the codomain index each element goes to.
     """
     e, (ps, qs) = _scaled_atoms(p, q)
-    counts = [mult for _, mult in q.atoms]
-    fibers = (list(qs), [0, *accumulate(counts[:-1])], counts, list(range(len(qs))))
+    f = _Fibers(qs, [mult for _, mult in q.atoms])
     for P, (_, mult) in zip(ps, p.atoms):
         if targets is None:
-            _assign_run(fibers, P, mult)
-            continue
-        for _ in range(mult):
-            targets.append(fibers[1][0])
-            _assign_run(fibers, P, 1)
-    S = fibers[1]
+            _assign_run(f, P, mult)
+        else:
+            targets.extend(_assign_run(f, P, 1) for _ in range(mult))
+    D, C = f.deficit, f.count
+    S = list(map(f.start.__getitem__, f.fid))
+    A = list(map(f.atom.__getitem__, f.fid))
     if len(S) > 1:
-        _permute(fibers, 0, sorted(range(len(S)), key=S.__getitem__))
-    return fibers, qs, e
+        _permute((D, S, C, A), 0, sorted(range(len(S)), key=S.__getitem__))
+    # codomain neighbours sharing target and deficit become one fiber
+    ties = [x for x in compress(count(1), map(eq, islice(D, 1, None), D)) if A[x] == A[x - 1]]
+    if ties:
+        keep = [True] * len(D)
+        for x in reversed(ties):
+            C[x - 1] += C[x]
+            keep[x] = False
+        D, S, C, A = (list(compress(col, keep)) for col in (D, S, C, A))
+    if f.offset:
+        D[:] = map(add, D, repeat(f.offset))
+    return (D, S, C, A), qs, e
 
 
 @dataclass(frozen=True)
@@ -246,13 +302,19 @@ def synthesize_map(
     """Greedy largest-deficit assignment of p's expansion onto q's labels.
 
     Runs in compressed form on F <= k_p + k_q fibers (k_p, k_q the atom
-    counts of p and q) kept in deficit order: per source run, O(B·log F)
+    counts of p and q) kept in deficit order.  Per source run: O(B·log F)
     bisects for the B level blocks at or above the cut, one big-int
-    subtraction per fiber lowered or taken, and a merge of a few sorted
-    blocks; no division per fiber.  The report's assignments and distance
-    are exact.  The explicit DeterministicMap is built only when with_map is
-    set, by one more kernel call per source element; a source expansion
-    above DEFAULT_MAX_EXPANDED_DIM then raises a BudgetExceededError.
+    subtraction per fiber outside the largest group that moves by one
+    amount (one shared offset records that group's shift), one sort of the
+    cut level that merges a few presorted blocks, and O(F) pointer moves of
+    three columns; no division per fiber, O(k_p·F) in all.  Ties between
+    equal deficits are resolved lazily: put in start order only at the
+    boundary of each take, and codomain neighbours that share target and
+    deficit are coalesced once after the last run.  The report's
+    assignments and distance are exact.  The explicit DeterministicMap is
+    built only when with_map is set, by one more kernel call per source
+    element; a source expansion above DEFAULT_MAX_EXPANDED_DIM then raises
+    a BudgetExceededError.
     """
     if len(p.atoms) + len(q.atoms) > max_fibers:
         raise BudgetExceededError("max_greedy_fibers", len(p.atoms) + len(q.atoms), max_fibers)

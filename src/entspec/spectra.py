@@ -127,34 +127,38 @@ class Spectrum:
     @classmethod
     def from_atoms(cls, pairs: Iterable[tuple[float, int]], *, mass_tol: float = MASS_TOL) -> "Spectrum":
         cleaned = []
-        for p, m in pairs:
-            if type(p) is not float:
-                p = _real(p, "probability")
-            if type(m) is not int:
-                m = _integer(m, "multiplicity")
+        for pair in pairs:
+            p, m = pair
+            if type(p) is not float or type(m) is not int or type(pair) is not tuple:
+                # a (float, int) tuple is kept as it is; anything else is read into one
+                pair = p, m = _real(p, "probability"), _integer(m, "multiplicity")
             if m <= 0:
                 raise ValueError(f"multiplicity must be positive, got {m}")
             if p > 0.0:
-                cleaned.append((p, m))
+                cleaned.append(pair)
             elif p != 0.0:  # NaN or negative; zero atoms are dropped
                 raise ValueError(f"probability must be nonnegative, got {p!r}")
         if not cleaned:
             raise ValueError("spectrum has no positive atoms")
         cleaned.sort(key=itemgetter(0), reverse=True)
         # one pass: a run of values within MERGE_RTOL of its first (largest)
-        # value becomes one atom at that value
+        # value becomes one atom at that value; a run of one keeps its pair
         merged = []
         run = iter(cleaned)
-        head, mult = next(run)
+        first = next(run)
+        head, mult = first
         tol = MERGE_RTOL * head
-        for p, m in run:
+        for pair in run:
+            p, m = pair
             if head - p <= tol:
                 mult += m
+                first = None
             else:
-                merged.append((head, mult))
-                head, mult = p, m
+                merged.append(first or (head, mult))
+                first = pair
+                head, mult = pair
                 tol = MERGE_RTOL * head
-        merged.append((head, mult))
+        merged.append(first or (head, mult))
         del cleaned, run  # free the sorted pairs before the mass terms are built
         try:
             mass = math.fsum([p * m for p, m in merged])

@@ -220,6 +220,19 @@ def test_dilute_csv(capsys):
     assert out.splitlines()[1].split(",")[1] == "0.0"
 
 
+@pytest.mark.parametrize("value", ["0", "-5"])
+@pytest.mark.parametrize("command", [
+    ("rates", "iid:0.9,0.1", "--n", "4", "--eps", "0.1"),
+    ("convert", "iid:0.5,0.5", "iid:0.8,0.2", "--n", "1"),
+    ("concentrate", "iid:0.9,0.1", "--rate", "0.2", "--n", "4"),
+])
+def test_non_positive_type_class_budget_is_a_usage_error(capsys, command, value):
+    # a budget of 0 used to exit 3 ("need 1, limit 0") after rates printed a bare header
+    code, out, err = run_cli(capsys, *command, "--budget-max-type-classes", value)
+    assert (code, out) == (2, "")
+    assert "--budget-max-type-classes: must be a positive integer" in err
+
+
 def test_experiment_budget_is_fatal(capsys):
     code, out, err = run_cli(
         capsys,

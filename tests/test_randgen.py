@@ -1,4 +1,5 @@
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate, chain, repeat
 
@@ -11,6 +12,7 @@ from entspec.hermitian import rand_spectrum
 from entspec.majorize import DeterministicMap, majorizes, pushforward
 from entspec.randgen import (
     MapSynthesisReport,
+    _Fibers,
     _assign_run,
     _run_greedy,
     brute_force_optimal,
@@ -304,13 +306,20 @@ def _flat(rate, n):
     return maxent_spectrum(maxent_rank(rate, n))
 
 
+def _tied(n):
+    # dyadic letters: every probability is a power of two, so deficits tie
+    # across fibers and codomain neighbours keep meeting at equal deficits
+    return iid_spectrum(_probs(0.5, 0.25, 0.25), n)
+
+
 # concentration onto flat targets (many source runs), dilution from flat
-# sources (one run over fibers spread across many levels), and a long
-# two-letter source
+# sources (one run over fibers spread across many levels), a long
+# two-letter source, and a tie-heavy concentration
 _GRID = [(_iid(n), _flat(0.5, n)) for n in (10, 20, 30)]
 _GRID += [(_flat(1.2, n), _iid(n)) for n in (40, 80)]
 _GRID += [(iid_spectrum(_probs(0.9, 0.1), 200), _flat(0.2, 200))]
-_GRID_IDS = ["iid10-flat", "iid20-flat", "iid30-flat", "flat-iid40", "flat-iid80", "iid2x200-flat"]
+_GRID += [(_tied(30), _flat(0.5, 30))]
+_GRID_IDS = ["iid10-flat", "iid20-flat", "iid30-flat", "flat-iid40", "flat-iid80", "iid2x200-flat", "tied30-flat"]
 
 
 # The element-by-element heap greedy that built requested maps before the
@@ -358,26 +367,30 @@ def _assert_matches_oracle(p, q):
 
 
 def _assert_fiber_invariants(p, q):
-    """Step the kernel run by run and check the fiber state after each."""
+    """Step the kernel run by run and check the fiber state after each, then
+    check the coalesced codomain-order output against the last state."""
     e, (ps, qs) = _scaled_atoms(p, q)
-    counts = [mult for _, mult in q.atoms]
-    fibers = (list(qs), [0, *accumulate(counts[:-1])], counts, list(range(len(qs))))
-    for P, (_, mult) in zip(ps, p.atoms):
-        before = set(fibers[1])
-        _assign_run(fibers, P, mult)
-        D, S, C, A = fibers
-        assert len(set(S) - before) <= 1  # at most one fiber split
-        assert len({len(col) for col in fibers}) == 1
-        order = [(-d, s) for d, s in zip(D, S)]
-        assert order == sorted(order)  # deficit descending, start ascending
-        rows = sorted(zip(S, C, A, D))  # codomain order
+    f = _Fibers(qs, [mult for _, mult in q.atoms])
+    q_starts = [0, *accumulate(mult for _, mult in q.atoms)]
+    for runs, (P, (_, mult)) in enumerate(zip(ps, p.atoms), 1):
+        before = set(f.fid)
+        _assign_run(f, P, mult)
+        D, C, I = f.deficit, f.count, f.fid
+        assert len(set(I) - before) <= 1  # at most one fiber split
+        assert len(D) == len(C) == len(I) == len(set(I))
+        assert all(x >= y for x, y in zip(D, D[1:]))  # deficit non-increasing
+        rows = sorted((f.start[i], c, f.atom[i]) for i, c in zip(I, C))  # codomain order
         assert rows[0][0] == 0 and sum(C) == q.total_dim and min(C) > 0
-        assert all(s + c == s2 for (s, c, _, _), (s2, *_) in zip(rows, rows[1:]))
-        pairs = [(qs[a], d) for _, _, a, d in rows]
-        assert all(x != y for x, y in zip(pairs, pairs[1:]))
-    assert len(fibers[0]) <= len(p.atoms) + len(q.atoms)
-    D, S, C, A = _run_greedy(p, q)[0]
-    assert sorted(zip(*fibers)) == sorted(zip(D, S, C, A))
+        assert all(s + c == s2 for (s, c, _), (s2, _, _) in zip(rows, rows[1:]))
+        assert all(q_starts[a] <= s and s + c <= q_starts[a + 1] for s, c, a in rows)
+        assert len(D) <= runs + len(q.atoms)  # the fiber bound
+    (D, S, C, A), _, _ = _run_greedy(p, q)
+    assert S == [0, *accumulate(C[:-1])] and sum(C) == q.total_dim and min(C) > 0  # codomain order
+    pairs = list(zip(A, D))
+    assert all(x != y for x, y in zip(pairs, pairs[1:]))  # nothing left to coalesce
+    for i, d, c in zip(f.fid, f.deficit, f.count):
+        x = bisect_right(S, f.start[i]) - 1  # the output fiber holding this one
+        assert f.start[i] + c <= S[x] + C[x] and (A[x], D[x]) == (f.atom[i], d + f.offset)
 
 
 @pytest.mark.parametrize("p,q", _GRID, ids=_GRID_IDS)
@@ -403,6 +416,12 @@ def test_tie_across_level_blocks_takes_lowest_start_first():
     assert r.map.targets == (0, 1, 1, 1, 0, 1, 0)
     _assert_map_matches_heap(p, q)
     assert [(mu, c) for _, mu, c in r.assignments] == [(5 / 9, 1), (4 / 9, 1)]
+
+
+def test_tied_concentration_map_matches_heap():
+    # 3**8 = 6,561 source elements onto rank 55; the run-wise state ends
+    # with codomain neighbours at equal deficits, coalesced only at the end
+    _assert_map_matches_heap(_tied(8), _flat(0.5, 8))
 
 
 @st.composite
