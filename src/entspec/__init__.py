@@ -23,6 +23,8 @@ from .hermitian import (
     apply_tp,
     jordan,
     run_suite,
+    tail_C,
+    tail_D,
     trace_plus,
     verify_bd_sandwich,
     verify_continuity,
@@ -31,12 +33,7 @@ from .hermitian import (
     verify_product_tails,
     verify_tail_monotonicity,
 )
-from .infospec import (
-    cdf_selfinfo,
-    entropy_proxies,
-    tail_C,
-    tail_D,
-)
+from .infospec import cdf_selfinfo, entropy_proxies
 from .majorize import (
     BistochasticMatrix,
     DeterministicMap,

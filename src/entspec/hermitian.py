@@ -1,15 +1,21 @@
-"""Positive-part operator calculus and randomized verification suites.
+"""Positive-part operator calculus, dense operator tails and randomized verification suites.
 
-The calculus: Jordan decomposition of a Hermitian operator with the
-convention that zero eigenvalues belong to the non-positive part, the trace
-of the positive part, and three families of trace-preserving maps (Kraus,
-column-stochastic on eigenvalues, transpose mixing; only the first is
-completely positive).  Every function of the calculus, and every validation
-(Hermitian deviation, contraction, density, Kraus completeness, column
-sums), takes one matrix or a (..., d, d) stack and gives arrays; a map
-whose arrays are stacks is a stack of maps applied matrix by matrix.  Each
-verifier takes one matrix or an (N, d, d) stack, with its scalar parameters
-broadcast against it, and gives one result or one result per matrix.
+The calculus: Jordan decomposition of a Hermitian operator, the trace of
+the positive part, the tails of a state rho against a reference sigma
+(`tail_D`, the mass of rho on the positive part of rho - e^(n a) sigma, and
+`tail_C`, the trace of that part: the Nagaoka-Hayashi / Bowen-Datta
+information-spectrum quantities), and three families of trace-preserving
+maps (Kraus, column-stochastic on eigenvalues, transpose mixing; only the
+first is completely positive).  One cutoff decides every sign: an
+eigenvalue within 1e-10 of zero relative to its matrix's spectral norm
+counts as non-positive.  Every function of the calculus, and every
+validation (shape, finiteness, Hermitian deviation, contraction, density,
+Kraus completeness, column sums), takes one matrix or a (..., d, d) stack
+and gives arrays; an operator stack is validated once, where it enters,
+and a map whose arrays are stacks is a stack of maps applied matrix by
+matrix.  Each verifier takes one matrix or an (N, d, d) stack, with its
+scalar parameters broadcast against it, and gives one result or one result
+per matrix.
 
 The suites: seeded randomized checks of every operator inequality the
 conversion analysis rests on, plus structural suites for the majorization
@@ -36,18 +42,7 @@ from typing import Callable, NamedTuple, Optional, Union
 
 import numpy as np
 
-from .infospec import (
-    _columns,
-    _count_groups,
-    _per_matrix,
-    _positive_sum,
-    _positive_trace,
-    _projected_mass,
-    _tail_difference,
-    cdf_selfinfo,
-    tail_C,
-    tail_D,
-)
+from .infospec import cdf_selfinfo
 from .majorize import (
     DeterministicMap,
     kh_certificate,
@@ -57,7 +52,9 @@ from .majorize import (
     transfer_matrix,
 )
 from .randgen import brute_force_optimal, synthesize_map
-from .spectra import BudgetExceededError, Spectrum, _mass_term, expand
+from .spectra import _EXP_LIMIT, BudgetExceededError, Spectrum, _mass_term, expand
+
+_EIG_CUT_REL = 1e-10
 
 
 def _dagger(m: np.ndarray) -> np.ndarray:
@@ -72,18 +69,75 @@ def _trace(m: np.ndarray) -> np.ndarray:
     return np.trace(m, axis1=-2, axis2=-1)
 
 
+def _count_groups(w: np.ndarray) -> list:
+    """(c, selector) for each distinct count c of positive eigenvalues among the rows of w.
+
+    The rows are ascending, so a row's positive eigenvalues are its suffix
+    above the cutoff.  Stacked work is done per group, never with padding or
+    masking: a zero-padded sum or product rounds differently from the
+    per-matrix one.
+    """
+    cut = _EIG_CUT_REL * np.abs(w).max(axis=-1, keepdims=True, initial=0.0)
+    counts = np.count_nonzero(w > cut, axis=-1)
+    return [(c, counts == c) for c in set(counts.ravel().tolist())]
+
+
+def _columns(v: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """Eigenvector columns lo..hi of each matrix, column-major as v[:, mask] lays them out.
+
+    BLAS and einsum round by memory layout, so the layout matches the per-matrix one.
+    """
+    return np.ascontiguousarray(v[..., lo:hi].swapaxes(-1, -2)).swapaxes(-1, -2)
+
+
+def _positive_sum(w: np.ndarray) -> np.ndarray:
+    """Sum of the positive eigenvalues of each row of ascending eigenvalues."""
+    out = np.zeros(w.shape[:-1])
+    d = w.shape[-1]
+    for c, sel in _count_groups(w):
+        out[sel] = w[sel][..., d - c:].sum(axis=-1)
+    return out
+
+
+def _positive_trace(m: np.ndarray) -> np.ndarray:
+    """Trace of the positive part of each matrix of a (..., d, d) Hermitian stack."""
+    return _positive_sum(np.linalg.eigvalsh(m))
+
+
+def _per_matrix(x: np.ndarray):
+    """A float for a single matrix's result, the array for a stack's."""
+    return float(x) if x.ndim == 0 else x
+
+
 def _first(bad: np.ndarray) -> Optional[int]:
     """Flat index of the first flagged matrix of a stack, or None."""
     return int(np.argmax(bad)) if bad.any() else None
 
 
-def _check_hermitian(m: np.ndarray) -> np.ndarray:
-    """The symmetrized stack; a non-finite entry, or a deviation above 1e-10 of a matrix's largest entry, is rejected."""
+def _square_stacks(*xs) -> list:
+    """Each x as a complex nonempty square matrix or (..., d, d) stack, all of one shape."""
+    ms = [np.asarray(x, dtype=complex) for x in xs]
+    for m in ms:
+        if m.ndim < 2 or m.shape[-1] != m.shape[-2] or m.shape[-1] < 1:
+            raise ValueError(f"expected a nonempty square matrix, got shape {m.shape}")
+    if any(m.shape != ms[0].shape for m in ms):
+        raise ValueError(f"expected operators of one shape, got {[m.shape for m in ms]}")
+    return ms
+
+
+def _finite_scale(m: np.ndarray) -> np.ndarray:
+    """The largest entry magnitude of each matrix; a non-finite entry is rejected."""
     scale = np.abs(m).max(axis=(-2, -1))
     # written so that NaN fails
     i = _first(~(scale < math.inf))
     if i is not None:
         raise ValueError(f"matrix has a non-finite entry (largest magnitude {float(scale.flat[i])!r})")
+    return scale
+
+
+def _check_hermitian(m: np.ndarray) -> np.ndarray:
+    """The symmetrized stack; a non-finite entry, or a deviation above 1e-10 of a matrix's largest entry, is rejected."""
+    scale = _finite_scale(m)
     dev = np.abs(m - _dagger(m)).max(axis=(-2, -1))
     i = _first(dev > 1e-10 * scale)
     if i is not None:
@@ -190,10 +244,7 @@ TPMap = Union[CPTPMap, StochasticMap, TransposeMix]
 
 def _as_entries(x) -> np.ndarray:
     """A validated, symmetrized Hermitian matrix or (..., d, d) stack."""
-    m = np.asarray(x, dtype=complex)
-    if m.ndim < 2 or m.shape[-1] != m.shape[-2] or m.shape[-1] < 1:
-        raise ValueError(f"expected a nonempty square matrix, got shape {m.shape}")
-    return _check_hermitian(m)
+    return _check_hermitian(*_square_stacks(x))
 
 
 def _projector(w: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -222,9 +273,9 @@ def _jordan(m: np.ndarray) -> tuple:
 def jordan(a) -> tuple:
     """(positive part, negative part, positive projector, non-positive projector).
 
-    A = A_plus - A_minus and |A| = A_plus + A_minus.  Eigenvalues within
-    1e-10 of zero relative to the spectral norm count as non-positive, so the
-    zero operator has a full non-positive projector.  Takes a matrix or a
+    A = A_plus - A_minus and |A| = A_plus + A_minus.  Eigenvalues below the
+    cutoff count as non-positive, so the zero operator has a full
+    non-positive projector.  Takes a matrix or a
     (..., d, d) stack and gives arrays of its shape.
     """
     return _jordan(_as_entries(a))
@@ -298,6 +349,61 @@ def apply_tp(f: TPMap, a):
     return _apply_tp(f, _as_entries(a))
 
 
+def _threshold_factor(n: int, a: float) -> float:
+    # both checks written so that NaN fails
+    if not n >= 1:
+        raise ValueError("n must be a positive integer")
+    if not n * a <= _EXP_LIMIT:
+        raise ValueError(f"exp({n * a}) is not a finite double")
+    return math.exp(n * a)
+
+
+def _tail_difference(rho: np.ndarray, sigma: np.ndarray, n, a) -> np.ndarray:
+    """The Hermitian part of rho - e^(n a) sigma for two complex stacks of one shape.
+
+    n and a are numbers or sequences broadcast against the stack.
+    """
+    ns, xs = np.broadcast_arrays(n, a)
+    factors = [_threshold_factor(k, x) for k, x in zip(ns.ravel().tolist(), xs.ravel().tolist())]
+    return _symmetrized(rho - np.reshape(factors, ns.shape + (1, 1)) * sigma)
+
+
+def _projected_mass(r: np.ndarray, diff: np.ndarray) -> np.ndarray:
+    """Mass of each r on the strictly positive part of the matching diff."""
+    w, v = np.linalg.eigh(diff)
+    out = np.zeros(w.shape[:-1])
+    d = w.shape[-1]
+    for c, sel in _count_groups(w):
+        if c:
+            # one contraction per matrix: a stacked einsum rounds differently
+            out[sel] = [np.einsum("ij,ik,kj->", x.conj(), y, x).real for x, y in zip(_columns(v[sel], d - c, d), r[sel])]
+    return out
+
+
+def _tail_operators(rho, sigma) -> list:
+    """rho and sigma as complex square stacks of one shape with finite entries."""
+    ms = _square_stacks(rho, sigma)
+    for m in ms:
+        _finite_scale(m)
+    return ms
+
+
+def tail_D(rho, sigma, n, a):
+    """Mass of rho on the strictly positive part of rho - e^(n a) sigma.
+
+    Computed from the eigendecomposition of the difference.  Takes a matrix
+    pair or a (..., d, d) stack pair with n and a broadcast against it, and
+    gives a float or an array; a NaN or infinite entry raises a ValueError.
+    """
+    r, s = _tail_operators(rho, sigma)
+    return _per_matrix(_projected_mass(r, _tail_difference(r, s, n, a)))
+
+
+def tail_C(rho, sigma, n, a):
+    """Trace of the positive part of rho - e^(n a) sigma; stacks as in tail_D."""
+    return _per_matrix(_positive_trace(_tail_difference(*_tail_operators(rho, sigma), n, a)))
+
+
 def _require_psd(name: str, m: np.ndarray) -> np.ndarray:
     w = np.linalg.eigvalsh(m)
     low = w.min(axis=-1)
@@ -346,47 +452,35 @@ def _mat_json(m: np.ndarray) -> list:
     return [[[float(z.real), float(z.imag)] for z in row] for row in c]
 
 
-def _json_value(v):
+def _json_value(v, i: Optional[int] = None):
+    """JSON form of v, or of instance i of a stacked input: a matrix, a map, or an entry of a sequence.
+
+    A map whose arrays are single matrices applies to every instance.
+    """
+    if isinstance(v, CPTPMap):
+        kraus = v.kraus if i is None or v.kraus[0].ndim == 2 else [k[i] for k in v.kraus]
+        return {"kind": v.kind, "kraus": [_mat_json(k) for k in kraus]}
+    if isinstance(v, StochasticMap):
+        m = v.matrix if i is None or v.matrix.ndim == 2 else v.matrix[i]
+        return {"kind": v.kind, "matrix": [[float(x) for x in row] for row in m]}
+    if isinstance(v, TransposeMix):
+        return {"kind": v.kind, "t": v.t if i is None or np.ndim(v.t) == 0 else float(v.t[i])}
+    if i is not None:
+        v = v[i]
     if isinstance(v, np.ndarray):
         return _mat_json(v) if np.iscomplexobj(v) else [[float(x) for x in row] for row in v]
     if isinstance(v, Spectrum):
         return v.to_json_dict()
     if isinstance(v, DeterministicMap):
         return v.to_json_dict()
-    if isinstance(v, CPTPMap):
-        return {"kind": v.kind, "kraus": [_mat_json(k) for k in v.kraus]}
-    if isinstance(v, StochasticMap):
-        return {"kind": v.kind, "matrix": [[float(x) for x in row] for row in v.matrix]}
-    if isinstance(v, TransposeMix):
-        return {"kind": v.kind, "t": v.t}
     if isinstance(v, (bool, int, float, str)) or v is None:
         return v
     raise TypeError(f"cannot serialize {type(v).__name__}")
 
 
-def _payload(**kw) -> Callable[[], dict]:
-    def build():
-        return {k: _json_value(v) for k, v in kw.items()}
-
-    return build
-
-
-def _pick(v, i: int):
-    """Instance i of a stacked input: a matrix, a map, or an entry of a sequence.
-
-    A map whose arrays are single matrices applies to every instance.
-    """
-    if isinstance(v, CPTPMap):
-        return v if v.kraus[0].ndim == 2 else CPTPMap(tuple(k[i] for k in v.kraus))
-    if isinstance(v, StochasticMap):
-        return v if v.matrix.ndim == 2 else StochasticMap(v.matrix[i])
-    if isinstance(v, TransposeMix):
-        return v if np.ndim(v.t) == 0 else TransposeMix(float(v.t[i]))
-    return v[i]
-
-
-def _stack_payload(stacks: dict, i: int) -> Callable[[], dict]:
-    return lambda: {k: _json_value(_pick(v, i)) for k, v in stacks.items()}
+def _payload(i: Optional[int] = None, /, **values) -> Callable[[], dict]:
+    """A builder of the JSON form of the values, or of instance i of each."""
+    return lambda: {k: _json_value(v, i) for k, v in values.items()}
 
 
 def _results(checks: list, *, single: bool = False, **stacks):
@@ -394,17 +488,16 @@ def _results(checks: list, *, single: bool = False, **stacks):
 
     A violation's payload holds instance i of each stack.
     """
-    out = [_finish(c, _stack_payload(stacks, i)) for i, c in enumerate(checks)]
+    out = [_finish(c, _payload(i, **stacks)) for i, c in enumerate(checks)]
     return out[0] if single else out
 
 
 def _operators(*xs) -> tuple:
     """Validated (N, d, d) stacks of one shape, and whether the inputs were single matrices."""
-    ms = [_as_entries(x) for x in xs]
-    shape = ms[0].shape
-    if len(shape) > 3 or any(m.shape != shape for m in ms):
-        raise ValueError(f"expected matrices or (N, d, d) stacks of one shape, got {[m.shape for m in ms]}")
-    single = len(shape) == 2
+    ms = [_check_hermitian(m) for m in _square_stacks(*xs)]
+    if ms[0].ndim > 3:
+        raise ValueError(f"expected matrices or (N, d, d) stacks, got shape {ms[0].shape}")
+    single = ms[0].ndim == 2
     return [m[None] for m in ms] if single else ms, single
 
 
@@ -461,9 +554,9 @@ def verify_bd_sandwich(rho, sigma, n, a, gamma):
     _require_density("rho", rho)
     _require_psd("sigma", sigma)
     # tail_C and tail_D at the same cut share one difference operator
-    r, diff = _tail_difference(rho, sigma, n, a)
+    diff = _tail_difference(rho, sigma, n, a)
     c_a = _positive_trace(diff).tolist()
-    d_a = _projected_mass(r, diff).tolist()
+    d_a = _projected_mass(rho, diff).tolist()
     d_b = tail_D(rho, sigma, n, [x + g for x, g in zip(a, gamma)]).tolist()
     checks = [
         [

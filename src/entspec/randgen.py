@@ -240,17 +240,23 @@ def _run_greedy(
     A = list(map(f.atom.__getitem__, f.fid))
     if len(S) > 1:
         _permute((D, S, C, A), 0, sorted(range(len(S)), key=S.__getitem__))
-    # codomain neighbours sharing target and deficit become one fiber
-    ties = [x for x in compress(count(1), map(eq, islice(D, 1, None), D)) if A[x] == A[x - 1]]
-    if ties:
-        keep = [True] * len(D)
-        for x in reversed(ties):
-            C[x - 1] += C[x]
-            keep[x] = False
-        D, S, C, A = (list(compress(col, keep)) for col in (D, S, C, A))
+    D, S, C, A = _coalesce(D, S, C, A)
     if f.offset:
         D[:] = map(add, D, repeat(f.offset))
     return (D, S, C, A), qs, e
+
+
+def _coalesce(D: list[int], S: list[int], C: list[int], A: list[int]) -> tuple[list[int], ...]:
+    """Codomain-ordered fiber columns (deficits, starts, counts, target atoms)
+    with each run of neighbours that share target and deficit made one fiber."""
+    ties = [x for x in compress(count(1), map(eq, islice(D, 1, None), D)) if A[x] == A[x - 1]]
+    if not ties:
+        return D, S, C, A
+    keep = [True] * len(D)
+    for x in reversed(ties):
+        C[x - 1] += C[x]
+        keep[x] = False
+    return tuple(list(compress(col, keep)) for col in (D, S, C, A))
 
 
 @dataclass(frozen=True)
@@ -280,12 +286,15 @@ class MapSynthesisReport:
 
 
 def _report(
-    q: Spectrum,
-    assignments: tuple[tuple[float, float, int], ...],
-    distance: float,
-    map_: Optional[DeterministicMap],
+    q: Spectrum, fibers: tuple[list[int], ...], qs: list[int], e: int, map_: Optional[DeterministicMap]
 ) -> MapSynthesisReport:
-    """The report of a map onto q, with the pushforward built from the assignments."""
+    """The report of a map onto q from its coalesced fiber columns and q's
+    probabilities qs, all scaled by 2**e: one row per fiber, the exact
+    distance, and the pushforward built from the rows."""
+    deficits, _, counts, atoms = fibers
+    den = 1 << e
+    assignments = tuple((q.atoms[a][0], (qs[a] - d) / den, c) for d, c, a in zip(deficits, counts, atoms))
+    distance = sum(map(abs, map(mul, counts, deficits))) / den
     push = Spectrum.from_atoms([(mass, c) for _, mass, c in assignments if mass > 0.0], mass_tol=1e-11)
     return MapSynthesisReport(
         target=q, pushforward=push, achieved_distance=distance, assignments=assignments, map=map_
@@ -327,10 +336,7 @@ def synthesize_map(
         if _run_greedy(p, q, targets)[0] != fibers:
             raise RuntimeError("element-stepped and run-wise greedy assignments disagree")
         map_ = DeterministicMap(p.total_dim, tuple(targets), q.total_dim)
-    deficits, _, counts, atoms = fibers
-    den = 1 << e
-    assignments = tuple((q.atoms[a][0], (qs[a] - d) / den, c) for d, c, a in zip(deficits, counts, atoms))
-    return _report(q, assignments, sum(map(abs, map(mul, counts, deficits))) / den, map_)
+    return _report(q, fibers, qs, e, map_)
 
 
 def brute_force_optimal(p: Spectrum, q: Spectrum) -> MapSynthesisReport:
@@ -345,14 +351,9 @@ def brute_force_optimal(p: Spectrum, q: Spectrum) -> MapSynthesisReport:
     if total > BRUTE_FORCE_CAP:
         raise BudgetExceededError("brute_force_cap", total, BRUTE_FORCE_CAP)
     e, (p_sc, q_sc) = _scaled_atoms(p, q)
-    xs = []
-    for sc, (_, mult) in zip(p_sc, p.atoms):
-        xs.extend([sc] * mult)
-    q_scaled = []
-    q_probs = []
-    for sc, (prob, mult) in zip(q_sc, q.atoms):
-        q_scaled.extend([sc] * mult)
-        q_probs.extend([prob] * mult)
+    xs = [sc for sc, (_, mult) in zip(p_sc, p.atoms) for _ in range(mult)]
+    atoms = [a for a, (_, mult) in enumerate(q.atoms) for _ in range(mult)]
+    q_scaled = [q_sc[a] for a in atoms]
     best_d = None
     best_targets = None
     best_masses = None
@@ -365,12 +366,6 @@ def brute_force_optimal(p: Spectrum, q: Spectrum) -> MapSynthesisReport:
             d += abs(qs - mu)
         if best_d is None or d < best_d:
             best_d, best_targets, best_masses = d, targets, masses
-    den = 1 << e
-    groups: list[list] = []
-    for qs, prob, mu in zip(q_scaled, q_probs, best_masses):
-        if groups and groups[-1][0] == qs and groups[-1][1] == mu:
-            groups[-1][3] += 1
-        else:
-            groups.append([qs, mu, prob, 1])
-    assignments = tuple((prob, mu / den, c) for _, mu, prob, c in groups)
-    return _report(q, assignments, best_d / den, DeterministicMap(nx, tuple(best_targets), ny))
+    # one fiber per codomain element, coalesced as the greedy's are
+    fibers = _coalesce(list(map(sub, q_scaled, best_masses)), list(range(ny)), [1] * ny, atoms)
+    return _report(q, fibers, q_sc, e, DeterministicMap(nx, tuple(best_targets), ny))

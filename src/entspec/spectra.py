@@ -241,10 +241,13 @@ def _type_classes(base: Spectrum, n: int) -> Iterator[tuple[float, int]]:
     (r - c + 1), with the letters' m_i folded into the same step.
     """
     atoms = base.atoms
-    powers = [[p**c for c in range(n + 1)] for p, _ in atoms]
     if len(atoms) == 1:
-        yield powers[0][n], atoms[0][1] ** n
+        # one class and no tables; no multiplicity for a class that will be dropped
+        ((p, m),) = atoms
+        prob = p**n
+        yield prob, m**n if prob >= sys.float_info.min else 0
         return
+    powers = [[p**c for c in range(n + 1)] for p, _ in atoms]
     # (probability, multiplicity, copies left) of each prefix over all
     # letters but the last two
     prefixes = [(1.0, 1, n)]
@@ -293,10 +296,11 @@ def iid_spectrum(base: Spectrum, n: int, *, max_type_classes: int = DEFAULT_MAX_
     There is one candidate atom per composition of n over the base atoms; the
     atom count K is capped by `max_type_classes` before enumeration starts.
     The K classes cost O(K) big-int multiplies and (n + 1) * k float pows for
-    k base atoms, with no per-class math.comb; Spectrum.from_atoms then sorts
-    once and merges in one pass.  Atoms below the smallest normal double
-    (subnormal or 0.0) are dropped; when the mass left deviates from 1 by more
-    than MASS_TOL, the `iid_underflow_mass` budget is exceeded.
+    k >= 2 base atoms, one pow for k = 1, with no per-class math.comb;
+    Spectrum.from_atoms then sorts once and merges in one pass.  Atoms below
+    the smallest normal double (subnormal or 0.0) are dropped; when the mass
+    left deviates from 1 by more than MASS_TOL, the `iid_underflow_mass`
+    budget is exceeded.
     """
     if n < 1:
         raise ValueError("n must be a positive integer")

@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -156,6 +157,31 @@ def test_rates_underflow_exits_3_with_header(capsys):
     assert code == 3
     assert "iid_underflow_mass" in err
     assert out == "n,epsilon,underline_H,overline_H\n"
+
+
+def _cap_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+@pytest.mark.parametrize(
+    "base,code,rows,err",
+    [
+        ("iid:1", 0, "1000000000,0.1,0.0,0.0\n", b""),
+        # merges to one atom (0.2, 5), whose 10**9-th power underflows to 0.0
+        ("iid:0.2,0.2,0.2,0.2,0.2", 3, "", b"iid_underflow_mass"),
+    ],
+)
+def test_rates_one_atom_base_at_a_billion_copies(base, code, rows, err):
+    # a one-atom base used to cost memory linear in n; the 1 GiB address-space
+    # cap of the child process turns a regression into a MemoryError
+    src = str(Path(entspec.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-m", "entspec", "rates", base, "--n", "1000000000", "--eps", "0.1"],
+        capture_output=True, env=env, timeout=60, preexec_fn=_cap_address_space,
+    )
+    assert (done.returncode, done.stdout.decode()) == (code, "n,epsilon,underline_H,overline_H\n" + rows)
+    assert err in done.stderr
 
 
 def test_rates_maxent_rank_beyond_doubles_exits_3_with_header(capsys, tmp_path):

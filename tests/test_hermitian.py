@@ -28,7 +28,7 @@ from entspec.hermitian import (
     verify_product_tails,
     verify_tail_monotonicity,
 )
-from entspec.infospec import tail_C, tail_D
+from entspec.hermitian import tail_C, tail_D
 from entspec.spectra import BudgetExceededError, Spectrum
 
 import dense_oracle
@@ -86,6 +86,25 @@ def test_operator_validation_rejects_non_finite_entries():
     # a NaN entry used to pass the deviation check and read as 0.0
     with pytest.raises(ValueError, match="non-finite"):
         trace_plus([[math.nan, 0.0], [0.0, 1.0]])
+
+
+@pytest.mark.parametrize("tail", [tail_C, tail_D])
+@pytest.mark.parametrize(
+    "rho,sigma,message",
+    [
+        (np.ones((2, 3)) / 2, np.ones((2, 3)) / 2, "nonempty square"),
+        (np.eye(2) / 2, np.eye(3) / 3, "one shape"),
+        (np.zeros((0, 0)), np.zeros((0, 0)), "nonempty square"),  # the tails used to accept it
+        (np.diag([math.nan, 0.5]), np.eye(2) / 2, "non-finite"),
+    ],
+    ids=["non-square", "shape-mismatch", "empty", "non-finite"],
+)
+def test_tails_validate_operators_as_the_verifiers_do(tail, rho, sigma, message):
+    with pytest.raises(ValueError, match=message) as verifier:
+        verify_bd_sandwich(rho, sigma, 1, 0.1, 0.1)
+    with pytest.raises(ValueError, match=message) as got:
+        tail(rho, sigma, 1, 0.1)
+    assert str(got.value) == str(verifier.value)
 
 
 def test_contraction_gate_rejects_non_finite_entries():

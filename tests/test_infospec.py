@@ -3,13 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from entspec.hermitian import rand_spectrum
-from entspec.infospec import (
-    cdf_selfinfo,
-    entropy_proxies,
-    tail_C,
-    tail_D,
-)
+from entspec.hermitian import rand_spectrum, tail_C, tail_D
+from entspec.infospec import cdf_selfinfo, entropy_proxies
 from entspec.spectra import IID, MaxEnt, Mixture, Spectrum, entropy, expand, generate, iid_spectrum
 
 

@@ -60,6 +60,13 @@ def test_brute_force_matches_greedy_on_three_to_two():
     assert abs(b.achieved_distance - 0.2) < 1e-12
 
 
+def test_brute_force_rows_follow_the_greedy_row_rule():
+    # codomain neighbours with equal target and equal assigned mass make one row
+    p, q = _probs(0.5, 0.5), maxent_spectrum(4)
+    want = ((0.25, 0.5, 2), (0.25, 0.0, 2))
+    assert brute_force_optimal(p, q).assignments == synthesize_map(p, q).assignments == want
+
+
 def test_uniform_pair_to_skewed_target():
     r = synthesize_map(_probs(0.5, 0.5), _probs(0.8, 0.2))
     assert abs(r.achieved_distance - 0.4) < 1e-12

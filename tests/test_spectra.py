@@ -1,6 +1,7 @@
 import json
 import math
 import sys
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -130,6 +131,17 @@ def test_iid_underflow_beyond_mass_tolerance_is_a_budget():
         iid_spectrum(base, 2000)
     assert err.value.budget == "iid_underflow_mass"
     assert 0.025 < err.value.needed < 0.027
+
+
+def test_one_atom_iid_base_builds_no_power_table():
+    # the one-atom class used to be read from a table of n + 1 powers: 30 MB at n = 10**6
+    tracemalloc.start()
+    try:
+        s = iid_spectrum(Spectrum.from_probs([1.0]), 10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert s.atoms == ((1.0, 1),) and peak < 1 << 20
 
 
 def test_iid_drops_subnormal_atoms():
