@@ -5,6 +5,10 @@ and entropy-rate proxies, greedy conversion maps with majorization
 certificates and fidelity bounds, and randomized verification suites for the
 operator inequalities behind the asymptotic theory.  The operator calculus and
 its verifiers work on NumPy arrays: one matrix or a stack of them.
+
+Importing the package does not load NumPy.  The names of `hermitian` (the
+operator calculus, maps, verifiers and suites) resolve on first access, and
+that access imports `hermitian` and NumPy.
 """
 
 from .convert import (
@@ -13,25 +17,6 @@ from .convert import (
     concentration_experiment,
     dilution_experiment,
     direct_convert,
-)
-from .hermitian import (
-    CPTPMap,
-    StochasticMap,
-    SuiteReport,
-    TransposeMix,
-    VerifyResult,
-    apply_tp,
-    jordan,
-    run_suite,
-    tail_C,
-    tail_D,
-    trace_plus,
-    verify_bd_sandwich,
-    verify_continuity,
-    verify_lemma_bdm,
-    verify_lemma_np,
-    verify_product_tails,
-    verify_tail_monotonicity,
 )
 from .infospec import cdf_selfinfo, entropy_proxies
 from .majorize import (
@@ -127,3 +112,36 @@ __all__ = [
     "verify_product_tails",
     "verify_tail_monotonicity",
 ]
+
+# hermitian's public names, resolved on first access (PEP 562)
+_HERMITIAN = (
+    "CPTPMap",
+    "StochasticMap",
+    "SuiteReport",
+    "TransposeMix",
+    "VerifyResult",
+    "apply_tp",
+    "jordan",
+    "run_suite",
+    "tail_C",
+    "tail_D",
+    "trace_plus",
+    "verify_bd_sandwich",
+    "verify_continuity",
+    "verify_lemma_bdm",
+    "verify_lemma_np",
+    "verify_product_tails",
+    "verify_tail_monotonicity",
+)
+
+
+def __getattr__(name: str):
+    if name in _HERMITIAN:
+        from . import hermitian
+
+        return getattr(hermitian, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list:
+    return sorted(set(globals()) | set(_HERMITIAN))

@@ -6,6 +6,11 @@ grids), convert (one-shot spectrum conversion), concentrate / dilute
 
 Exit codes: 0 success, 1 suite violation, 2 usage or parse error, 3 budget
 exceeded.  Identical arguments produce byte-identical output.
+
+Only `schmidt` and `verify` use the dense layer, and they load it when they
+run: `schmidt` imports NumPy, `verify` NumPy and `hermitian`.  Importing
+this module, building its parser and running `rates`, `convert`,
+`concentrate` or `dilute` import neither.
 """
 
 from __future__ import annotations
@@ -17,7 +22,6 @@ import sys
 from typing import Optional
 
 from .convert import concentration_experiment, dilution_experiment, direct_convert
-from .hermitian import MAX_VERIFY_DIM, SUITES, run_suite
 from .infospec import entropy_proxies
 from .spectra import (
     DEFAULT_MAX_TYPE_CLASSES,
@@ -36,6 +40,18 @@ from .spectra import (
 )
 
 _LN2 = math.log(2.0)
+
+# hermitian.SUITES' names in `verify all` order, and hermitian.MAX_VERIFY_DIM,
+# held here so that building the parser does not load the dense layer
+SUITE_NAMES = ("np", "bdm", "bd", "continuity", "product", "monotonicity", "kh", "transfer", "greedy-vs-brute")
+MAX_VERIFY_DIM = 64
+
+
+def run_suite(name: str, **options):
+    """hermitian.run_suite, imported on first use."""
+    from . import hermitian
+
+    return hermitian.run_suite(name, **options)
 
 
 def parse_model(text: str) -> SequenceModel:
@@ -86,7 +102,8 @@ def _parse_int_grid(text: str) -> list[int]:
 
 def _parse_float_grid(text: str) -> list[float]:
     try:
-        vals = [float(t) for t in text.split(",") if t.strip()]
+        # + 0.0 reads -0 as 0.0, so it neither prints as -0.0 nor shadows 0.0 in the set
+        vals = [float(t) + 0.0 for t in text.split(",") if t.strip()]
     except ValueError:
         raise ValueError(f"expected a comma-separated list of reals, got {text!r}")
     if not vals:
@@ -235,10 +252,10 @@ def _cmd_experiment(args, task: str) -> int:
 def _cmd_verify(args) -> int:
     names = list(args.suites)
     if "all" in names:
-        names = list(SUITES)
-    unknown = [x for x in names if x not in SUITES]
+        names = list(SUITE_NAMES)
+    unknown = [x for x in names if x not in SUITE_NAMES]
     if unknown:
-        print(f"unknown suite(s): {', '.join(unknown)}; known: all, {', '.join(SUITES)}", file=sys.stderr)
+        print(f"unknown suite(s): {', '.join(unknown)}; known: all, {', '.join(SUITE_NAMES)}", file=sys.stderr)
         return 2
     reports = [run_suite(name, seed=args.seed, trials=args.trials, dim=args.dim) for name in names]
     text = _json_text({"seed": args.seed, "suites": [r.to_json_dict() for r in reports]})
@@ -319,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=lambda a: _cmd_experiment(a, "dilution"))
 
     sp = sub.add_parser("verify", help="run randomized verification suites")
-    sp.add_argument("suites", nargs="+", help=f"suite names or 'all'; known: {', '.join(SUITES)}")
+    sp.add_argument("suites", nargs="+", help=f"suite names or 'all'; known: {', '.join(SUITE_NAMES)}")
     sp.add_argument("--seed", type=int, default=7, help="master seed for instance generation")
     sp.add_argument("--trials", type=int, default=None, help="override per-suite trial counts")
     sp.add_argument("--dim", type=int, default=8, help=f"largest operator dimension sampled, 2 to {MAX_VERIFY_DIM}")

@@ -15,6 +15,10 @@ Two constructions witness the order:
 * `transfer_matrix` builds, for any majorized pair, a doubly stochastic
   matrix as a product of at most m - 1 two-coordinate averaging steps with
   D q = p on descending expansions.
+
+The predicate needs no NumPy.  The dense constructions (`BistochasticMatrix`,
+the certificates and their residual) import it when they run, so importing
+this module does not load it.
 """
 
 from __future__ import annotations
@@ -23,8 +27,6 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import accumulate
-
-import numpy as np
 
 from .spectra import (
     DEFAULT_MAX_EXPANDED_DIM,
@@ -112,6 +114,8 @@ class BistochasticMatrix:
     """
 
     def __init__(self, entries):
+        import numpy as np
+
         m = np.asarray(entries, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {m.shape}")
@@ -156,6 +160,8 @@ def pushforward(p: Spectrum, phi: DeterministicMap) -> Spectrum:
 
 def _split_and_reconstruction(xs, fibers):
     """Mass-on-first-slot vector per fiber, and the fiber-ordered source masses."""
+    import numpy as np
+
     split = np.zeros(len(xs))
     recon = np.zeros(len(xs))
     offset = 0
@@ -177,6 +183,8 @@ def kh_certificate(p: Spectrum, phi: DeterministicMap) -> BistochasticMatrix:
     nothing (a zero-size identity block).  The certificate is checked
     against the same expansion and fibers it is built from.
     """
+    import numpy as np
+
     xs, fibers = _fibers_of(p, phi, MAX_CERTIFICATE_DIM, "max_certificate_dim")
     split, recon = _split_and_reconstruction(xs, fibers)
     d = len(xs)
@@ -199,6 +207,8 @@ def kh_certificate(p: Spectrum, phi: DeterministicMap) -> BistochasticMatrix:
 
 def kh_residual(p: Spectrum, phi: DeterministicMap, cert: BistochasticMatrix) -> float:
     """Worst entrywise error of the certificate reproducing the source masses."""
+    import numpy as np
+
     xs, fibers = _fibers_of(p, phi, MAX_CERTIFICATE_DIM, "max_certificate_dim")
     if cert.dim != len(xs):
         raise ValueError(f"certificate dimension {cert.dim} does not match source {len(xs)}")
@@ -213,6 +223,8 @@ def transfer_matrix(p: Spectrum, q: Spectrum) -> BistochasticMatrix:
     moving mass from the largest still-overweight coordinate to the first
     underweight coordinate after it.  Requires majorizes(p, q).
     """
+    import numpy as np
+
     gap, at = prefix_gap_min(p, q)
     if gap < -MAJORIZE_TOL:
         raise ValueError(f"majorization fails at prefix count {at}: gap {gap!r}")

@@ -29,10 +29,13 @@ O(F·log B) comparisons per run, O(k_p·F) over the synthesis while B stays
 small (for i.i.d. sources onto flat targets, two or three blocks per run
 once F is large).  Fibers of equal deficit stay in any order except the one
 group at the boundary of the take, which is put in start order there, the
-only place the rule reads it; codomain neighbours that come to share target
-and deficit are coalesced once, after the last run, by one sort by start
-index.  A run splits at most one fiber, so F <= k_p + k_q, the bound the
-max_greedy_fibers budget checks up front.
+only place the rule reads it.  Codomain neighbours that come to share
+target and deficit are coalesced by one sort by start index, whenever the
+fiber count has doubled since the last coalescing and once more after the
+last run.  So a tie-heavy source, whose runs keep splitting fibers that
+meet again later at equal deficits, carries fewer than twice the fibers of
+its coalesced state, not one more per run.  A run splits at most one fiber,
+so F <= k_p + k_q, the bound the max_greedy_fibers budget checks up front.
 
 A DeterministicMap is built only on request (`with_map=True`): the same
 kernel is then stepped one source element at a time, one kernel call per
@@ -69,13 +72,15 @@ class _Fibers:
     The moving columns `deficit`, `count` and `fid` (fiber id) are parallel
     lists in deficit-descending order, equal deficits in any order.  A
     fiber's codomain `start` and target `atom` (its index in q.atoms) never
-    change and are looked up by id; a split appends one id.  Stored
+    change and are looked up by id; a split appends one id, and a
+    coalescing keeps the id of the first of the neighbours it merges.  Stored
     deficits are true deficits minus `offset`, so a uniform shift of one
     side of the order can move the other side instead.  Codomain neighbours
-    may share target and deficit until `_run_greedy` coalesces them.
+    may share target and deficit until the live fiber count reaches twice
+    `coalesced`, the count after the last coalescing (`_coalesce_fibers`).
     """
 
-    __slots__ = ("deficit", "count", "fid", "start", "atom", "offset")
+    __slots__ = ("deficit", "count", "fid", "start", "atom", "offset", "coalesced")
 
     def __init__(self, deficits: list[int], counts: list[int]):
         self.deficit = list(deficits)
@@ -84,6 +89,7 @@ class _Fibers:
         self.start = [0, *accumulate(counts[:-1])]
         self.atom = self.fid.copy()
         self.offset = 0
+        self.coalesced = len(counts)
 
 
 def _permute(cols: tuple[list[int], ...], lo: int, order: list[int]) -> None:
@@ -215,7 +221,33 @@ def _assign_run(f: _Fibers, P: int, m: int) -> int:
     if end > cut:
         _permute(cols, cut - k, sorted(range(cut - k, end), key=D.__getitem__, reverse=True))
     f.offset = off
+    if len(D) >= 2 * f.coalesced:
+        _coalesce_fibers(f)
     return taken
+
+
+def _codomain_columns(f: _Fibers) -> tuple[list[int], ...]:
+    """The fiber columns (stored deficits, starts, counts, target atoms, ids)
+    in codomain order, each run of neighbours that share target and deficit
+    made one fiber; reorders f's columns on the way."""
+    D, C, I = f.deficit, f.count, f.fid
+    S = list(map(f.start.__getitem__, I))
+    A = list(map(f.atom.__getitem__, I))
+    if len(I) > 1:
+        _permute((D, S, C, A, I), 0, sorted(range(len(I)), key=S.__getitem__))
+    return _coalesce(D, S, C, A, I)
+
+
+def _coalesce_fibers(f: _Fibers) -> None:
+    """Coalesce f's fibers and put them back in deficit order (stable, so
+    ties stay in start order).  Called whenever the fiber count doubles, it
+    keeps the count below twice that of the coalesced state, at O(log F)
+    amortized comparisons per run."""
+    D, _, C, _, I = _codomain_columns(f)
+    if len(D) > 1:
+        _permute((D, C, I), 0, sorted(range(len(D)), key=D.__getitem__, reverse=True))
+    f.deficit, f.count, f.fid = D, C, I
+    f.coalesced = len(D)
 
 
 def _run_greedy(
@@ -235,28 +267,27 @@ def _run_greedy(
             _assign_run(f, P, mult)
         else:
             targets.extend(_assign_run(f, P, 1) for _ in range(mult))
-    D, C = f.deficit, f.count
-    S = list(map(f.start.__getitem__, f.fid))
-    A = list(map(f.atom.__getitem__, f.fid))
-    if len(S) > 1:
-        _permute((D, S, C, A), 0, sorted(range(len(S)), key=S.__getitem__))
-    D, S, C, A = _coalesce(D, S, C, A)
+    D, S, C, A, _ = _codomain_columns(f)
     if f.offset:
         D[:] = map(add, D, repeat(f.offset))
     return (D, S, C, A), qs, e
 
 
-def _coalesce(D: list[int], S: list[int], C: list[int], A: list[int]) -> tuple[list[int], ...]:
-    """Codomain-ordered fiber columns (deficits, starts, counts, target atoms)
-    with each run of neighbours that share target and deficit made one fiber."""
+def _coalesce(
+    D: list[int], S: list[int], C: list[int], A: list[int], *more: list[int]
+) -> tuple[list[int], ...]:
+    """Codomain-ordered fiber columns (deficits, starts, counts, target atoms,
+    then any further columns) with each run of neighbours that share target
+    and deficit made one fiber, which keeps the first neighbour's entries."""
+    cols = (D, S, C, A, *more)
     ties = [x for x in compress(count(1), map(eq, islice(D, 1, None), D)) if A[x] == A[x - 1]]
     if not ties:
-        return D, S, C, A
+        return cols
     keep = [True] * len(D)
     for x in reversed(ties):
         C[x - 1] += C[x]
         keep[x] = False
-    return tuple(list(compress(col, keep)) for col in (D, S, C, A))
+    return tuple(list(compress(col, keep)) for col in cols)
 
 
 @dataclass(frozen=True)
@@ -319,11 +350,11 @@ def synthesize_map(
     three columns; no division per fiber, O(k_p·F) in all.  Ties between
     equal deficits are resolved lazily: put in start order only at the
     boundary of each take, and codomain neighbours that share target and
-    deficit are coalesced once after the last run.  The report's
-    assignments and distance are exact.  The explicit DeterministicMap is
-    built only when with_map is set, by one more kernel call per source
-    element; a source expansion above DEFAULT_MAX_EXPANDED_DIM then raises
-    a BudgetExceededError.
+    deficit are coalesced whenever the fiber count doubles and after the
+    last run.  The report's assignments and distance are exact.  The
+    explicit DeterministicMap is built only when with_map is set, by one
+    more kernel call per source element; a source expansion above
+    DEFAULT_MAX_EXPANDED_DIM then raises a BudgetExceededError.
     """
     if len(p.atoms) + len(q.atoms) > max_fibers:
         raise BudgetExceededError("max_greedy_fibers", len(p.atoms) + len(q.atoms), max_fibers)

@@ -21,6 +21,10 @@ about 1.1e-34 at n = 1200, 7.0e-16 at n = 1500 and 0.026 at n = 2000
 within MASS_TOL of 1 only the extreme quantiles of the self-information
 distribution are affected; beyond that, generation raises a
 BudgetExceededError naming the `iid_underflow_mass` budget.
+
+Only the dense helpers (`expand`, `AmplitudeMatrix`,
+`schmidt_from_amplitudes`) use NumPy, and they import it when they run:
+importing this module does not load it.
 """
 
 from __future__ import annotations
@@ -31,9 +35,10 @@ import numbers
 import sys
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Callable, Iterable, Iterator, Sequence, Union
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence, Union
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 MASS_TOL = 1e-12
 MERGE_RTOL = 1e-12
@@ -190,6 +195,8 @@ def entropy(s: Spectrum) -> float:
 
 def expand(s: Spectrum, max_expanded_dim: int = DEFAULT_MAX_EXPANDED_DIM) -> np.ndarray:
     """Expanded probability vector, descending.  Guarded by an expansion budget."""
+    import numpy as np
+
     if s.total_dim > max_expanded_dim:
         raise BudgetExceededError("max_expanded_dim", s.total_dim, max_expanded_dim)
     return np.repeat([p for p, _ in s.atoms], [m for _, m in s.atoms])
@@ -203,6 +210,8 @@ class AmplitudeMatrix:
     """Complex amplitude matrix C[i, j] of a bipartite pure state, unit Frobenius norm."""
 
     def __init__(self, entries):
+        import numpy as np
+
         m = np.asarray(entries, dtype=complex)
         if m.ndim != 2 or m.shape[0] < 1 or m.shape[1] < 1:
             raise ValueError(f"amplitude matrix must be 2-D and nonempty, got shape {m.shape}")
@@ -218,6 +227,8 @@ def schmidt_from_amplitudes(amps) -> Spectrum:
 
     Singular values below 1e-12 of the largest are treated as exact zeros.
     """
+    import numpy as np
+
     if not isinstance(amps, AmplitudeMatrix):
         amps = AmplitudeMatrix(amps)
     svals = np.linalg.svd(amps.entries, compute_uv=False)

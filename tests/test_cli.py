@@ -121,6 +121,13 @@ def test_rates_grid_is_sorted_and_deduplicated(capsys):
     assert [(r[0], r[1]) for r in rows] == [("2", "0.1"), ("2", "0.2"), ("4", "0.1"), ("4", "0.2")]
 
 
+@pytest.mark.parametrize("eps, rows", [("-0", ["0.0"]), ("-0,0.1,0", ["0.0", "0.1"]), ("-0.0", ["0.0"])])
+def test_rates_negative_zero_epsilon_reads_as_zero(eps, rows, capsys):
+    code, out, _ = run_cli(capsys, "rates", "iid:0.6,0.4", "--n", "3", f"--eps={eps}")
+    assert code == 0
+    assert [line.split(",")[1] for line in out.splitlines()[1:]] == rows
+
+
 def test_rates_json_format(tmp_path, capsys):
     dest = tmp_path / "rates.json"
     code, out, _ = run_cli(

@@ -410,6 +410,22 @@ def test_fiber_invariants(p, q):
     _assert_fiber_invariants(p, q)
 
 
+def test_tie_heavy_fiber_count_stays_below_twice_the_coalesced_count():
+    # tied30-flat ends with 2 fibers and its coalesced state never holds more
+    # than 6; a kernel that coalesces only after the last run carries one
+    # fiber per source run, 32 before that pass
+    p, q = _GRID[_GRID_IDS.index("tied30-flat")]
+    _, (ps, qs) = _scaled_atoms(p, q)
+    f = _Fibers(qs, [mult for _, mult in q.atoms])
+    most = len(q.atoms)
+    for P, (_, mult) in zip(ps, p.atoms):
+        _assign_run(f, P, mult)
+        # fibers left after merging codomain neighbours of one target and deficit
+        rows = sorted((f.start[i], f.atom[i], d) for i, d in zip(f.fid, f.deficit))
+        most = max(most, 1 + sum(x[1:] != y[1:] for x, y in zip(rows, rows[1:])))
+        assert len(f.deficit) < 2 * most <= 12
+
+
 def test_tie_across_level_blocks_takes_lowest_start_first():
     # The first run (1/3) splits the two halves into start 0 at deficit 1/6
     # (level 1 of 1/9) and start 1 at 1/2 (level 4).  The second run (six of
