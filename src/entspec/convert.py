@@ -39,12 +39,6 @@ def _sqrt_term(count: int, mu: float, qv: float) -> float:
     return math.exp(math.log(count) + 0.5 * (math.log(mu) + math.log(qv)))
 
 
-def fidelity_from_assignments(assignments) -> float:
-    """Sum over codomain labels of sqrt(assigned mass * target mass)."""
-    f = math.fsum(_sqrt_term(c, mu, qv) for qv, mu, c in assignments)
-    return min(max(f, 0.0), 1.0)
-
-
 @dataclass(frozen=True)
 class ConversionReport:
     """One conversion instance: its synthesis, certificate and fidelity.
@@ -102,12 +96,14 @@ def direct_convert(
     if n < 1:
         raise ValueError("n must be a positive integer")
     report = synthesize_map(p, q, max_fibers=max_fibers)
+    # sum over fibers of count * sqrt(assigned mass * target mass)
+    f = math.fsum(map(_sqrt_term, report.counts, report.assigned_masses, report.target_probs))
     return ConversionReport(
         n=n,
         source_spectrum=p,
         synthesis=report,
         nielsen_ok=majorizes(p, report.pushforward),
-        fidelity=fidelity_from_assignments(report.assignments),
+        fidelity=min(max(f, 0.0), 1.0),
     )
 
 

@@ -3,8 +3,9 @@
 p is majorized by q when every prefix sum of the descending expansion of p
 is bounded by the matching prefix of q, with equality of the totals; vectors
 of different length are compared after zero padding.  The predicate here
-walks the compressed atoms directly, so it works at expanded dimensions far
-beyond anything materializable.
+walks the compressed atoms directly, in one merge over the two spectra's
+prefix tables, so it works at expanded dimensions far beyond anything
+materializable.
 
 Two constructions witness the order:
 
@@ -24,16 +25,13 @@ this module does not load it.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import accumulate
 
 from .spectra import (
     DEFAULT_MAX_EXPANDED_DIM,
     BudgetExceededError,
     Spectrum,
     _mass_term,
-    cumulative_mass,
     expand,
 )
 
@@ -43,31 +41,40 @@ MAX_CERTIFICATE_DIM = 2048
 MAX_TRANSFER_DIM = 4096
 
 
-def _prefix_mass(atoms, cum_counts, cum_masses, k: int) -> float:
-    """Mass of the first k >= 1 expanded entries; k may exceed the dimension."""
-    if k >= cum_counts[-1]:
-        return cum_masses[-1]
-    i = bisect_left(cum_counts, k)  # first atom whose cumulative count reaches k
-    before_count = cum_counts[i - 1] if i else 0
-    before_mass = cum_masses[i - 1] if i else 0.0
-    return before_mass + _mass_term(atoms[i][0], k - before_count)
-
-
 def prefix_gap_min(p: Spectrum, q: Spectrum) -> tuple[float, int]:
     """Minimum of (q prefix - p prefix) over atom-boundary counts, with its argmin.
 
-    Costs O(k) big-int adds for the prefix masses of k atoms, plus a sort and
-    a binary search per boundary.
+    One merge walk over both spectra's prefix tables (`Spectrum.prefix_table`,
+    built once per spectrum), one step per distinct boundary count:
+    O(k_p + k_q) float operations for k_p and k_q atoms.  A side's prefix
+    mass at a count k inside or at the end of one of its atoms is the
+    table's mass before that atom plus the mass of the atom's first k -
+    (count before it) entries; at or past the side's total count it is the
+    table's total.  The argmin is the first count that reaches the minimum.
     """
-    pc = list(accumulate(m for _, m in p.atoms))
-    qc = list(accumulate(m for _, m in q.atoms))
-    pm = list(cumulative_mass(p.atoms))
-    qm = list(cumulative_mass(q.atoms))
+    pc, pm = p.prefix_table
+    qc, qm = q.prefix_table
+    pa, qa = p.atoms, q.atoms
+    p_end, q_end = pc[-1], qc[-1]
     best, best_k = math.inf, 0
-    for k in sorted(set(pc) | set(qc)):
-        gap = _prefix_mass(q.atoms, qc, qm, k) - _prefix_mass(p.atoms, pc, pm, k)
+    i = j = 0  # the atoms of p and q that the next count falls in or ends
+    p_count = q_count = 0  # the counts before those atoms
+    p_mass = q_mass = 0.0  # and the masses before them
+    while i < len(pc) or j < len(qc):
+        pk = pc[i] if i < len(pc) else math.inf
+        qk = qc[j] if j < len(qc) else math.inf
+        k = pk if pk < qk else qk
+        pv = p_mass + _mass_term(pa[i][0], k - p_count) if k < p_end else pm[-1]
+        qv = q_mass + _mass_term(qa[j][0], k - q_count) if k < q_end else qm[-1]
+        gap = qv - pv
         if gap < best:
             best, best_k = gap, k
+        if k == pk:
+            p_count, p_mass = k, pm[i]
+            i += 1
+        if k == qk:
+            q_count, q_mass = k, qm[j]
+            j += 1
     return best, best_k
 
 
@@ -75,8 +82,10 @@ def majorizes(p: Spectrum, q: Spectrum) -> bool:
     """True when p is majorized by q (q at least as ordered), within tolerance.
 
     Prefix gaps within MAJORIZE_TOL of zero count as satisfied; total masses are
-    already pinned to 1 by the spectrum invariant.  Costs O(k) big-int adds
-    for k atoms (see `prefix_gap_min`).
+    already pinned to 1 by the spectrum invariant.  Costs one merge walk
+    over the two prefix tables, O(k_p + k_q) for k_p and k_q atoms, plus
+    O(k) big-int adds to build the table of a spectrum not seen before (see
+    `prefix_gap_min`).
     """
     gap, _ = prefix_gap_min(p, q)
     return gap >= -MAJORIZE_TOL
@@ -221,7 +230,11 @@ def transfer_matrix(p: Spectrum, q: Spectrum) -> BistochasticMatrix:
 
     Built as a product of at most m - 1 two-coordinate averaging steps, each
     moving mass from the largest still-overweight coordinate to the first
-    underweight coordinate after it.  Requires majorizes(p, q).
+    underweight coordinate after it.  Requires majorizes(p, q).  Each step
+    finds its two coordinates by a Python scan of the current vector and
+    applies itself as a dense m x m matrix (one identity whose four entries
+    are set and reset), so D is the same BLAS product, bit for bit, as with
+    a fresh identity per step.
     """
     import numpy as np
 
@@ -237,23 +250,24 @@ def transfer_matrix(p: Spectrum, q: Spectrum) -> BistochasticMatrix:
     cur[: len(qv)] = qv
     d = np.eye(m)
     eps = 1e-13
+    tgt = target.tolist()
+    step = np.eye(m)
     for _ in range(m - 1):
-        diff = cur - target
-        over = np.nonzero(diff > eps)[0]
-        if over.size == 0:
+        c = cur.tolist()
+        j = next((x for x in range(m - 1, -1, -1) if c[x] - tgt[x] > eps), None)
+        if j is None:
             break
-        j = int(over[-1])
-        under = np.nonzero(diff[j + 1 :] < -eps)[0]
-        if under.size == 0:
+        k = next((x for x in range(j + 1, m) if c[x] - tgt[x] < -eps), None)
+        if k is None:
             break
-        k = j + 1 + int(under[0])
-        delta = min(diff[j], -diff[k])
-        lam = 1.0 - delta / (cur[j] - cur[k])
-        step = np.eye(m)
+        delta = min(c[j] - tgt[j], -(c[k] - tgt[k]))
+        lam = 1.0 - delta / (c[j] - c[k])
         step[j, j] = step[k, k] = lam
         step[j, k] = step[k, j] = 1.0 - lam
         cur = step @ cur
         d = step @ d
+        step[j, j] = step[k, k] = 1.0
+        step[j, k] = step[k, j] = 0.0
     if np.abs(cur - target).max() > 1e-9:
         raise RuntimeError("two-coordinate mixing failed to reach the target vector")
     return BistochasticMatrix(d)

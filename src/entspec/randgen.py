@@ -48,7 +48,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate, compress, count, islice, product, repeat
-from operator import add, eq, itemgetter, mul, neg, sub
+from operator import add, eq, itemgetter, mul, neg, sub, truediv
 from typing import Optional
 
 from .majorize import DeterministicMap
@@ -295,40 +295,55 @@ class MapSynthesisReport:
     """Synthesis outcome: the map (when requested), its pushforward,
     and the variational distance sum_y |q(y) - q~(y)| to the target.
 
-    `assignments` holds one (target_prob, assigned_mass, count) row per run
-    of codomain elements, in codomain order.  It preserves the codomain-label
-    pairing that the sorted `pushforward` spectrum forgets; the distance is
-    defined on that pairing.
+    Three parallel columns hold one entry per fiber, a run of codomain
+    elements, in codomain order: the target probability `target_probs`, the
+    mass `assigned_masses` assigned to each element of the fiber, and the
+    element count `counts`.  They preserve the codomain-label pairing that
+    the sorted `pushforward` spectrum forgets; the distance is defined on
+    that pairing.  `assignments` zips them into (target_prob, assigned_mass,
+    count) rows for the readers that want rows.
     """
 
     target: Spectrum
     pushforward: Spectrum
     achieved_distance: float
-    assignments: tuple[tuple[float, float, int], ...]
+    target_probs: tuple[float, ...]
+    assigned_masses: tuple[float, ...]
+    counts: tuple[int, ...]
     map: Optional[DeterministicMap]
 
     def __post_init__(self):
         if not 0.0 <= self.achieved_distance <= 2.0 + 1e-11:
             raise ValueError(f"variational distance {self.achieved_distance!r} outside [0, 2]")
-        if sum(c for _, _, c in self.assignments) != self.target.total_dim:
+        if not len(self.target_probs) == len(self.assigned_masses) == len(self.counts):
+            raise ValueError("fiber columns differ in length")
+        if sum(self.counts) != self.target.total_dim:
             raise ValueError("assignments do not cover the codomain")
         if self.map is not None and self.map.codomain_size != self.target.total_dim:
             raise ValueError("map codomain does not match target dimension")
+
+    @property
+    def assignments(self) -> tuple[tuple[float, float, int], ...]:
+        return tuple(zip(self.target_probs, self.assigned_masses, self.counts))
 
 
 def _report(
     q: Spectrum, fibers: tuple[list[int], ...], qs: list[int], e: int, map_: Optional[DeterministicMap]
 ) -> MapSynthesisReport:
     """The report of a map onto q from its coalesced fiber columns and q's
-    probabilities qs, all scaled by 2**e: one row per fiber, the exact
-    distance, and the pushforward built from the rows."""
+    probabilities qs, all scaled by 2**e: the three report columns, the
+    exact distance, and the pushforward built from (mass, count) pairs."""
     deficits, _, counts, atoms = fibers
     den = 1 << e
-    assignments = tuple((q.atoms[a][0], (qs[a] - d) / den, c) for d, c, a in zip(deficits, counts, atoms))
+    probs = tuple(map(itemgetter(0), map(q.atoms.__getitem__, atoms)))
+    masses = tuple(map(truediv, map(sub, map(qs.__getitem__, atoms), deficits), repeat(den)))
     distance = sum(map(abs, map(mul, counts, deficits))) / den
-    push = Spectrum.from_atoms([(mass, c) for _, mass, c in assignments if mass > 0.0], mass_tol=1e-11)
+    # an assigned mass is a sum of source probabilities, so never negative:
+    # compress keeps exactly the fibers of positive mass
+    push = Spectrum.from_atoms(compress(zip(masses, counts), masses), mass_tol=1e-11)
     return MapSynthesisReport(
-        target=q, pushforward=push, achieved_distance=distance, assignments=assignments, map=map_
+        target=q, pushforward=push, achieved_distance=distance,
+        target_probs=probs, assigned_masses=masses, counts=tuple(counts), map=map_,
     )
 
 
@@ -351,7 +366,7 @@ def synthesize_map(
     equal deficits are resolved lazily: put in start order only at the
     boundary of each take, and codomain neighbours that share target and
     deficit are coalesced whenever the fiber count doubles and after the
-    last run.  The report's assignments and distance are exact.  The
+    last run.  The report's columns and distance are exact.  The
     explicit DeterministicMap is built only when with_map is set, by one
     more kernel call per source element; a source expansion above
     DEFAULT_MAX_EXPANDED_DIM then raises a BudgetExceededError.

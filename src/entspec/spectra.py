@@ -34,6 +34,8 @@ import math
 import numbers
 import sys
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import accumulate
 from operator import itemgetter
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence, Union
 
@@ -128,6 +130,16 @@ class Spectrum:
 
     atoms: tuple[tuple[float, int], ...]
     total_dim: int
+
+    @cached_property
+    def prefix_table(self) -> tuple[list[int], list[float]]:
+        """Cumulative multiplicities and `cumulative_mass` values, one per atom.
+
+        Built on first use, at O(k) big-int adds for k atoms, and kept on
+        the instance: the spectrum is immutable, so the table never goes
+        stale.
+        """
+        return list(accumulate(m for _, m in self.atoms)), list(cumulative_mass(self.atoms))
 
     @classmethod
     def from_atoms(cls, pairs: Iterable[tuple[float, int]], *, mass_tol: float = MASS_TOL) -> "Spectrum":

@@ -1,20 +1,22 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from entspec import convert, spectra
 from entspec.convert import (
     ConversionReport,
     RateVerdict,
     concentration_experiment,
     dilution_experiment,
+    _sqrt_term,
     direct_convert,
-    fidelity_from_assignments,
 )
 from entspec.hermitian import rand_spectrum
 from entspec.infospec import entropy_proxies
 from entspec.randgen import synthesize_map
-from entspec.spectra import IID, MaxEnt, Spectrum, iid_spectrum
+from entspec.spectra import IID, MaxEnt, Spectrum, iid_spectrum, maxent_rank, maxent_spectrum
 
 
 def _probs(*xs):
@@ -58,7 +60,8 @@ def test_bound_invariants_on_random_instances():
         assert abs(r.trace_distance_upper - math.sqrt(max(0.0, 1.0 - r.fidelity ** 2))) < 1e-12
         assert r.trace_distance_lower <= r.trace_distance_upper + 1e-12
         assert r.nielsen_ok  # coarse-graining always majorizes its source
-        assert abs(fidelity_from_assignments(r.synthesis.assignments) - r.fidelity) < 1e-12
+        f = math.fsum(_sqrt_term(c, mu, qv) for qv, mu, c in r.synthesis.assignments)
+        assert abs(min(max(f, 0.0), 1.0) - r.fidelity) < 1e-12
 
 
 def test_report_validation_rejects_inconsistent_fields():
@@ -77,6 +80,35 @@ def test_report_validation_rejects_inconsistent_fields():
     with pytest.raises(ValueError, match="majorization"):
         ConversionReport(n=1, source_spectrum=_probs(1.0), synthesis=spread, nielsen_ok=True, fidelity=1.0)
     ConversionReport(n=1, source_spectrum=_probs(1.0), synthesis=spread, nielsen_ok=False, fidelity=1.0)
+
+
+@pytest.mark.parametrize("task", ["concentration", "dilution"])
+def test_direct_convert_builds_each_prefix_table_once(monkeypatch, task):
+    """The certificate and the report's re-check both run `majorizes` on
+    the source and the pushforward; each spectrum's prefix table is built
+    by the first of them and read by the second."""
+    built = Counter()
+
+    def counting_cumulative_mass(atoms):
+        built[id(atoms)] += 1
+        return cumulative_mass(atoms)
+
+    checked = []
+
+    def counting_majorizes(p, q):
+        checked.append((p, q))
+        return majorizes(p, q)
+
+    cumulative_mass, majorizes = spectra.cumulative_mass, convert.majorizes
+    monkeypatch.setattr(spectra, "cumulative_mass", counting_cumulative_mass)
+    monkeypatch.setattr(convert, "majorizes", counting_majorizes)
+    modeled = iid_spectrum(_probs(0.6, 0.3, 0.1), 40)
+    flat = maxent_spectrum(maxent_rank(0.5 if task == "concentration" else 1.2, 40))
+    p, q = (modeled, flat) if task == "concentration" else (flat, modeled)
+    r = direct_convert(p, q, 40)
+    push = r.synthesis.pushforward
+    assert checked == [(p, push), (p, push)]
+    assert built == {id(p.atoms): 1, id(push.atoms): 1}
 
 
 def test_concentration_below_entropy_rate_converges():

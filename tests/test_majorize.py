@@ -1,11 +1,19 @@
+import importlib.util
 import math
+from bisect import bisect_left
+from itertools import accumulate
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from entspec import hermitian
 from entspec.hermitian import rand_spectrum
 from entspec.majorize import (
     MAJORIZE_TOL,
+    MAX_TRANSFER_DIM,
     BistochasticMatrix,
     DeterministicMap,
     kh_certificate,
@@ -15,11 +23,15 @@ from entspec.majorize import (
     pushforward,
     transfer_matrix,
 )
+from entspec.randgen import synthesize_map
 from entspec.spectra import (
+    IID,
     BudgetExceededError,
     Spectrum,
     _mass_term,
+    cumulative_mass,
     expand,
+    generate,
     iid_spectrum,
     maxent_rank,
     maxent_spectrum,
@@ -283,3 +295,146 @@ def test_prefix_gap_min_matches_fsum_oracle_iid_versus_flat():
                 _assert_same_gap(flat, s)
     huge = iid_spectrum(Spectrum.from_probs([0.9, 0.1]), 100)
     _assert_same_gap(Spectrum.from_atoms([(2.0 ** -100, 2 ** 100)]), huge)
+
+
+def _bisect_prefix_gap_min(p, q):
+    """prefix_gap_min by another route: a sort of the boundary counts, and a
+    binary search per count into prefix tables built afresh."""
+
+    def prefix_mass(atoms, cum_counts, cum_masses, k):
+        if k >= cum_counts[-1]:
+            return cum_masses[-1]
+        i = bisect_left(cum_counts, k)  # first atom whose cumulative count reaches k
+        before_count = cum_counts[i - 1] if i else 0
+        before_mass = cum_masses[i - 1] if i else 0.0
+        return before_mass + _mass_term(atoms[i][0], k - before_count)
+
+    pc = list(accumulate(m for _, m in p.atoms))
+    qc = list(accumulate(m for _, m in q.atoms))
+    pm = list(cumulative_mass(p.atoms))
+    qm = list(cumulative_mass(q.atoms))
+    best, best_k = math.inf, 0
+    for k in sorted(set(pc) | set(qc)):
+        gap = prefix_mass(q.atoms, qc, qm, k) - prefix_mass(p.atoms, pc, pm, k)
+        if gap < best:
+            best, best_k = gap, k
+    return best, best_k
+
+
+def _compressed(atoms):
+    """A spectrum of the descending atoms, unnormalized: the walk reads only
+    atoms and prefix tables."""
+    return Spectrum(tuple(atoms), sum(m for _, m in atoms))
+
+
+# atoms down to 1e-300; multiplicities small, above 2**64, or beyond the
+# float range (counts inside such an atom take _mass_term's exp/log path)
+_ATOMS = st.one_of(
+    st.tuples(st.floats(min_value=1e-300, max_value=1.0), st.integers(1, 6)),
+    st.tuples(st.floats(min_value=1e-300, max_value=1.0), st.integers(2**64, 2**80)),
+    st.tuples(st.floats(min_value=1e-300, max_value=1e-290), st.integers(2**1024, 2**1030)),
+)
+_ATOM_LISTS = st.lists(_ATOMS, min_size=1, max_size=25, unique_by=lambda a: a[0]).map(
+    lambda atoms: sorted(atoms, reverse=True)
+)
+
+
+@st.composite
+def _compressed_pairs(draw):
+    p, q = draw(_ATOM_LISTS), draw(_ATOM_LISTS)
+    shared = draw(st.integers(0, len(p)))
+    if shared:
+        # q starts with p's first atoms scaled by one factor, so both sides
+        # end atoms at the same counts there; its own atoms follow below
+        f = draw(st.floats(min_value=0.5, max_value=1.0))
+        head = [(v * f, m) for v, m in p[:shared]]
+        floor = 0.5 * head[-1][0]
+        q = head + [(v * floor, m) for v, m in q if v * floor >= 1e-300]
+    return _compressed(p), _compressed(q)
+
+
+def _assert_same_walk(p, q):
+    assert repr(prefix_gap_min(p, q)) == repr(_bisect_prefix_gap_min(p, q))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_compressed_pairs())
+@example((_compressed([(0.5, 2)]), _compressed([(0.5, 2)])))
+@example((_compressed([(0.25, 4)]), _compressed([(0.5, 1), (0.25, 2)])))
+@example((_compressed([(1e-300, 2**1030)]), _compressed([(2.0**-70, 2**64), (2.0**-80, 3)])))
+def test_prefix_walk_matches_the_bisect_oracle(pair):
+    p, q = pair
+    _assert_same_walk(p, q)
+    _assert_same_walk(q, p)
+
+
+def _load_workloads():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_prefix_walk_matches_the_bisect_oracle_on_dilute_pairs(seed):
+    """The benchmark's `dilute` certificate at n = 150: its flat source
+    against the greedy pushforward (some 4,000 atoms), both ways round."""
+    workloads = _load_workloads()
+    probs = workloads.base(seed)
+    argv = workloads.ops("dilute", seed)[0]
+    rate, n = float(argv[3]), int(argv[5])
+    assert n == 150
+    flat = maxent_spectrum(maxent_rank(rate, n))
+    push = synthesize_map(flat, generate(IID(Spectrum.from_probs(list(probs))), n)).pushforward
+    _assert_same_walk(flat, push)
+    _assert_same_walk(push, flat)
+
+
+def _dense_transfer_entries(p, q):
+    """transfer_matrix's product of averaging steps with a fresh m x m
+    identity per step and NumPy scans for the two coordinates."""
+    pv = expand(p, MAX_TRANSFER_DIM)
+    qv = expand(q, MAX_TRANSFER_DIM)
+    m = max(len(pv), len(qv))
+    target = np.zeros(m)
+    target[: len(pv)] = pv
+    cur = np.zeros(m)
+    cur[: len(qv)] = qv
+    d = np.eye(m)
+    eps = 1e-13
+    for _ in range(m - 1):
+        diff = cur - target
+        over = np.nonzero(diff > eps)[0]
+        if over.size == 0:
+            break
+        j = int(over[-1])
+        under = np.nonzero(diff[j + 1 :] < -eps)[0]
+        if under.size == 0:
+            break
+        k = j + 1 + int(under[0])
+        delta = min(diff[j], -diff[k])
+        lam = 1.0 - delta / (cur[j] - cur[k])
+        step = np.eye(m)
+        step[j, j] = step[k, k] = lam
+        step[j, k] = step[k, j] = 1.0 - lam
+        cur = step @ cur
+        d = step @ d
+    return d
+
+
+def test_transfer_matrix_matches_the_dense_step_oracle_bit_for_bit(monkeypatch):
+    """Every instance of the `transfer` suite for three seeds (1,500 pairs)."""
+    pairs = []
+
+    def recording(p, q):
+        pairs.append((p, q))
+        return transfer_matrix(p, q)
+
+    monkeypatch.setattr(hermitian, "transfer_matrix", recording)
+    for seed in (0, 1, 2):
+        hermitian.run_suite("transfer", seed=seed)
+    assert len(pairs) == 1500
+    differ = [i for i, (p, q) in enumerate(pairs)
+              if transfer_matrix(p, q).entries.tobytes() != _dense_transfer_entries(p, q).tobytes()]
+    assert differ == []

@@ -158,15 +158,20 @@ def test_report_validation():
             target=_probs(0.5, 0.5),
             pushforward=_probs(1.0),
             achieved_distance=0.5,
-            assignments=(),  # the codomain has two elements
+            target_probs=(),
+            assigned_masses=(),
+            counts=(),  # the codomain has two elements
             map=None,
         )
     good = synthesize_map(_probs(0.4, 0.3, 0.3), _probs(0.5, 0.5), with_map=True)
+    columns = (good.target_probs, good.assigned_masses, good.counts)
     with pytest.raises(ValueError, match="outside"):
-        MapSynthesisReport(good.target, good.pushforward, 2.5, good.assignments, good.map)
+        MapSynthesisReport(good.target, good.pushforward, 2.5, *columns, good.map)
     wide = DeterministicMap(3, (0, 1, 2), 3)
     with pytest.raises(ValueError, match="map codomain"):
-        MapSynthesisReport(good.target, good.pushforward, 0.2, good.assignments, wide)
+        MapSynthesisReport(good.target, good.pushforward, 0.2, *columns, wide)
+    with pytest.raises(ValueError, match="differ in length"):
+        MapSynthesisReport(good.target, good.pushforward, 0.2, good.target_probs, (), good.counts, None)
 
 
 def _distances(source, target, n_grid):
