@@ -7,8 +7,8 @@ operator inequalities behind the asymptotic theory.  The operator calculus and
 its verifiers work on NumPy arrays: one matrix or a stack of them.
 
 Importing the package does not load NumPy.  The names of `hermitian` (the
-operator calculus, maps, verifiers and suites) resolve on first access, and
-that access imports `hermitian` and NumPy.
+dense tails, maps, verifiers and suites) resolve on first access, and that
+access imports `hermitian` and NumPy.
 """
 
 from .convert import (
@@ -77,7 +77,6 @@ __all__ = [
     "SuiteReport",
     "TransposeMix",
     "VerifyResult",
-    "apply_tp",
     "brute_force_optimal",
     "cdf_selfinfo",
     "concentration_experiment",
@@ -88,7 +87,6 @@ __all__ = [
     "expand",
     "generate",
     "iid_spectrum",
-    "jordan",
     "kh_certificate",
     "kh_residual",
     "load_model",
@@ -103,7 +101,6 @@ __all__ = [
     "synthesize_map",
     "tail_C",
     "tail_D",
-    "trace_plus",
     "transfer_matrix",
     "verify_bd_sandwich",
     "verify_continuity",
@@ -120,12 +117,9 @@ _HERMITIAN = (
     "SuiteReport",
     "TransposeMix",
     "VerifyResult",
-    "apply_tp",
-    "jordan",
     "run_suite",
     "tail_C",
     "tail_D",
-    "trace_plus",
     "verify_bd_sandwich",
     "verify_continuity",
     "verify_lemma_bdm",

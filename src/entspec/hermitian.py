@@ -1,12 +1,12 @@
 """Positive-part operator calculus, dense operator tails and randomized verification suites.
 
-The calculus: Jordan decomposition of a Hermitian operator, the trace of
-the positive part, the tails of a state rho against a reference sigma
+The calculus: the tails of a state rho against a reference sigma
 (`tail_D`, the mass of rho on the positive part of rho - e^(n a) sigma, and
 `tail_C`, the trace of that part: the Nagaoka-Hayashi / Bowen-Datta
-information-spectrum quantities), and three families of trace-preserving
-maps (Kraus, column-stochastic on eigenvalues, transpose mixing; only the
-first is completely positive).  One cutoff decides every sign: an
+information-spectrum quantities), the private positive-part helpers the
+verifiers share, and three families of trace-preserving maps (Kraus,
+column-stochastic on diagonal arguments, transpose mixing; only the first is
+completely positive).  One cutoff decides every sign: an
 eigenvalue within 1e-10 of zero relative to its matrix's spectral norm
 counts as non-positive.  Every function of the calculus, and every
 validation (shape, finiteness, Hermitian deviation, contraction, density,
@@ -189,9 +189,10 @@ class CPTPMap:
 
 @dataclass(frozen=True, eq=False)
 class StochasticMap:
-    """Column-stochastic action on eigenvalues (trace preserving, not CP).
+    """Column-stochastic action on the diagonal of a diagonal argument (trace preserving, not CP).
 
-    A (..., d, d) matrix stack makes a stack of maps.
+    Its argument must be diagonal: to act on the eigenvalues of a Hermitian A,
+    pass diag(eigvalsh(A)).  A (..., d, d) matrix stack makes a stack of maps.
     """
 
     matrix: np.ndarray
@@ -242,11 +243,6 @@ class TransposeMix:
 TPMap = Union[CPTPMap, StochasticMap, TransposeMix]
 
 
-def _as_entries(x) -> np.ndarray:
-    """A validated, symmetrized Hermitian matrix or (..., d, d) stack."""
-    return _check_hermitian(*_square_stacks(x))
-
-
 def _projector(w: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Projector onto each matrix's positive eigenvectors, from its eigh, not yet symmetrized."""
     d = w.shape[-1]
@@ -257,42 +253,8 @@ def _projector(w: np.ndarray, v: np.ndarray) -> np.ndarray:
     return proj
 
 
-def _jordan(m: np.ndarray) -> tuple:
-    w, v = np.linalg.eigh(m)
-    d = m.shape[-1]
-    a_plus, a_minus = np.zeros_like(m), np.zeros_like(m)
-    for c, sel in _count_groups(w):
-        ws, vs = w[sel], v[sel]
-        vp, vn = _columns(vs, d - c, d), _columns(vs, 0, d - c)
-        a_plus[sel] = (vp * ws[..., None, d - c:]) @ _dagger(vp)
-        a_minus[sel] = -((vn * ws[..., None, : d - c]) @ _dagger(vn))
-    proj_pos = _projector(w, v)
-    return tuple(_symmetrized(x) for x in (a_plus, a_minus, proj_pos, np.eye(d) - proj_pos))
-
-
-def jordan(a) -> tuple:
-    """(positive part, negative part, positive projector, non-positive projector).
-
-    A = A_plus - A_minus and |A| = A_plus + A_minus.  Eigenvalues below the
-    cutoff count as non-positive, so the zero operator has a full
-    non-positive projector.  Takes a matrix or a
-    (..., d, d) stack and gives arrays of its shape.
-    """
-    return _jordan(_as_entries(a))
-
-
-def trace_plus(a):
-    """Trace of the positive part: the sum of the positive eigenvalues (an array for a stack)."""
-    return _per_matrix(_positive_trace(_as_entries(a)))
-
-
 def _trace_norm(m: np.ndarray) -> np.ndarray:
     return np.abs(np.linalg.eigvalsh(m)).sum(axis=-1)
-
-
-def trace_norm(a):
-    """Sum of the absolute eigenvalues (an array for a stack)."""
-    return _per_matrix(_trace_norm(_as_entries(a)))
 
 
 def _diag_embed(x: np.ndarray) -> np.ndarray:
@@ -301,16 +263,6 @@ def _diag_embed(x: np.ndarray) -> np.ndarray:
     out = np.zeros(x.shape + (d,), dtype=x.dtype)
     out[..., np.arange(d), np.arange(d)] = x
     return out
-
-
-def _is_diagonal(m: np.ndarray) -> np.ndarray:
-    off = m - _diag_embed(np.diagonal(m, axis1=-2, axis2=-1))
-    scale = np.maximum(np.abs(m).max(axis=(-2, -1)), 1.0)
-    return np.abs(off).max(axis=(-2, -1)) <= 1e-12 * scale
-
-
-def _matvec(m: np.ndarray, x: np.ndarray) -> np.ndarray:
-    return (m @ x[..., None])[..., 0]
 
 
 def _apply_tp(f: TPMap, m: np.ndarray) -> np.ndarray:
@@ -326,27 +278,12 @@ def _apply_tp(f: TPMap, m: np.ndarray) -> np.ndarray:
         for k in f.kraus:
             out += k @ m @ _dagger(k)
         return _symmetrized(out)
-    shape = np.broadcast_shapes(f.matrix.shape, m.shape)
-    mats, m = np.broadcast_to(f.matrix, shape), np.broadcast_to(m, shape)
-    out = np.empty(shape, dtype=complex)
-    diagonal = _is_diagonal(m)
-    if diagonal.any():
-        out[diagonal] = _diag_embed(_matvec(mats[diagonal], np.diagonal(m[diagonal], axis1=-2, axis2=-1).real))
-    rest = ~diagonal
-    if rest.any():
-        w, v = np.linalg.eigh(m[rest])
-        out[rest] = (v * _matvec(mats[rest], w)[..., None, :]) @ _dagger(v)
-    return _symmetrized(out)
-
-
-def apply_tp(f: TPMap, a):
-    """Apply a trace-preserving map to a matrix or a (..., d, d) stack.
-
-    The stochastic kind acts on the eigenvalues of its argument: directly on
-    the diagonal when the argument is diagonal (so commuting families see one
-    and the same classical map), otherwise in the argument's eigenbasis.
-    """
-    return _apply_tp(f, _as_entries(a))
+    # one classical map on the diagonals, so commuting arguments see the same map
+    x = np.diagonal(m, axis1=-2, axis2=-1)
+    off = np.abs(m - _diag_embed(x)).max(axis=(-2, -1))
+    if not (off <= 1e-12 * np.maximum(np.abs(m).max(axis=(-2, -1)), 1.0)).all():
+        raise ValueError("stochastic maps require diagonal arguments")
+    return _symmetrized(_diag_embed((f.matrix @ x.real[..., None])[..., 0].astype(complex)))
 
 
 def _threshold_factor(n: int, a: float) -> float:
@@ -468,7 +405,7 @@ def _json_value(v, i: Optional[int] = None):
     if i is not None:
         v = v[i]
     if isinstance(v, np.ndarray):
-        return _mat_json(v) if np.iscomplexobj(v) else [[float(x) for x in row] for row in v]
+        return _mat_json(v)
     if isinstance(v, Spectrum):
         return v.to_json_dict()
     if isinstance(v, DeterministicMap):
@@ -514,7 +451,7 @@ def verify_lemma_np(a, t):
     Each must lie in 0 <= T <= I.
     """
     (a,), single = _operators(a)
-    t = _as_entries(t)
+    t = _check_hermitian(_square_stacks(t)[0])
     if single:
         t = t[None]
     if t.ndim != 4 or t.shape[0] != a.shape[0] or t.shape[2:] != a.shape[1:] or t.shape[1] < 1:
@@ -536,7 +473,10 @@ def verify_lemma_np(a, t):
 
 
 def verify_lemma_bdm(f: TPMap, a):
-    """Tr F(A)_plus <= Tr A_plus for a trace-preserving map F (or a stack of maps)."""
+    """Tr F(A)_plus <= Tr A_plus for a trace-preserving map F (or a stack of maps).
+
+    A stochastic map takes diagonal A only.
+    """
     (a,), single = _operators(a)
     before = _positive_trace(a).tolist()
     after = _positive_trace(_apply_tp(f, a)).tolist()
@@ -621,14 +561,14 @@ def verify_tail_monotonicity(rho, sigma, f: TPMap, n, a):
     """tail_C never grows under a single trace-preserving map on both arguments.
 
     Stochastic maps are only a single linear map on commuting (diagonal)
-    arguments, so they are rejected for non-diagonal inputs.
+    arguments, so they take diagonal rho and sigma only.
     """
     (rho, sigma), single = _operators(rho, sigma)
     n, a = (_per_instance(x, len(rho)) for x in (n, a))
-    if isinstance(f, StochasticMap) and not (_is_diagonal(rho) & _is_diagonal(sigma)).all():
-        raise ValueError("stochastic maps require diagonal arguments for two-sided application")
+    # the maps first: a rejected argument fails before any tail is computed
+    f_rho, f_sigma = _apply_tp(f, rho), _apply_tp(f, sigma)
     before = tail_C(rho, sigma, n, a).tolist()
-    after = tail_C(_apply_tp(f, rho), _apply_tp(f, sigma), n, a).tolist()
+    after = tail_C(f_rho, f_sigma, n, a).tolist()
     checks = [[("tail-monotone", x - y, 1e-9)] for x, y in zip(before, after, strict=True)]
     return _results(checks, single=single, rho=rho, sigma=sigma, map=f, n=n, a=a)
 

@@ -455,6 +455,11 @@ def test_verify_dim_bounds(capsys):
         assert (code, out) == (3, "") and "max_verify_dim" in err
 
 
+def test_verify_rejects_zero_trials(capsys):
+    code, out, err = run_cli(capsys, "verify", "np", "--trials", "0")
+    assert (code, out) == (2, "") and "trials must be positive" in err
+
+
 def test_verify_reruns_are_byte_identical(tmp_path, capsys):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"

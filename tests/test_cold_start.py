@@ -94,3 +94,13 @@ def test_every_public_name_resolves():
     assert entspec.run_suite is hermitian.run_suite
     with pytest.raises(AttributeError, match="no attribute 'nonesuch'"):
         entspec.nonesuch
+
+
+def test_lazy_name_table_matches_the_hermitian_names_of_all():
+    defined_in_hermitian = [
+        name for name in entspec.__all__ if getattr(getattr(entspec, name), "__module__", None) == hermitian.__name__
+    ]
+    assert sorted(entspec._HERMITIAN) == sorted(defined_in_hermitian)
+    for name in ("jordan", "trace_plus", "apply_tp"):
+        with pytest.raises(AttributeError, match=f"no attribute '{name}'"):
+            getattr(entspec, name)

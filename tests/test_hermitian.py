@@ -15,12 +15,12 @@ from entspec.hermitian import (
     CPTPMap,
     StochasticMap,
     TransposeMix,
-    apply_tp,
-    jordan,
+    _apply_tp,
+    _positive_trace,
+    _projector,
+    _trace_norm,
     rand_spectrum,
     run_suite,
-    trace_norm,
-    trace_plus,
     verify_bd_sandwich,
     verify_continuity,
     verify_lemma_bdm,
@@ -56,15 +56,18 @@ def _rand_doubly_stochastic(rng, dim):
     return StochasticMap(dense_oracle.rand_doubly_stochastic(rng, dim)[1])
 
 
+def _bdm_identity(a):
+    """verify_lemma_bdm under the identity map: operator validation and nothing else."""
+    return verify_lemma_bdm(TransposeMix(0.0), a)
+
+
 def test_hermitian_construction():
-    h = [[1.0, 1.0j], [-1.0j, 2.0]]
-    assert isinstance(trace_plus(h), float)
-    assert all(p.shape == (2, 2) for p in jordan(h))
-    for f in (trace_plus, jordan):
-        with pytest.raises(ValueError, match="Hermitian"):
-            f([[0.0, 1.0], [0.0, 0.0]])
-        with pytest.raises(ValueError, match="square"):
-            f([[1.0, 2.0]])
+    r = _bdm_identity([[1.0, 1.0j], [-1.0j, 2.0]])
+    assert r.ok and r.checks == 1
+    with pytest.raises(ValueError, match="Hermitian"):
+        _bdm_identity([[0.0, 1.0], [0.0, 0.0]])
+    with pytest.raises(ValueError, match="square"):
+        _bdm_identity([[1.0, 2.0]])
 
 
 def test_contraction_eigenvalue_gate():
@@ -77,15 +80,12 @@ def test_contraction_eigenvalue_gate():
 
 def test_operator_validation_rejects_non_finite_entries():
     for bad in (math.nan, math.inf, -math.inf):
-        m = np.array([[bad, 0.0], [0.0, 1.0]])
-        for f in (trace_plus, trace_norm, jordan):
+        for m in ([[bad, 0.0], [0.0, 1.0]], [[0.0, bad], [0.0, 1.0]]):
             with pytest.raises(ValueError, match="non-finite"):
-                f(m)
-        with pytest.raises(ValueError, match="non-finite"):
-            trace_plus(np.array([[0.0, bad], [0.0, 1.0]]))
+                _bdm_identity(np.array(m))
     # a NaN entry used to pass the deviation check and read as 0.0
     with pytest.raises(ValueError, match="non-finite"):
-        trace_plus([[math.nan, 0.0], [0.0, 1.0]])
+        _bdm_identity([[math.nan, 0.0], [0.0, 1.0]])
 
 
 @pytest.mark.parametrize("tail", [tail_C, tail_D])
@@ -139,35 +139,20 @@ def test_map_validation_rejects_non_finite_entries(bad):
         TransposeMix(math.nan)
 
 
-def test_jordan_signed_diagonal():
-    ap, am, pp, pn = jordan(np.diag([1.0, -1.0]))
-    assert np.allclose(ap, np.diag([1.0, 0.0]))
-    assert np.allclose(am, np.diag([0.0, 1.0]))
-    assert np.allclose(pp, np.diag([1.0, 0.0]))
-    assert np.allclose(pn, np.diag([0.0, 1.0]))
+def _cdiag(values):
+    return np.diag(values).astype(complex)
 
 
-def test_jordan_zero_operator_convention():
-    _, _, pp, pn = jordan(np.zeros((2, 2)))
-    assert np.array_equal(pp, np.zeros((2, 2)))
-    assert np.array_equal(pn, np.eye(2))
-
-
-def test_jordan_reconstruction():
-    rng = np.random.default_rng(2)
-    for _ in range(20):
-        a = rand_hermitian(rng, 8)
-        ap, am, pp, pn = jordan(a)
-        assert np.abs(ap - am - a).max() < 1e-9
-        assert np.abs(pp + pn - np.eye(8)).max() < 1e-12
-        assert abs(trace_plus(a) - np.trace(ap).real) < 1e-9
-        assert abs(trace_norm(a) - (np.trace(ap) + np.trace(am)).real) < 1e-9
+def test_projector_zero_operator_convention():
+    # eigenvalues below the cutoff count as non-positive, so zero projects onto nothing
+    assert np.array_equal(_projector(*np.linalg.eigh(np.zeros((2, 2), dtype=complex))), np.zeros((2, 2)))
+    assert np.array_equal(_projector(*np.linalg.eigh(_cdiag([1.0, -1.0]))), _cdiag([1.0, 0.0]))
 
 
 def test_trace_plus_examples():
-    assert trace_plus(np.diag([1.0, -1.0])) == 1.0
-    assert trace_plus(np.diag([0.3, 0.2, -0.5])) == 0.5
-    assert trace_plus(np.zeros((3, 3))) == 0.0
+    assert _positive_trace(_cdiag([1.0, -1.0])) == 1.0
+    assert _positive_trace(_cdiag([0.3, 0.2, -0.5])) == 0.5
+    assert _positive_trace(np.zeros((3, 3), dtype=complex)) == 0.0
 
 
 def test_trace_plus_halved_norm_identity():
@@ -175,7 +160,7 @@ def test_trace_plus_halved_norm_identity():
     for _ in range(20):
         a = rand_hermitian(rng, 6)
         tr = float(np.trace(a).real)
-        assert abs(trace_plus(a) - 0.5 * (trace_norm(a) + tr)) < 1e-9
+        assert abs(_positive_trace(a) - 0.5 * (_trace_norm(a) + tr)) < 1e-9
 
 
 def test_lemma_np_attainment():
@@ -193,14 +178,14 @@ def test_lemma_np_attainment():
 def test_apply_tp_identity_kraus_is_exact():
     ident = CPTPMap((np.eye(2, dtype=complex),))
     a = np.array([[0.3, 0.1], [0.1, 0.7]], dtype=complex)
-    assert np.array_equal(apply_tp(ident, a), a)
+    assert np.array_equal(_apply_tp(ident, a), a)
 
 
 def test_apply_tp_transpose_mix():
     a = np.array([[0.3, 0.1j], [-0.1j, 0.7]])
-    out = apply_tp(TransposeMix(1.0), a)
+    out = _apply_tp(TransposeMix(1.0), a)
     assert np.array_equal(out, a.T)
-    half = apply_tp(TransposeMix(0.5), a)
+    half = _apply_tp(TransposeMix(0.5), a)
     assert np.abs(half.imag).max() < 1e-15
 
 
@@ -209,17 +194,32 @@ def test_apply_tp_preserves_trace():
     for _ in range(20):
         a = rand_density(rng, 4)
         for f in (_rand_cptp(rng, 4), TransposeMix(float(rng.uniform(0, 1)))):
-            out = apply_tp(f, a)
+            out = _apply_tp(f, a)
             assert abs(np.trace(out).real - 1.0) < 1e-10
         d = rand_diagonal_density(rng, 4)
-        out = apply_tp(_rand_stochastic(rng, 4), d)
+        out = _apply_tp(_rand_stochastic(rng, 4), d)
         assert abs(np.trace(out).real - 1.0) < 1e-10
 
 
 def test_apply_tp_stochastic_on_diagonal():
     f = StochasticMap(np.array([[0.5, 1.0], [0.5, 0.0]]))
-    out = apply_tp(f, np.diag([0.8, 0.2]))
+    out = _apply_tp(f, _cdiag([0.8, 0.2]))
     assert np.allclose(out, np.diag([0.6, 0.4]), atol=1e-15)
+
+
+def test_stochastic_maps_reject_non_diagonal_arguments():
+    rng = np.random.default_rng(1)
+    f = _rand_stochastic(rng, 3)
+    rho = rand_density(rng, 3)
+    diag = rand_diagonal_density(rng, 3)
+    with pytest.raises(ValueError, match="diagonal arguments"):
+        _apply_tp(f, rho)
+    with pytest.raises(ValueError, match="diagonal arguments"):
+        verify_lemma_bdm(f, rho)
+    # one off-diagonal matrix in a stack is enough
+    with pytest.raises(ValueError, match="diagonal arguments"):
+        verify_lemma_bdm(f, np.array([diag, rho]))
+    assert verify_lemma_bdm(f, diag).ok
 
 
 def test_lemma_bdm_identity_and_depolarizing():
@@ -292,8 +292,34 @@ def test_monotonicity_identity_and_depolarizing():
 def test_monotonicity_rejects_stochastic_on_nondiagonal():
     rng = np.random.default_rng(1)
     rho = rand_density(rng, 3)
-    with pytest.raises(ValueError):
-        verify_tail_monotonicity(rho, np.eye(3) / 3.0, _rand_stochastic(rng, 3), 1, 0.0)
+    f = _rand_stochastic(rng, 3)
+    with pytest.raises(ValueError, match="diagonal arguments"):
+        verify_tail_monotonicity(rho, np.eye(3) / 3.0, f, 1, 0.0)
+    with pytest.raises(ValueError, match="diagonal arguments"):
+        verify_tail_monotonicity(np.eye(3) / 3.0, rho, f, 1, 0.0)
+    # the maps come first: n = 0 would fail the tail's own check
+    with pytest.raises(ValueError, match="diagonal arguments"):
+        verify_tail_monotonicity(rho, np.eye(3) / 3.0, f, 0, 0.0)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: verify_lemma_bdm(np.eye(2), np.eye(2)), TypeError, "not a TP map"),
+        (lambda: verify_lemma_bdm(CPTPMap((np.eye(3, dtype=complex),)), np.eye(2)), ValueError, "dimension mismatch"),
+        (lambda: verify_lemma_bdm(TransposeMix(0.5), np.zeros((1, 2, 2, 2))), ValueError,
+         r"expected matrices or \(N, d, d\) stacks"),
+        (lambda: verify_lemma_np(np.diag([1.0, -1.0]), np.eye(2)), ValueError, "need a nonempty"),
+        (lambda: verify_lemma_np(np.diag([1.0, -1.0]), np.zeros((0, 2, 2))), ValueError, "need a nonempty"),
+        (lambda: verify_lemma_np(np.diag([1.0, -1.0]), [np.eye(3)]), ValueError, "need a nonempty"),
+        (lambda: verify_lemma_np(np.array([np.eye(2)] * 2), [[np.eye(2)]]), ValueError, "need a nonempty"),
+    ],
+    ids=["bare-array-map", "map-dimension", "4d-stack",
+         "contractions-not-4d", "no-contractions", "contraction-dimension", "contraction-count"],
+)
+def test_verifier_entry_errors(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
 
 
 def test_monotonicity_doubly_stochastic_diagonal():
@@ -456,40 +482,42 @@ def test_stacked_calculus_equals_per_matrix_calls_bit_for_bit(case):
     cptp = CPTPMap(tuple(np.array(k) for k in zip(*(_rand_cptp(rng, d).kraus for _ in a))))
     stochastic = StochasticMap(np.array([_rand_stochastic(rng, d).matrix for _ in a]))
     mix = TransposeMix(rng.uniform(0.0, 1.0, len(a)))
-    # half of the stochastic arguments diagonal, half not: both branches in one stack
-    diag = a.copy()
-    diag[::2] = [np.diag(np.diagonal(m)) for m in a[::2]]
+    # stochastic maps take diagonal arguments only
+    diag = np.array([np.diag(np.diagonal(m)) for m in a])
+
+    def projector(m):
+        return hermitian._symmetrized(_projector(*np.linalg.eigh(m)))
 
     stacked = {
-        "trace_plus": trace_plus(a),
-        "trace_norm": trace_norm(a),
-        "jordan": jordan(a),
-        "cptp": apply_tp(cptp, a),
-        "stochastic": apply_tp(stochastic, diag),
-        "transpose": apply_tp(mix, a),
+        "trace_plus": _positive_trace(a),
+        "trace_norm": _trace_norm(a),
+        "projector": projector(a),
+        "cptp": _apply_tp(cptp, a),
+        "stochastic": _apply_tp(stochastic, diag),
+        "transpose": _apply_tp(mix, a),
         "tail_C": tail_C(rho, sigma, n, x),
         "tail_D": tail_D(rho, sigma, n, x),
     }
-    # the stack's matrices are exactly Hermitian, so validation leaves them unchanged
+    # the stack's matrices are exactly Hermitian, as the verifiers' validation leaves them
     for i, m in enumerate(a):
         per_matrix = {
-            "trace_plus": (trace_plus(m), dense_oracle.trace_plus(m)),
-            "trace_norm": (trace_norm(m), dense_oracle.trace_norm(m)),
-            "jordan": (jordan(m), dense_oracle.jordan(m)),
-            "cptp": (apply_tp(CPTPMap(tuple(k[i] for k in cptp.kraus)), m),
+            "trace_plus": (_positive_trace(m), dense_oracle.trace_plus(m)),
+            "trace_norm": (_trace_norm(m), dense_oracle.trace_norm(m)),
+            "projector": (projector(m), dense_oracle.jordan(m)[2]),
+            "cptp": (_apply_tp(CPTPMap(tuple(k[i] for k in cptp.kraus)), m),
                      dense_oracle.apply_tp(("cptp", tuple(k[i] for k in cptp.kraus)), m)),
-            "stochastic": (apply_tp(StochasticMap(stochastic.matrix[i]), diag[i]),
+            "stochastic": (_apply_tp(StochasticMap(stochastic.matrix[i]), diag[i]),
                            dense_oracle.apply_tp(("stochastic", stochastic.matrix[i]), diag[i])),
-            "transpose": (apply_tp(TransposeMix(float(mix.t[i])), m),
+            "transpose": (_apply_tp(TransposeMix(float(mix.t[i])), m),
                           dense_oracle.apply_tp(("transpose_mix", float(mix.t[i])), m)),
             "tail_C": (tail_C(rho[i], sigma[i], n[i], x[i]), dense_oracle.tail_C(rho[i], sigma[i], n[i], x[i])),
             "tail_D": (tail_D(rho[i], sigma[i], n[i], x[i]), dense_oracle.tail_D(rho[i], sigma[i], n[i], x[i])),
         }
         for name, (single, oracle) in per_matrix.items():
-            got = [p[i] for p in stacked[name]] if name == "jordan" else stacked[name][i]
-            assert _bits(got) == _bits(single) == _bits(oracle), (name, i)
-    assert trace_plus(np.zeros((d, d))) == 0.0
-    assert np.array_equal(jordan(np.zeros((len(a), d, d)))[3], np.broadcast_to(np.eye(d), (len(a), d, d)))
+            assert _bits(stacked[name][i]) == _bits(single) == _bits(oracle), (name, i)
+    zeros = np.zeros((len(a), d, d), dtype=complex)
+    assert _positive_trace(zeros[0]) == 0.0
+    assert np.array_equal(projector(zeros), zeros)
 
     # each public verifier gives on a stack what it gives matrix by matrix, violations included
     t = np.array([[rand_contraction(rng, d) for _ in range(2)] for _ in a])
@@ -509,7 +537,8 @@ def test_stacked_calculus_equals_per_matrix_calls_bit_for_bit(case):
          lambda i: (diag_rho[i], diag_sigma[i], maps[1][1](i), n[i], x[i])),
     ]
     for f, instance in maps:
-        calls.append((verify_lemma_bdm, (f, diag), lambda i, instance=instance: (instance(i), diag[i])))
+        b = diag if f is stochastic else a
+        calls.append((verify_lemma_bdm, (f, b), lambda i, instance=instance, b=b: (instance(i), b[i])))
         if f is not stochastic:
             calls.append((verify_tail_monotonicity, (rho, sigma, f, n, x),
                           lambda i, instance=instance: (rho[i], sigma[i], instance(i), n[i], x[i])))
