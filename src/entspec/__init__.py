@@ -110,24 +110,6 @@ __all__ = [
     "verify_tail_monotonicity",
 ]
 
-# hermitian's public names, resolved on first access (PEP 562)
-_HERMITIAN = (
-    "CPTPMap",
-    "StochasticMap",
-    "SuiteReport",
-    "TransposeMix",
-    "VerifyResult",
-    "run_suite",
-    "tail_C",
-    "tail_D",
-    "verify_bd_sandwich",
-    "verify_continuity",
-    "verify_lemma_bdm",
-    "verify_lemma_np",
-    "verify_product_tails",
-    "verify_tail_monotonicity",
-)
-
 
 def __getattr__(name: str):
     if name in _HERMITIAN:
@@ -138,4 +120,9 @@ def __getattr__(name: str):
 
 
 def __dir__() -> list:
-    return sorted(set(globals()) | set(_HERMITIAN))
+    return sorted(set(globals()) | _HERMITIAN)
+
+
+# hermitian's public names, resolved on first access (PEP 562): what __all__
+# names but this module neither imports nor defines
+_HERMITIAN = frozenset(__all__).difference(globals())

@@ -22,7 +22,7 @@ import sys
 from typing import Optional
 
 from .convert import concentration_experiment, dilution_experiment, direct_convert
-from .infospec import entropy_proxies
+from .infospec import _check_epsilon, entropy_proxies
 from .spectra import (
     DEFAULT_MAX_TYPE_CLASSES,
     IID,
@@ -100,7 +100,7 @@ def _parse_int_grid(text: str) -> list[int]:
     return sorted(set(vals))
 
 
-def _parse_float_grid(text: str) -> list[float]:
+def _parse_eps_grid(text: str) -> list[float]:
     try:
         # + 0.0 reads -0 as 0.0, so it neither prints as -0.0 nor shadows 0.0 in the set
         vals = [float(t) + 0.0 for t in text.split(",") if t.strip()]
@@ -108,7 +108,7 @@ def _parse_float_grid(text: str) -> list[float]:
         raise ValueError(f"expected a comma-separated list of reals, got {text!r}")
     if not vals:
         raise ValueError("empty grid")
-    return sorted(set(vals))
+    return sorted(set(map(_check_epsilon, vals)))
 
 
 def _fmt(x: float) -> str:
@@ -170,15 +170,14 @@ def _cmd_schmidt(args) -> int:
 def _cmd_rates(args) -> int:
     model = parse_model(args.model)
     n_grid = _parse_int_grid(args.n)
-    eps_grid = _parse_float_grid(args.eps)
+    eps_grid = _parse_eps_grid(args.eps)
     scale = _rate_scale(args.units)
     rows = []
     code = 0
     try:
         for n in n_grid:
             s = generate(model, n, max_type_classes=args.budget_max_type_classes)
-            for eps in eps_grid:
-                lo, hi = entropy_proxies(s, n, eps)
+            for eps, (lo, hi) in zip(eps_grid, entropy_proxies(s, n, eps_grid)):
                 rows.append((n, eps, lo / scale, hi / scale))
     except BudgetExceededError as exc:
         print(f"budget exceeded, output truncated: {exc}", file=sys.stderr)

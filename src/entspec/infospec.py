@@ -20,6 +20,8 @@ operator calculus in `hermitian`.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
+from collections.abc import Iterable
 
 from .spectra import Spectrum, cumulative_mass
 # no caller here; perfbench/spans.py rebinds infospec.generate (ROADMAP item 1)
@@ -45,36 +47,40 @@ def cdf_selfinfo(s: Spectrum, n: int, a: float) -> float:
     return total
 
 
-def entropy_proxies(s: Spectrum, n: int, epsilon: float) -> tuple[float, float]:
-    """Finite-size quantile proxies (lower, upper) of the entropy rate.
+def _check_epsilon(eps: float) -> float:
+    """eps itself if it lies in [0, 1]; NaN, +-inf and the rest raise ValueError."""
+    if not 0.0 <= eps <= 1.0:
+        raise ValueError(f"epsilon must lie in [0, 1], got {eps!r}")
+    return eps
+
+
+def entropy_proxies(s: Spectrum, n: int, epsilons: Iterable[float]) -> list[tuple[float, float]]:
+    """Finite-size quantile proxies (lower, upper) of the entropy rate, per epsilon.
 
     lower = sup { a : F_n(a) <= epsilon },  upper = inf { a : F_n(a) >= 1 - epsilon }
     with F_n the self-information CDF.  Both are atom rates; no interpolation.
     A mass tolerance of 1e-12 absorbs float dust at exact ties (epsilon = 0
     compares against exact zero so arbitrarily small leading atoms count).
-    Costs O(k) big-int adds for k atoms; the walk stops at the later proxy.
+    Returns one pair per epsilon, in the order given.  Costs one O(k) walk of
+    big-int adds over the k atoms that stops at the grid's last proxy, then two
+    bisects and two logs per epsilon.
     """
     if n < 1:
         raise ValueError("n must be a positive integer")
-    if not 0.0 <= epsilon <= 1.0:
-        raise ValueError(f"epsilon must lie in [0, 1], got {epsilon!r}")
-    lo_threshold = epsilon + _QUANTILE_TOL if epsilon > 0.0 else 0.0
-    hi_threshold = (1.0 - epsilon) - _QUANTILE_TOL
-    lower = None
-    upper = None
-    last_rate = 0.0
-    for (p, _), cum in zip(s.atoms, cumulative_mass(s.atoms)):
-        rate = -math.log(p) / n + 0.0
-        last_rate = rate
-        if upper is None and cum >= hi_threshold:
-            upper = rate
-        if lower is None and cum > lo_threshold:
-            lower = rate
-        if lower is not None and upper is not None:
+    cuts = [
+        (eps + _QUANTILE_TOL if eps > 0.0 else 0.0, (1.0 - eps) - _QUANTILE_TOL)
+        for eps in map(_check_epsilon, epsilons)
+    ]
+    lo_stop = max((lo for lo, _ in cuts), default=0.0)
+    hi_stop = max((hi for _, hi in cuts), default=0.0)
+    masses = []
+    for cum in cumulative_mass(s.atoms):
+        masses.append(cum)
+        if cum > lo_stop and cum >= hi_stop:
             break
-    if lower is None:
-        lower = last_rate  # epsilon = 1 clamps to the largest atom rate
-    if upper is None:
-        upper = last_rate
-    return lower, upper
+    last = len(masses) - 1  # a walk that never stops clamps epsilon = 1 to the extreme atoms
 
+    def rate(i: int) -> float:
+        return -math.log(s.atoms[min(i, last)][0]) / n + 0.0
+
+    return [(rate(bisect_right(masses, lo)), rate(bisect_left(masses, hi))) for lo, hi in cuts]

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import entspec
+from entspec import cli
 from entspec.cli import main, parse_model
 from entspec.spectra import IID, MaxEnt, Mixture
 
@@ -486,6 +487,30 @@ def test_usage_errors_return_2(capsys):
     assert run_cli(capsys, "rates", "iid:0.9,0.1", "--n", "5", "--eps", "2.0")[0] == 2
     assert run_cli(capsys, "frobnicate")[0] == 2
     assert run_cli(capsys, "rates", "nope:1", "--n", "5", "--eps", "0.1")[0] == 2
+
+
+@pytest.mark.parametrize(
+    "model, n, eps, shown",
+    [
+        ("iid:0.9,0.1", "2000", "1.5", "1.5"),
+        ("maxent:R=800", "1", "2", "2.0"),
+        ("iid:0.6,0.3,0.1", "10", "1.5", "1.5"),
+        ("iid:0.6,0.3,0.1", "10", "0.1,nan", "nan"),
+        ("iid:0.6,0.3,0.1", "10", "inf", "inf"),
+        ("iid:0.6,0.3,0.1", "10", "0.1,-inf", "-inf"),
+        ("iid:0.6,0.3,0.1", "10", "-0.5,0.1", "-0.5"),
+    ],
+)
+def test_out_of_range_epsilon_is_a_usage_error_before_generation(model, n, eps, shown, monkeypatch, capsys):
+    # an invalid --eps used to surface only after the first spectrum was
+    # generated, so a block length over budget turned it into exit 3
+    def no_generation(*args, **kwargs):
+        raise AssertionError("generated a spectrum before validating --eps")
+
+    monkeypatch.setattr(cli, "generate", no_generation)
+    code, out, err = run_cli(capsys, "rates", model, "--n", n, f"--eps={eps}")
+    assert (code, out) == (2, "")
+    assert f"epsilon must lie in [0, 1], got {shown}" in err
 
 
 def test_help_exits_zero(capsys):

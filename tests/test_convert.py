@@ -133,7 +133,7 @@ def test_error_decay_forces_rate_below_proxies():
         if err <= 0.1:
             src = v.reports[-1].source_spectrum
             for eps in (0.1, 0.25):
-                lo, _ = entropy_proxies(src, n, eps)
+                lo, _ = entropy_proxies(src, n, [eps])[0]
                 assert lo >= rate - 0.05
 
 

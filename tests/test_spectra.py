@@ -155,7 +155,7 @@ def test_iid_drops_subnormal_atoms():
     p_last = s.atoms[-1][0]
     k = round((math.log(p_last) - n * math.log(0.1)) / (math.log(0.9) - math.log(0.1)))
     exact = -(k * math.log(0.9) + (n - k) * math.log(0.1)) / n
-    lower, _ = entropy_proxies(s, n, 1.0)
+    lower, _ = entropy_proxies(s, n, [1.0])[0]
     assert abs(lower - exact) < 1e-12
 
 
@@ -298,7 +298,7 @@ def test_mixture_drops_subnormal_atoms():
     k = round((math.log(p_last / w) - n * math.log(0.1)) / (math.log(0.9) - math.log(0.1)))
     with mpmath.workprec(200):
         exact = -(mpmath.log(w) + k * mpmath.log(0.9) + (n - k) * mpmath.log(0.1)) / n
-    lower, _ = entropy_proxies(s, n, 1.0)
+    lower, _ = entropy_proxies(s, n, [1.0])[0]
     assert abs(lower - float(exact)) < 1e-12
 
 
