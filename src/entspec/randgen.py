@@ -14,22 +14,23 @@ level plus a residue-ordered remainder reproduces the expanded behaviour
 without materializing type classes.  Synthesis stays polynomial in the atom
 counts when the expanded dimensions are astronomical.
 
-Cost: the F fibers stay sorted by deficit across the k_p source runs, so the
-fibers of one level (deficit // P) form a contiguous block.  A run finds the
-cut from the blocks at or above it, with one bisect and one big-int division
-per block (O(B·log F) for B blocks, no division per fiber).  It lowers each
-block above the cut by one amount and the fibers it takes by one more; in
-each step the largest group of fibers that moves by one amount (the fibers
-that do not move count as one) stays put and one shared offset records its
-shift, so with the usual two blocks a run makes at most F/2 big-int
-subtractions per step.  It then sorts the cut level by deficit, which merges
-the presorted blocks it lowered there, and moves three columns (deficit,
-count, fiber id) by list slices and C-level gathers: O(F) pointer moves and
-O(F·log B) comparisons per run, O(k_p·F) over the synthesis while B stays
-small (for i.i.d. sources onto flat targets, two or three blocks per run
-once F is large).  Fibers of equal deficit stay in any order except the one
-group at the boundary of the take, which is put in start order there, the
-only place the rule reads it.  Codomain neighbours that come to share
+Cost: the F fibers stay sorted by deficit across the k_p source runs, one
+immutable row (deficit, count, start, target atom) per fiber in one list,
+so the fibers of one level (deficit // P) form a contiguous block.  A run
+finds the cut from the blocks at or above it, with one bisect and one
+big-int division per block (O(B·log F) for B blocks, no division per
+fiber).  It lowers each block above the cut by one amount and the fibers it
+takes by one more; in each step the largest group of fibers that moves by
+one amount (the fibers that do not move count as one) stays put and one
+shared offset records its shift, so with the usual two blocks a run
+rebuilds at most F/2 rows per step, one big-int subtraction each.  It then
+sorts the rows of the cut level by deficit, which merges the presorted
+blocks it lowered there, and moves rows by list slices: O(F) pointer moves
+and O(F·log B) comparisons per run, O(k_p·F) over the synthesis while B
+stays small (for i.i.d. sources onto flat targets, two or three blocks per
+run once F is large).  Fibers of equal deficit stay in any order except the
+one group at the boundary of the take, which is put in start order there,
+the only place the rule reads it.  Codomain neighbours that come to share
 target and deficit are coalesced by one sort by start index, whenever the
 fiber count has doubled since the last coalescing and once more after the
 last run.  So a tie-heavy source, whose runs keep splitting fibers that
@@ -48,7 +49,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate, compress, count, islice, product, repeat
-from operator import add, eq, itemgetter, mul, neg, sub, truediv
+from operator import add, eq, itemgetter, mul, sub, truediv
 from typing import Optional
 
 from .majorize import DeterministicMap
@@ -69,50 +70,43 @@ class _Fibers:
     """Fiber state between source runs, one fiber per run of codomain
     elements that share target and deficit.
 
-    The moving columns `deficit`, `count` and `fid` (fiber id) are parallel
-    lists in deficit-descending order, equal deficits in any order.  A
-    fiber's codomain `start` and target `atom` (its index in q.atoms) never
-    change and are looked up by id; a split appends one id, and a
-    coalescing keeps the id of the first of the neighbours it merges.  Stored
-    deficits are true deficits minus `offset`, so a uniform shift of one
-    side of the order can move the other side instead.  Codomain neighbours
-    may share target and deficit until the live fiber count reaches twice
-    `coalesced`, the count after the last coalescing (`_coalesce_fibers`).
+    `rows` holds one immutable row (deficit, count, start, atom) per fiber
+    in deficit-descending order, equal deficits in any order: the stored
+    deficit, the element count, the codomain index of the first element and
+    the target atom (its index in q.atoms).  Stored deficits are true
+    deficits minus `offset`, so a uniform shift of one side of the order can
+    move the other side instead.  `total` is the codomain size.  Codomain
+    neighbours may share target and deficit until the live fiber count
+    reaches twice `coalesced`, the count after the last coalescing
+    (`_coalesce_fibers`).
     """
 
-    __slots__ = ("deficit", "count", "fid", "start", "atom", "offset", "coalesced")
+    __slots__ = ("rows", "offset", "coalesced", "total")
 
     def __init__(self, deficits: list[int], counts: list[int]):
-        self.deficit = list(deficits)
-        self.count = list(counts)
-        self.fid = list(range(len(counts)))
-        self.start = [0, *accumulate(counts[:-1])]
-        self.atom = self.fid.copy()
+        starts = list(accumulate(counts, initial=0))
+        self.rows = list(zip(deficits, counts, starts, count()))
         self.offset = 0
-        self.coalesced = len(counts)
+        self.coalesced = len(self.rows)
+        self.total = starts[-1]
 
 
-def _permute(cols: tuple[list[int], ...], lo: int, order: list[int]) -> None:
-    """Overwrite entries lo.. of each column with those at the indices in order."""
-    pick = itemgetter(*order)
-    for col in cols:
-        col[lo : lo + len(order)] = pick(col)
+_deficit = itemgetter(0)
+_count = itemgetter(1)
+_start = itemgetter(2)
 
 
-def _shift(D: list[int], i: int, j: int, x: int) -> None:
-    """Subtract x from D[i:j]."""
-    if j == i + 1:
-        D[i] -= x
-    elif j > i:
-        D[i:j] = map(sub, D[i:j], repeat(x))
+def _descending(row: tuple[int, ...]) -> int:
+    """Bisect key of the deficit-descending row order."""
+    return -row[0]
 
 
-def _block_end(D: list[int], i: int, floor: int) -> int:
-    """First index after i whose deficit lies below floor, given D[i] >= floor."""
-    j = i + 1
-    if j == len(D) or D[j] < floor:
-        return j
-    return bisect_right(D, -floor, j + 1, key=neg)
+def _shift(R: list[tuple[int, ...]], i: int, j: int, x: int) -> None:
+    """Subtract x from the deficits of rows i to j, one row at a time, so
+    each old row is freed before the next new one is made."""
+    for k in range(i, j):
+        d, c, s, at = R[k]
+        R[k] = (d - x, c, s, at)
 
 
 def _assign_run(f: _Fibers, P: int, m: int) -> int:
@@ -120,27 +114,36 @@ def _assign_run(f: _Fibers, P: int, m: int) -> int:
 
     Returns the start of the first element taken at the cut level: for
     m = 1, the codomain index the one element goes to."""
-    D, C, I, off = f.deficit, f.count, f.fid, f.offset
-    cols = (D, C, I)
+    R, off = f.rows, f.offset
+    n = len(R)
 
     # Elements of a fiber at level L = deficit // P (one per codomain slot,
     # value t*P + residue, residue in [0, P)) exist for every t <= L.  T(t)
     # counts elements at level >= t; the cut level is the largest t with
     # T(t) >= m.  Equal levels are contiguous blocks of the order: walk them
-    # downwards.  Over the blocks walked, T(t) = a - b*t, so the cut is
-    # (a - m) // b once that lies above the next block's level.
+    # downwards, block x spanning rows bounds[x] to bounds[x + 1].  Over the
+    # blocks walked, T(t) = a - b*t, so the cut is (a - m) // b once that
+    # lies above the next block's level.
     a = b = i = 0
-    L = (D[0] + off) // P
-    blocks = []
+    L = (R[0][0] + off) // P
+    bounds, levels = [0], []
     while True:
-        j = _block_end(D, i, L * P - off)
-        n = C[i] if j == i + 1 else sum(islice(C, i, j))
-        a += n * (L + 1)
-        b += n
-        blocks.append((i, j, L))
-        if j < len(D):
-            L = (D[j] + off) // P
-        if j == len(D) or a - m >= b * (L + 1):
+        floor = L * P - off
+        j = i + 1
+        if j < n and R[j][0] >= floor:
+            j = bisect_right(R, -floor, j + 1, key=_descending)
+        if j == i + 1:
+            c = R[i][1]
+        else:  # a block that reaches the end holds every element not yet counted
+            c = f.total - b if j == n else sum(map(_count, islice(R, i, j)))
+        a += c * (L + 1)
+        b += c
+        bounds.append(j)
+        levels.append(L)
+        if j == n:
+            break
+        L = (R[j][0] + off) // P
+        if a - m >= b * (L + 1):
             break
         i = j
     t, cut = (a - m) // b, j
@@ -150,25 +153,25 @@ def _assign_run(f: _Fibers, P: int, m: int) -> int:
     # are.  If the largest lowered block outnumbers them, its shift goes
     # into the offset and every other group moves by the difference.  Then
     # merge the lowered blocks by deficit.
-    lowered = blocks if blocks[-1][2] > t else blocks[:-1]
-    x = below = 0
+    lowered = len(levels) - (levels[-1] == t)
+    x = 0
     if lowered:
-        below = lowered[-1][1]
-        sizes = list(map(sub, map(itemgetter(1), lowered), map(itemgetter(0), lowered)))
+        below = bounds[lowered]
+        sizes = list(map(sub, bounds[1 : lowered + 1], bounds))
         big = max(sizes)
-        if big > len(D) - below:
-            x = (lowered[sizes.index(big)][2] - t) * P
-    for i, j, L in lowered:
+        if big > n - below:
+            x = (levels[sizes.index(big)] - t) * P
+            _shift(R, below, n, -x)
+            off -= x
+    for i, j, L in zip(bounds, bounds[1 : lowered + 1], levels):
         y = (L - t) * P - x
         if j == i + 1:
-            D[i] -= y
+            d, c, s, at = R[i]
+            R[i] = (d - y, c, s, at)
         elif y:
-            _shift(D, i, j, y)
-    if x:
-        _shift(D, below, len(D), -x)
-        off -= x
-    if len(blocks) > 1:
-        _permute(cols, 0, sorted(range(cut), key=D.__getitem__, reverse=True))
+            _shift(R, i, j, y)
+    if len(levels) > 1:
+        R[:cut] = sorted(islice(R, cut), key=_deficit, reverse=True)
 
     # T(t + 1) < m elements lay above the cut, so r >= 1 remain for the cut
     # level; they are consumed from the front of the order, every fiber but
@@ -176,77 +179,70 @@ def _assign_run(f: _Fibers, P: int, m: int) -> int:
     # by lowest start, so the group of equal deficits at the boundary is put
     # in start order before the take; no other tie is ever read.
     r = m - (a - b * (t + 1))
-    for k in range(cut):
-        if C[k] >= r:
+    for k, row in enumerate(islice(R, cut)):
+        if row[1] >= r:
             break
-        r -= C[k]
+        r -= row[1]
     else:
         raise RuntimeError("greedy run accounting failed to place every element")
+    d = row[0]
     lo = hi = k
-    while lo and D[lo - 1] == D[k]:
+    while lo and R[lo - 1][0] == d:
         lo -= 1
-    while hi + 1 < cut and D[hi + 1] == D[k]:
+    while hi + 1 < cut and R[hi + 1][0] == d:
         hi += 1
-    S = f.start
     if hi > lo:
-        r += sum(islice(C, lo, k))
-        _permute(cols, lo, sorted(range(lo, hi + 1), key=lambda x: S[I[x]]))
+        r += sum(map(_count, islice(R, lo, k)))
+        R[lo : hi + 1] = sorted(islice(R, lo, hi + 1), key=_start)
         for k in range(lo, hi + 1):
-            if C[k] >= r:
+            if R[k][1] >= r:
                 break
-            r -= C[k]
-    taken = S[I[k]]
-    if C[k] > r:
-        D.insert(k + 1, D[k])
-        C.insert(k + 1, C[k] - r)
-        I.insert(k + 1, len(S))
-        S.append(taken + r)
-        f.atom.append(f.atom[I[k]])
-        C[k] = r
+            r -= R[k][1]
+    d, c, taken, at = R[k]
+    if c > r:
+        R[k] = (d, r, taken, at)
+        R.insert(k + 1, (d, c - r, taken + r, at))
         cut += 1
+        n += 1
     k += 1
-    # lower the k taken fibers by P, or raise the others into the offset
-    if 2 * k <= len(D):
-        _shift(D, 0, k, P)
-    else:
-        _shift(D, k, len(D), -P)
-        off -= P
 
-    # the taken fibers now lie one level below the cut: move them behind the
-    # rest of the cut level and merge them into the block already there
+    # the taken fibers now lie one level below the cut: lower them by P (or
+    # raise the others into the offset), move them behind the rest of the
+    # cut level and merge them into the block already there
+    if 2 * k <= n:
+        _shift(R, 0, k, P)
+    else:
+        _shift(R, k, n, -P)
+        off -= P
+    R[:cut] = R[k:cut] + R[:k]
     floor = (t - 1) * P - off
-    end = _block_end(D, cut, floor) if cut < len(D) and D[cut] >= floor else cut
-    for col in cols:
-        col[:cut] = col[k:cut] + col[:k]
-    if end > cut:
-        _permute(cols, cut - k, sorted(range(cut - k, end), key=D.__getitem__, reverse=True))
+    if cut < n and R[cut][0] >= floor:
+        end = bisect_right(R, -floor, cut + 1, key=_descending)
+        R[cut - k : end] = sorted(islice(R, cut - k, end), key=_deficit, reverse=True)
     f.offset = off
-    if len(D) >= 2 * f.coalesced:
+    if n >= 2 * f.coalesced:
         _coalesce_fibers(f)
     return taken
 
 
 def _codomain_columns(f: _Fibers) -> tuple[list[int], ...]:
-    """The fiber columns (stored deficits, starts, counts, target atoms, ids)
-    in codomain order, each run of neighbours that share target and deficit
-    made one fiber; reorders f's columns on the way."""
-    D, C, I = f.deficit, f.count, f.fid
-    S = list(map(f.start.__getitem__, I))
-    A = list(map(f.atom.__getitem__, I))
-    if len(I) > 1:
-        _permute((D, S, C, A, I), 0, sorted(range(len(I)), key=S.__getitem__))
-    return _coalesce(D, S, C, A, I)
+    """The fiber columns (deficits, starts, counts, target atoms) in codomain
+    order, each run of neighbours that share target and deficit made one
+    fiber."""
+    rows = sorted(f.rows, key=_start)
+    off = f.offset
+    D = list(map(add, map(_deficit, rows), repeat(off))) if off else list(map(_deficit, rows))
+    return _coalesce(D, list(map(_start, rows)), list(map(_count, rows)), list(map(itemgetter(3), rows)))
 
 
 def _coalesce_fibers(f: _Fibers) -> None:
     """Coalesce f's fibers and put them back in deficit order (stable, so
-    ties stay in start order).  Called whenever the fiber count doubles, it
-    keeps the count below twice that of the coalesced state, at O(log F)
-    amortized comparisons per run."""
-    D, _, C, _, I = _codomain_columns(f)
-    if len(D) > 1:
-        _permute((D, C, I), 0, sorted(range(len(D)), key=D.__getitem__, reverse=True))
-    f.deficit, f.count, f.fid = D, C, I
+    ties stay in start order), with the offset folded in.  Called whenever
+    the fiber count doubles, it keeps the count below twice that of the
+    coalesced state, at O(log F) amortized comparisons per run."""
+    D, S, C, A = _codomain_columns(f)
+    f.rows = sorted(zip(D, C, S, A), key=_deficit, reverse=True)
+    f.offset = 0
     f.coalesced = len(D)
 
 
@@ -267,19 +263,14 @@ def _run_greedy(
             _assign_run(f, P, mult)
         else:
             targets.extend(_assign_run(f, P, 1) for _ in range(mult))
-    D, S, C, A, _ = _codomain_columns(f)
-    if f.offset:
-        D[:] = map(add, D, repeat(f.offset))
-    return (D, S, C, A), qs, e
+    return _codomain_columns(f), qs, e
 
 
-def _coalesce(
-    D: list[int], S: list[int], C: list[int], A: list[int], *more: list[int]
-) -> tuple[list[int], ...]:
-    """Codomain-ordered fiber columns (deficits, starts, counts, target atoms,
-    then any further columns) with each run of neighbours that share target
-    and deficit made one fiber, which keeps the first neighbour's entries."""
-    cols = (D, S, C, A, *more)
+def _coalesce(D: list[int], S: list[int], C: list[int], A: list[int]) -> tuple[list[int], ...]:
+    """Codomain-ordered fiber columns (deficits, starts, counts, target atoms)
+    with each run of neighbours that share target and deficit made one
+    fiber, which keeps the first neighbour's entries."""
+    cols = (D, S, C, A)
     ties = [x for x in compress(count(1), map(eq, islice(D, 1, None), D)) if A[x] == A[x - 1]]
     if not ties:
         return cols
@@ -357,12 +348,13 @@ def synthesize_map(
     """Greedy largest-deficit assignment of p's expansion onto q's labels.
 
     Runs in compressed form on F <= k_p + k_q fibers (k_p, k_q the atom
-    counts of p and q) kept in deficit order.  Per source run: O(B·log F)
-    bisects for the B level blocks at or above the cut, one big-int
+    counts of p and q), one (deficit, count, start, target atom) row each,
+    kept in deficit order.  Per source run: O(B·log F) bisects for the B
+    level blocks at or above the cut, one rebuilt row and big-int
     subtraction per fiber outside the largest group that moves by one
     amount (one shared offset records that group's shift), one sort of the
-    cut level that merges a few presorted blocks, and O(F) pointer moves of
-    three columns; no division per fiber, O(k_p·F) in all.  Ties between
+    cut level's rows that merges a few presorted blocks, and O(F) pointer
+    moves of one row list; no division per fiber, O(k_p·F) in all.  Ties between
     equal deficits are resolved lazily: put in start order only at the
     boundary of each take, and codomain neighbours that share target and
     deficit are coalesced whenever the fiber count doubles and after the

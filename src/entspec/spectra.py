@@ -349,12 +349,16 @@ def maxent_rank(rate: float, n: int) -> int:
 
     A relative 1e-12 downward nudge is applied before the ceiling so that
     float dust in exp does not bump an exact power across the integer
-    boundary (e.g. exp(5*ln 2) evaluates slightly above 32).
+    boundary (e.g. exp(5*ln 2) evaluates slightly above 32).  A rate that
+    is NaN, infinite or negative is a ValueError; a finite one whose
+    exponent n*rate exceeds 700 exceeds the `max_maxent_exponent` budget.
     """
     if n < 1:
         raise ValueError("n must be a positive integer")
     if math.isnan(rate):
         raise ValueError(f"rate must be a number, got {rate!r}")
+    if not 0.0 <= rate < math.inf:
+        raise ValueError(f"rate must be finite and nonnegative, got {rate!r}")
     x = n * rate
     if x > _EXP_LIMIT:
         raise BudgetExceededError("max_maxent_exponent", x, _EXP_LIMIT)

@@ -446,6 +446,40 @@ def test_nan_rate_is_a_named_usage_error(command, capsys):
     assert "rate must be a number, got nan" in err
 
 
+@pytest.mark.parametrize(
+    "argv,shown",
+    [
+        (["concentrate", "iid:0.6,0.3,0.1", "--rate=inf", "--n", "10"], "inf"),
+        (["concentrate", "iid:0.6,0.3,0.1", "--rate=-5", "--n", "10"], "-5.0"),
+        (["dilute", "iid:0.6,0.3,0.1", "--rate=-inf", "--n", "10"], "-inf"),
+        (["rates", "maxent:R=inf", "--n", "5", "--eps", "0.1"], "inf"),
+        (["rates", "maxent:R=-1", "--n", "5", "--eps", "0.1"], "-1.0"),
+        (["rates", "mix:0.5*iid:0.5,0.5+0.5*maxent:R=-0.5", "--n", "3", "--eps", "0.1"], "-0.5"),
+    ],
+)
+def test_infinite_or_negative_rate_is_a_named_usage_error(argv, shown, capsys):
+    # +inf used to exceed max_maxent_exponent (exit 3, rates after a CSV
+    # header) and a negative rate used to run at rank 1 (exit 0)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert f"rate must be finite and nonnegative, got {shown}" in err
+
+
+@pytest.mark.parametrize("rate", [-2.0, 1e999])
+def test_infinite_or_negative_rate_in_a_model_file_is_a_usage_error(rate, tmp_path, capsys):
+    path = tmp_path / "maxent.json"
+    path.write_text(json.dumps({"kind": "maxent", "rate": rate}))
+    code, out, err = run_cli(capsys, "rates", f"file:{path}", "--n", "3", "--eps", "0.1")
+    assert (code, out) == (2, "")
+    assert f"rate must be finite and nonnegative, got {rate!r}" in err
+
+
+def test_finite_rate_beyond_the_exponent_budget_still_exits_3(capsys):
+    code, out, err = run_cli(capsys, "concentrate", "iid:0.6,0.3,0.1", "--rate=100", "--n", "10")
+    assert (code, out) == (3, "")
+    assert "max_maxent_exponent" in err and "need 1000.0" in err
+
+
 def test_verify_dim_bounds(capsys):
     # kh never samples a dimension; it is checked all the same
     for suite in ("np", "kh"):

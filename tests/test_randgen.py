@@ -14,6 +14,7 @@ from entspec.randgen import (
     MapSynthesisReport,
     _Fibers,
     _assign_run,
+    _codomain_columns,
     _run_greedy,
     brute_force_optimal,
     synthesize_map,
@@ -379,30 +380,49 @@ def _assert_matches_oracle(p, q):
 
 
 def _assert_fiber_invariants(p, q):
-    """Step the kernel run by run and check the fiber state after each, then
+    """Step the kernel run by run and check the fiber rows after each, then
     check the coalesced codomain-order output against the last state."""
     e, (ps, qs) = _scaled_atoms(p, q)
     f = _Fibers(qs, [mult for _, mult in q.atoms])
     q_starts = [0, *accumulate(mult for _, mult in q.atoms)]
     for runs, (P, (_, mult)) in enumerate(zip(ps, p.atoms), 1):
-        before = set(f.fid)
+        before = {s for _, _, s, _ in f.rows}
         _assign_run(f, P, mult)
-        D, C, I = f.deficit, f.count, f.fid
-        assert len(set(I) - before) <= 1  # at most one fiber split
-        assert len(D) == len(C) == len(I) == len(set(I))
+        D = [d for d, _, _, _ in f.rows]
+        starts = [s for _, _, s, _ in f.rows]
+        assert len(set(starts) - before) <= 1  # at most one fiber split
+        assert len(starts) == len(set(starts))  # a start names one fiber
         assert all(x >= y for x, y in zip(D, D[1:]))  # deficit non-increasing
-        rows = sorted((f.start[i], c, f.atom[i]) for i, c in zip(I, C))  # codomain order
-        assert rows[0][0] == 0 and sum(C) == q.total_dim and min(C) > 0
+        rows = sorted((s, c, a) for _, c, s, a in f.rows)  # codomain order
+        C = [c for _, c, _ in rows]
+        assert rows[0][0] == 0 and sum(C) == q.total_dim == f.total and min(C) > 0
         assert all(s + c == s2 for (s, c, _), (s2, _, _) in zip(rows, rows[1:]))
         assert all(q_starts[a] <= s and s + c <= q_starts[a + 1] for s, c, a in rows)
-        assert len(D) <= runs + len(q.atoms)  # the fiber bound
+        assert len(f.rows) <= runs + len(q.atoms)  # the fiber bound
     (D, S, C, A), _, _ = _run_greedy(p, q)
     assert S == [0, *accumulate(C[:-1])] and sum(C) == q.total_dim and min(C) > 0  # codomain order
     pairs = list(zip(A, D))
     assert all(x != y for x, y in zip(pairs, pairs[1:]))  # nothing left to coalesce
-    for i, d, c in zip(f.fid, f.deficit, f.count):
-        x = bisect_right(S, f.start[i]) - 1  # the output fiber holding this one
-        assert f.start[i] + c <= S[x] + C[x] and (A[x], D[x]) == (f.atom[i], d + f.offset)
+    for d, c, s, a in f.rows:
+        x = bisect_right(S, s) - 1  # the output fiber holding this one
+        assert s + c <= S[x] + C[x] and (A[x], D[x]) == (a, d + f.offset)
+
+
+def _assert_matches_oracle_after_every_run(p, q):
+    """Step the kernel and the row-wise oracle together and compare their
+    coalesced codomain-order states after each run, so that a state error a
+    later run masks still fails."""
+    e, (ps, qs) = _scaled_atoms(p, q)
+    assert e == _common_exponent(p, q)
+    f = _Fibers(qs, [mult for _, mult in q.atoms])
+    starts = accumulate((mult for _, mult in q.atoms), initial=0)
+    fibers = [_OracleFiber(s, prob, sc, sc, mult) for s, sc, (prob, mult) in zip(starts, qs, q.atoms)]
+    for P, (_, mult) in zip(ps, p.atoms):
+        _assign_run(f, P, mult)
+        fibers = _oracle_assign_run(fibers, P, mult)
+        D, S, C, A = _codomain_columns(f)
+        got = [(s, qs[a], q.atoms[a][0], d, c) for d, s, c, a in zip(D, S, C, A)]
+        assert got == [(o.start, o.target_scaled, o.target_prob, o.deficit, o.count) for o in fibers]
 
 
 @pytest.mark.parametrize("p,q", _GRID, ids=_GRID_IDS)
@@ -413,6 +433,11 @@ def test_columnar_kernel_matches_oracle(p, q):
 @pytest.mark.parametrize("p,q", _GRID, ids=_GRID_IDS)
 def test_fiber_invariants(p, q):
     _assert_fiber_invariants(p, q)
+
+
+@pytest.mark.parametrize("p,q", _GRID, ids=_GRID_IDS)
+def test_row_kernel_matches_oracle_after_every_run(p, q):
+    _assert_matches_oracle_after_every_run(p, q)
 
 
 def test_tie_heavy_fiber_count_stays_below_twice_the_coalesced_count():
@@ -426,9 +451,9 @@ def test_tie_heavy_fiber_count_stays_below_twice_the_coalesced_count():
     for P, (_, mult) in zip(ps, p.atoms):
         _assign_run(f, P, mult)
         # fibers left after merging codomain neighbours of one target and deficit
-        rows = sorted((f.start[i], f.atom[i], d) for i, d in zip(f.fid, f.deficit))
+        rows = sorted((s, a, d) for d, _, s, a in f.rows)
         most = max(most, 1 + sum(x[1:] != y[1:] for x, y in zip(rows, rows[1:])))
-        assert len(f.deficit) < 2 * most <= 12
+        assert len(f.rows) < 2 * most <= 12
 
 
 def test_tie_across_level_blocks_takes_lowest_start_first():
@@ -476,6 +501,7 @@ def _tied_spectra(draw):
 def test_columnar_kernel_matches_oracle_on_random_pairs(p, q):
     _assert_matches_oracle(p, q)
     _assert_fiber_invariants(p, q)
+    _assert_matches_oracle_after_every_run(p, q)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -483,5 +509,6 @@ def test_columnar_kernel_matches_oracle_on_random_pairs(p, q):
 def test_columnar_kernel_matches_oracle_on_tied_pairs(p, q):
     _assert_matches_oracle(p, q)
     _assert_fiber_invariants(p, q)
+    _assert_matches_oracle_after_every_run(p, q)
     # at most 8 atoms of multiplicity 30: both expansions stay small
     _assert_map_matches_heap(p, q)

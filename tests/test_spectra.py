@@ -271,6 +271,18 @@ def test_maxent_rank_ceiling():
         assert maxent_rank(ln2, n) == 2 ** n
 
 
+def test_maxent_rank_rejects_rates_that_are_not_finite_and_nonnegative():
+    assert maxent_rank(0.0, 10) == maxent_rank(-0.0, 10) == 1
+    with pytest.raises(ValueError, match="rate must be a number, got nan"):
+        maxent_rank(math.nan, 10)
+    for rate in (math.inf, -math.inf, -1e-300, -5.0):
+        with pytest.raises(ValueError, match="rate must be finite and nonnegative"):
+            maxent_rank(rate, 10)
+    with pytest.raises(BudgetExceededError) as exc:
+        maxent_rank(70.1, 10)
+    assert exc.value.budget == "max_maxent_exponent"
+
+
 def test_generate_mixture_merges_atoms():
     mx = Mixture(
         (
