@@ -235,11 +235,7 @@ def _cmd_experiment(args, task: str) -> int:
     model = parse_model(args.model)
     n_grid = _parse_int_grid(args.n)
     run = concentration_experiment if task == "concentration" else dilution_experiment
-    try:
-        verdict = run(model, args.rate, n_grid, max_type_classes=args.budget_max_type_classes)
-    except BudgetExceededError as exc:
-        print(f"budget exceeded: {exc}", file=sys.stderr)
-        return 3
+    verdict = run(model, args.rate, n_grid, max_type_classes=args.budget_max_type_classes)
     if args.format == "csv":
         text = _csv_text("n,error,fidelity,nielsen_ok", _conversion_rows(verdict.reports))
     else:

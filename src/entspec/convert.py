@@ -27,15 +27,13 @@ from .spectra import (
 
 
 def _sqrt_term(count: int, mu: float, qv: float) -> float:
-    """count * sqrt(mu * qv) robust to huge counts and underflowing products."""
+    """count * sqrt(mu * qv), through logs where the product would underflow;
+    count is at most its target atom's multiplicity, below 2**1023."""
     if mu <= 0.0 or qv <= 0.0:
         return 0.0
     prod = mu * qv
     if prod > 1e-300:
-        try:
-            return count * math.sqrt(prod)
-        except OverflowError:
-            pass
+        return count * math.sqrt(prod)
     return math.exp(math.log(count) + 0.5 * (math.log(mu) + math.log(qv)))
 
 

@@ -52,7 +52,7 @@ from .majorize import (
     transfer_matrix,
 )
 from .randgen import brute_force_optimal, synthesize_map
-from .spectra import _EXP_LIMIT, BudgetExceededError, Spectrum, _mass_term, expand
+from .spectra import _EXP_LIMIT, BudgetExceededError, Spectrum, expand
 
 _EIG_CUT_REL = 1e-10
 
@@ -535,9 +535,7 @@ def verify_product_tails(p_a: Spectrum, s_b: Spectrum, n: int, a: float) -> Veri
     terms = []
     for p, m in p_a.atoms:
         x = -math.log(p) / n + 0.0
-        f_b = cdf_selfinfo(s_b, n, a - x)
-        if f_b:
-            terms.append(_mass_term(p, m) * f_b)
+        terms.append(p * m * cdf_selfinfo(s_b, n, a - x))
     lhs = math.fsum(terms)
     rhs = cdf_selfinfo(p_a, n, a)
     checks = [("pair-tail-below-marginal", rhs - lhs, 1e-9)]

@@ -31,7 +31,6 @@ from .spectra import (
     DEFAULT_MAX_EXPANDED_DIM,
     BudgetExceededError,
     Spectrum,
-    _mass_term,
     expand,
 )
 
@@ -64,8 +63,8 @@ def prefix_gap_min(p: Spectrum, q: Spectrum) -> tuple[float, int]:
         pk = pc[i] if i < len(pc) else math.inf
         qk = qc[j] if j < len(qc) else math.inf
         k = pk if pk < qk else qk
-        pv = p_mass + _mass_term(pa[i][0], k - p_count) if k < p_end else pm[-1]
-        qv = q_mass + _mass_term(qa[j][0], k - q_count) if k < q_end else qm[-1]
+        pv = p_mass + pa[i][0] * (k - p_count) if k < p_end else pm[-1]
+        qv = q_mass + qa[j][0] * (k - q_count) if k < q_end else qm[-1]
         gap = qv - pv
         if gap < best:
             best, best_k = gap, k

@@ -7,20 +7,21 @@ multiplicities.  Multiplicities are exact Python integers, so tensor powers
 whose degeneracies are huge binomial counts remain representable long after
 the expanded dimension has left the double-precision range.
 
-Probabilities themselves are double floats.  An atom whose probability
-falls below the smallest normal double (possible for i.i.d. powers beyond a
-few hundred copies with skewed bases, and for the atoms of a mixture
-component with a small weight) is dropped at generation time: a subnormal
-probability keeps too few significant bits for its rate, and one that
-underflows to zero keeps none.  (At n = 1500, IID(0.9, 0.1) has 17
-subnormal atoms; the last was stored as 5e-324, so its rate came out
-0.49629 nats against an exact 0.49647.)  The mass the dropped atoms carry is
-not negligible in general: the dropped type classes of IID(0.9, 0.1) hold
-about 1.1e-34 at n = 1200, 7.0e-16 at n = 1500 and 0.026 at n = 2000
-(mpmath).  While the kept mass stays
-within MASS_TOL of 1 only the extreme quantiles of the self-information
-distribution are affected; beyond that, generation raises a
-BudgetExceededError naming the `iid_underflow_mass` budget.
+Probabilities themselves are double floats, and every atom's is a normal
+double: `Spectrum.from_atoms` drops atoms below the smallest normal double as
+it drops zero atoms, and its mass check fails if they carried more than the
+tolerance.  A subnormal probability keeps too few significant bits for its
+rate, and one that underflows to zero keeps none.  (At n = 1500, IID(0.9, 0.1)
+has 17 subnormal atoms; the last was stored as 5e-324, so its rate came out
+0.49629 nats against an exact 0.49647.)  So a multiplicity m stays below
+(1 + tol)/p < 2**1023, and p * m, or p times any partial count, is a finite
+double: there is no exp/log route.  Generation drops such atoms first (i.i.d.
+powers beyond a few hundred copies with skewed bases, mixture components with
+a small weight), and their mass is not negligible in general: the dropped type
+classes of IID(0.9, 0.1) hold about 1.1e-34 at n = 1200, 7.0e-16 at n = 1500
+and 0.026 at n = 2000 (mpmath).  When the kept mass deviates from 1 by more
+than MASS_TOL, generation raises a BudgetExceededError naming the
+`iid_underflow_mass` budget.
 
 Only the dense helpers (`expand`, `AmplitudeMatrix`,
 `schmidt_from_amplitudes`) use NumPy, and they import it when they run:
@@ -37,7 +38,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
 from operator import itemgetter
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence, Union
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence, Union
 
 if TYPE_CHECKING:
     import numpy as np
@@ -61,15 +62,6 @@ class BudgetExceededError(RuntimeError):
         self.limit = limit
 
 
-def _mass_term(p: float, mult: int) -> float:
-    # mult can exceed the float range; fall back to exp/log (math.log is
-    # exact-ish for arbitrarily large ints)
-    try:
-        return p * mult
-    except OverflowError:
-        return math.exp(math.log(p) + math.log(mult))
-
-
 def _integer(x, what: str) -> int:
     """x as an int: integral floats convert; bools and anything else that is
     not an integer raise a ValueError naming `what`."""
@@ -80,10 +72,14 @@ def _integer(x, what: str) -> int:
 
 def _real(x, what: str) -> float:
     """x as a float: bools, strings and anything else that is not a real
-    number raise a ValueError naming `what`."""
+    number raise a ValueError naming `what`, as does an integer beyond the
+    double range."""
     if isinstance(x, bool) or not isinstance(x, numbers.Real):
         raise ValueError(f"{what} must be a real number, got {x!r}")
-    return float(x)
+    try:
+        return float(x)
+    except OverflowError:
+        raise ValueError(f"{what} must lie in the double range, got {x!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -101,14 +97,14 @@ def _scaled_atoms(*spectra: Spectrum) -> tuple[int, list[list[int]]]:
 def cumulative_mass(atoms: Iterable[tuple[float, int]]) -> Iterator[float]:
     """Yield the mass of each prefix of `atoms`, one value per atom.
 
-    The i-th value is math.fsum of the first i + 1 mass terms, bit for bit:
-    the running sum is held exactly as one integer over 2**e, and each value
-    is its correctly rounded quotient.  k atoms cost O(k) big-int adds.
+    The i-th value is math.fsum of the first i + 1 mass terms p * m (finite, as
+    in every spectrum), bit for bit: the running sum is one exact integer over
+    2**e, and each value is its correctly rounded quotient.  k atoms cost O(k).
     """
     acc = e = 0
     scale = 1
     for p, m in atoms:
-        num, den = _mass_term(p, m).as_integer_ratio()
+        num, den = (p * m).as_integer_ratio()
         te = den.bit_length() - 1
         if te > e:
             acc <<= te - e
@@ -122,7 +118,7 @@ def cumulative_mass(atoms: Iterable[tuple[float, int]]) -> Iterator[float]:
 class Spectrum:
     """Compressed probability spectrum: descending (probability, multiplicity) atoms.
 
-    Invariants: probabilities strictly positive and strictly decreasing across
+    Invariants: probabilities normal doubles, strictly decreasing across
     atoms, multiplicities positive integers, total mass 1 within a small
     tolerance.  Use :meth:`from_atoms` to construct; it sorts, merges equal
     values and validates.
@@ -143,7 +139,10 @@ class Spectrum:
 
     @classmethod
     def from_atoms(cls, pairs: Iterable[tuple[float, int]], *, mass_tol: float = MASS_TOL) -> "Spectrum":
+        """Zero and subnormal atoms are dropped, so every p * m is a finite double; the
+        mass check counts what they carried, and fails for an m beyond the double range."""
         cleaned = []
+        tiny = sys.float_info.min
         for pair in pairs:
             p, m = pair
             if type(p) is not float or type(m) is not int or type(pair) is not tuple:
@@ -151,12 +150,12 @@ class Spectrum:
                 pair = p, m = _real(p, "probability"), _integer(m, "multiplicity")
             if m <= 0:
                 raise ValueError(f"multiplicity must be positive, got {m}")
-            if p > 0.0:
+            if p >= tiny:
                 cleaned.append(pair)
-            elif p != 0.0:  # NaN or negative; zero atoms are dropped
+            elif not p >= 0.0:  # NaN or negative; zero and subnormal atoms are dropped
                 raise ValueError(f"probability must be nonnegative, got {p!r}")
         if not cleaned:
-            raise ValueError("spectrum has no positive atoms")
+            raise ValueError("spectrum has no positive atoms of normal probability")
         cleaned.sort(key=itemgetter(0), reverse=True)
         # one pass: a run of values within MERGE_RTOL of its first (largest)
         # value becomes one atom at that value; a run of one keeps its pair
@@ -179,8 +178,8 @@ class Spectrum:
         del cleaned, run  # free the sorted pairs before the mass terms are built
         try:
             mass = math.fsum([p * m for p, m in merged])
-        except OverflowError:
-            mass = math.fsum([_mass_term(p, m) for p, m in merged])
+        except OverflowError:  # a multiplicity beyond the double range
+            mass = math.inf
         if abs(mass - 1.0) > mass_tol:
             raise ValueError(f"spectrum mass {mass!r} deviates from 1 beyond tolerance {mass_tol}")
         return cls(atoms=tuple(merged), total_dim=sum(m for _, m in merged))
@@ -202,7 +201,7 @@ class Spectrum:
 def entropy(s: Spectrum) -> float:
     """Shannon entropy in nats of the expanded distribution."""
     # + 0.0 keeps a point spectrum at 0.0 rather than -0.0
-    return -math.fsum(_mass_term(p, m) * math.log(p) for p, m in s.atoms) + 0.0
+    return -math.fsum(p * m * math.log(p) for p, m in s.atoms) + 0.0
 
 
 def expand(s: Spectrum, max_expanded_dim: int = DEFAULT_MAX_EXPANDED_DIM) -> np.ndarray:
@@ -307,7 +306,7 @@ def _normal_spectrum(pairs: Iterable[tuple[float, int]]) -> Spectrum:
         else:
             dropped = True
     if dropped:
-        lost = 1.0 - math.fsum(_mass_term(p, m) for p, m in kept)
+        lost = 1.0 - math.fsum(p * m for p, m in kept)
         if abs(lost) > MASS_TOL:
             raise BudgetExceededError("iid_underflow_mass", lost, MASS_TOL)
     return Spectrum.from_atoms(kept)
@@ -338,7 +337,7 @@ def maxent_spectrum(rank: int) -> Spectrum:
     """Flat spectrum of a maximally entangled state of the given Schmidt rank."""
     if rank < 1:
         raise ValueError("Schmidt rank must be a positive integer")
-    # 1/rank must be a normal double, as iid_spectrum requires of its atoms
+    # 1/rank must be a normal double, as Spectrum.from_atoms requires of every atom
     if rank > 1 << 1022:
         raise BudgetExceededError("max_maxent_rank", rank, 1 << 1022)
     return Spectrum.from_atoms([(1.0 / rank, rank)])
@@ -382,9 +381,9 @@ class MaxEnt:
 
 @dataclass(frozen=True)
 class MaxEntExplicit:
-    """Flat spectra with an explicitly supplied rank for each n."""
+    """Flat spectra with an explicitly supplied rank for each n (1-based)."""
 
-    rank_fn: Callable[[int], int]
+    ranks: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -423,10 +422,9 @@ def generate(model: SequenceModel, n: int, *, max_type_classes: int = DEFAULT_MA
     if isinstance(model, MaxEnt):
         return maxent_spectrum(maxent_rank(model.rate, n))
     if isinstance(model, MaxEntExplicit):
-        rank = model.rank_fn(n)
-        if not isinstance(rank, int) or rank < 1:
-            raise ValueError(f"rank function must return a positive integer, got {rank!r}")
-        return maxent_spectrum(rank)
+        if n > len(model.ranks):
+            raise ValueError(f"explicit rank list has {len(model.ranks)} entries, asked for n={n}")
+        return maxent_spectrum(model.ranks[n - 1])
     if isinstance(model, Mixture):
         # w * p can fall below the smallest normal double, as an i.i.d. class can
         return _normal_spectrum(
@@ -451,14 +449,7 @@ def model_from_json_dict(obj: dict) -> SequenceModel:
     if kind == "maxent":
         return MaxEnt(_real(obj["rate"], "rate"))
     if kind == "maxent_explicit":
-        ranks = [_integer(r, "rank") for r in obj["ranks"]]
-
-        def rank_fn(n: int, _ranks=tuple(ranks)) -> int:
-            if n > len(_ranks):
-                raise ValueError(f"explicit rank list has {len(_ranks)} entries, asked for n={n}")
-            return _ranks[n - 1]
-
-        return MaxEntExplicit(rank_fn)
+        return MaxEntExplicit(tuple(_integer(r, "rank") for r in obj["ranks"]))
     if kind == "mixture":
         comps = tuple((_real(w, "mixture weight"), model_from_json_dict(sub)) for w, sub in obj["components"])
         return Mixture(comps)

@@ -15,11 +15,11 @@ import pytest
 
 from entspec.convert import ConversionReport
 from entspec.randgen import MapSynthesisReport
-from entspec.spectra import Spectrum, _mass_term
+from entspec.spectra import Spectrum
 
 
 def check_synthesis_report(r: MapSynthesisReport) -> None:
-    distance = math.fsum(_mass_term(abs(qv - mu), c) for qv, mu, c in r.assignments)
+    distance = math.fsum(abs(qv - mu) * c for qv, mu, c in r.assignments)
     assert abs(distance - r.achieved_distance) <= 1e-12, (r.achieved_distance, distance)
     rebuilt = Spectrum.from_atoms([(mu, c) for _, mu, c in r.assignments if mu > 0.0], mass_tol=1e-11)
     assert rebuilt.atoms == r.pushforward.atoms

@@ -425,6 +425,34 @@ def test_model_file_non_real_numbers_are_usage_errors(model, message, tmp_path, 
     assert message in err
 
 
+@pytest.mark.parametrize(
+    "model, message",
+    [
+        ({"kind": "explicit", "spectra": [{"atoms": [[2**1070, 1]]}]}, "probability must lie in the double range"),
+        ({"kind": "maxent", "rate": 2**1070}, "rate must lie in the double range"),
+        (
+            {"kind": "mixture", "components": [[10**400, {"kind": "maxent", "rate": 0.1}]]},
+            "mixture weight must lie in the double range",
+        ),
+    ],
+)
+def test_model_file_integers_beyond_the_double_range_are_usage_errors(model, message, tmp_path, capsys):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(model))
+    code, out, err = run_cli(capsys, "rates", f"file:{path}", "--n", "1", "--eps", "0.1")
+    assert (code, out) == (2, "")
+    assert message in err
+
+
+def test_model_file_multiplicity_beyond_the_double_range_is_a_usage_error(tmp_path, capsys):
+    # its mass term p * m has no double value, so the mass check rejects it
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({"atoms": [[0.5, 10**400]]}))
+    code, out, err = run_cli(capsys, "rates", f"file:{path}", "--n", "1", "--eps", "0.1")
+    assert (code, out) == (2, "")
+    assert "spectrum mass inf deviates from 1" in err
+
+
 def test_model_file_integral_float_counts_are_accepted(tmp_path, capsys):
     path = tmp_path / "model.json"
     path.write_text(json.dumps({"kind": "maxent_explicit", "ranks": [4.0]}))

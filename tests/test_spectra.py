@@ -2,6 +2,7 @@ import json
 import math
 import sys
 import tracemalloc
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -20,7 +21,6 @@ from entspec.spectra import (
     MaxEntExplicit,
     Mixture,
     Spectrum,
-    _mass_term,
     cumulative_mass,
     entropy,
     expand,
@@ -196,7 +196,7 @@ def _oracle_iid_spectrum(base: Spectrum, n: int) -> Spectrum:
         if prob >= sys.float_info.min:
             pairs.append((prob, mult))
     if len(pairs) < n_classes:
-        lost = 1.0 - math.fsum(_mass_term(p, m) for p, m in pairs)
+        lost = 1.0 - math.fsum(p * m for p, m in pairs)
         if abs(lost) > MASS_TOL:
             raise BudgetExceededError("iid_underflow_mass", lost, MASS_TOL)
     return Spectrum.from_atoms(pairs)
@@ -329,8 +329,10 @@ def test_generate_maxent_ln2():
 
 
 def test_generate_maxent_explicit():
-    model = MaxEntExplicit(lambda n: 2 * n)
+    model = MaxEntExplicit((2, 4, 6))
     assert generate(model, 3).atoms == ((1.0 / 6.0, 6),)
+    with pytest.raises(ValueError, match="explicit rank list has 3 entries, asked for n=4"):
+        generate(model, 4)
 
 
 def test_entropy_examples():
@@ -371,15 +373,53 @@ def test_from_atoms_merges_and_sorts():
 
 
 def test_from_atoms_mass_beyond_float_range():
-    # the mass term of this atom overflows p * m, so the mass check takes
-    # _mass_term's exp/log route (2.0**-1100 would underflow to 0.0)
-    p, m = 2.0**-1070, 2**1070
-    with pytest.raises(OverflowError):
-        p * m
-    s = Spectrum.from_atoms([(p, m)])
-    assert s.atoms == ((p, m),) and s.total_dim == m
+    # a subnormal atom is dropped, so a spectrum of nothing else has no atoms
+    # left; a normal one whose multiplicity leaves the double range has a
+    # mass that fails the check
+    with pytest.raises(ValueError, match="no positive atoms of normal probability"):
+        Spectrum.from_atoms([(2.0**-1070, 2**1070)])
+    with pytest.raises(ValueError, match="spectrum mass inf deviates from 1"):
+        Spectrum.from_atoms([(0.5, 10**400)])
+
+
+def test_from_atoms_drops_subnormal_atoms():
+    assert Spectrum.from_atoms([(1.0, 1), (5e-324, 1)]).atoms == ((1.0, 1),)
+    assert Spectrum.from_atoms([(1.0, 1), (2.0**-1070, 3)]).total_dim == 1
+    # the dropped mass counts against the tolerance
     with pytest.raises(ValueError, match="deviates from 1"):
-        Spectrum.from_atoms([(p, 2 * m)])
+        Spectrum.from_atoms([(0.5, 1), (2.0**-1070, 2**1069)])
+
+
+_TINY_PROBS = [0.0, 5e-324, 2.0**-1070, 2.0**-1030, sys.float_info.min, 2.0**-1000, 1e-300, 1e-20, 0.01]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    st.lists(
+        st.tuples(st.sampled_from(_TINY_PROBS), st.integers(1, 9), st.integers(2, 30)),
+        min_size=1,
+        max_size=4,
+    ),
+    st.booleans(),
+)
+def test_from_atoms_result_has_normal_atoms_and_finite_mass_terms(small, overflow):
+    # atoms of mass about k * 10**-e each (huge counts on tiny probabilities),
+    # one head atom that brings the total to 1, and perhaps an atom whose
+    # count leaves the double range
+    pairs = [(p, max(1, int(Fraction(k, 10**e) / Fraction(p))) if p else 2**1100) for p, k, e in small]
+    left = 1 - sum(Fraction(p) * m for p, m in pairs)
+    pairs.append((float(left), 1))
+    if overflow:
+        pairs.append((0.5, 2**1030))
+    dropped = sum(Fraction(p) * m for p, m in pairs if p < sys.float_info.min)
+    try:
+        s = Spectrum.from_atoms(pairs)
+    except ValueError as exc:
+        assert "deviates from 1" in str(exc)
+        assert overflow or dropped > 1e-13
+        return
+    assert not overflow and dropped < 1e-11
+    assert all(p >= sys.float_info.min and math.isfinite(p * m) for p, m in s.atoms)
 
 
 def test_zero_atoms_dropped():
@@ -417,31 +457,30 @@ def test_load_model_file(tmp_path):
     assert generate(model2, 1).atoms == ((0.5, 2),)
 
 
-# atoms need not form a spectrum here: any order, any total
+# atoms need not form a spectrum here: any order, any total; but every
+# probability is a normal double and every mass term fits, as in a spectrum
 _NORMAL_ATOMS = st.tuples(st.floats(min_value=1e-300, max_value=1.0), st.integers(1, 2**60))
-_SUBNORMAL_ATOMS = st.tuples(st.floats(min_value=5e-324, max_value=2.2e-308), st.integers(1, 2**20))
-# multiplicities beyond the float range send _mass_term through exp/log
-_HUGE_MULT_ATOMS = st.tuples(st.floats(min_value=5e-324, max_value=1e-40), st.integers(2**1024, 2**1100))
+_SMALLEST_NORMAL_ATOMS = st.tuples(st.floats(min_value=sys.float_info.min, max_value=1e-300), st.integers(1, 2**20))
+# multiplicities far beyond 2**64 on the smallest probabilities
+_HUGE_MULT_ATOMS = st.tuples(st.floats(min_value=sys.float_info.min, max_value=1e-290), st.integers(2**900, 2**1000))
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
-@given(st.lists(st.one_of(_NORMAL_ATOMS, _SUBNORMAL_ATOMS, _HUGE_MULT_ATOMS), min_size=1, max_size=40))
+@given(st.lists(st.one_of(_NORMAL_ATOMS, _SMALLEST_NORMAL_ATOMS, _HUGE_MULT_ATOMS), min_size=1, max_size=40))
 @example([(1.0, 1)])
-@example([(5e-324, 1)])
-@example([(2.0**-1070, 2**1070)])
+@example([(sys.float_info.min, 1)])
+@example([(sys.float_info.min, 2**1022)])
 @example([(0.9, 1), (0.1, 1)])
 def test_cumulative_mass_is_fsum_of_every_prefix(atoms):
-    terms = [_mass_term(p, m) for p, m in atoms]
+    terms = [p * m for p, m in atoms]
     got = [x.hex() for x in cumulative_mass(atoms)]
     assert got == [math.fsum(terms[: i + 1]).hex() for i in range(len(terms))]
 
 
 def test_cumulative_mass_edge_cases():
-    with pytest.raises(OverflowError):
-        2.0**-1070 * 2**1070  # so that example of the property takes _mass_term's exp/log fallback
     assert list(cumulative_mass([])) == []
     s = iid_spectrum(Spectrum.from_probs([0.9, 0.1]), 1200)
-    terms = [_mass_term(p, m) for p, m in s.atoms]
+    terms = [p * m for p, m in s.atoms]
     assert [x.hex() for x in cumulative_mass(s.atoms)] == [
         math.fsum(terms[: i + 1]).hex() for i in range(len(terms))
     ]
