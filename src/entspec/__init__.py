@@ -3,8 +3,9 @@
 Compressed spectra and sequence models, self-information tail functionals
 and entropy-rate proxies, greedy conversion maps with majorization
 certificates and fidelity bounds, and randomized verification suites for the
-operator inequalities behind the asymptotic theory.  The operator calculus and
-its verifiers work on NumPy arrays: one matrix or a stack of them.
+operator inequalities behind the asymptotic theory.  The operator calculus
+works on NumPy arrays, one matrix or a stack of them; its verifiers take
+(N, d, d) stacks and give one result per matrix.
 
 Importing the package does not load NumPy.  The names of `hermitian` (the
 dense tails, maps, verifiers and suites) resolve on first access, and that

@@ -13,9 +13,8 @@ validation (shape, finiteness, Hermitian deviation, contraction, density,
 Kraus completeness, column sums), takes one matrix or a (..., d, d) stack
 and gives arrays; an operator stack is validated once, where it enters,
 and a map whose arrays are stacks is a stack of maps applied matrix by
-matrix.  Each verifier takes one matrix or an (N, d, d) stack, with its
-scalar parameters broadcast against it, and gives one result or one result
-per matrix.
+matrix.  Each verifier takes (N, d, d) stacks, with its scalar parameters
+broadcast against them, and gives a list of one result per matrix.
 
 The suites: seeded randomized checks of every operator inequality the
 conversion analysis rests on, plus structural suites for the majorization
@@ -104,11 +103,6 @@ def _positive_trace(m: np.ndarray) -> np.ndarray:
     return _positive_sum(np.linalg.eigvalsh(m))
 
 
-def _per_matrix(x: np.ndarray):
-    """A float for a single matrix's result, the array for a stack's."""
-    return float(x) if x.ndim == 0 else x
-
-
 def _first(bad: np.ndarray) -> Optional[int]:
     """Flat index of the first flagged matrix of a stack, or None."""
     return int(np.argmax(bad)) if bad.any() else None
@@ -179,10 +173,6 @@ class CPTPMap:
             raise ValueError(f"Kraus completeness fails by {float(dev.flat[i])!r}")
 
     @property
-    def kind(self) -> str:
-        return "cptp"
-
-    @property
     def dimension(self) -> int:
         return self.kraus[0].shape[-1]
 
@@ -212,10 +202,6 @@ class StochasticMap:
             raise ValueError(f"column sums deviate from 1 by {float(dev.flat[i])!r}")
 
     @property
-    def kind(self) -> str:
-        return "stochastic"
-
-    @property
     def dimension(self) -> int:
         return self.matrix.shape[-1]
 
@@ -234,10 +220,6 @@ class TransposeMix:
         i = _first(~((t >= 0.0) & (t <= 1.0)))
         if i is not None:
             raise ValueError(f"mixing weight must lie in [0, 1], got {self.t if t.ndim == 0 else float(t.flat[i])!r}")
-
-    @property
-    def kind(self) -> str:
-        return "transpose_mix"
 
 
 TPMap = Union[CPTPMap, StochasticMap, TransposeMix]
@@ -330,15 +312,16 @@ def tail_D(rho, sigma, n, a):
 
     Computed from the eigendecomposition of the difference.  Takes a matrix
     pair or a (..., d, d) stack pair with n and a broadcast against it, and
-    gives a float or an array; a NaN or infinite entry raises a ValueError.
+    gives an array of one tail per matrix (0-d for a matrix pair); a NaN or
+    infinite entry raises a ValueError.
     """
     r, s = _tail_operators(rho, sigma)
-    return _per_matrix(_projected_mass(r, _tail_difference(r, s, n, a)))
+    return _projected_mass(r, _tail_difference(r, s, n, a))
 
 
 def tail_C(rho, sigma, n, a):
     """Trace of the positive part of rho - e^(n a) sigma; stacks as in tail_D."""
-    return _per_matrix(_positive_trace(_tail_difference(*_tail_operators(rho, sigma), n, a)))
+    return _positive_trace(_tail_difference(*_tail_operators(rho, sigma), n, a))
 
 
 def _require_psd(name: str, m: np.ndarray) -> np.ndarray:
@@ -358,8 +341,8 @@ def _require_density(name: str, m: np.ndarray):
 
 
 # ---------------------------------------------------------------------------
-# verifiers: each takes one matrix or an (N, d, d) stack, validates it once,
-# and gives one list of (name, signed margin, tolerance) checks per matrix
+# verifiers: each takes (N, d, d) stacks, validates them once, and gives one
+# list of (name, signed margin, tolerance) checks per matrix
 
 @dataclass(frozen=True)
 class VerifyResult:
@@ -395,13 +378,13 @@ def _json_value(v, i: Optional[int] = None):
     A map whose arrays are single matrices applies to every instance.
     """
     if isinstance(v, CPTPMap):
-        kraus = v.kraus if i is None or v.kraus[0].ndim == 2 else [k[i] for k in v.kraus]
-        return {"kind": v.kind, "kraus": [_mat_json(k) for k in kraus]}
+        kraus = v.kraus if v.kraus[0].ndim == 2 else [k[i] for k in v.kraus]
+        return {"kind": "cptp", "kraus": [_mat_json(k) for k in kraus]}
     if isinstance(v, StochasticMap):
-        m = v.matrix if i is None or v.matrix.ndim == 2 else v.matrix[i]
-        return {"kind": v.kind, "matrix": [[float(x) for x in row] for row in m]}
+        m = v.matrix if v.matrix.ndim == 2 else v.matrix[i]
+        return {"kind": "stochastic", "matrix": [[float(x) for x in row] for row in m]}
     if isinstance(v, TransposeMix):
-        return {"kind": v.kind, "t": v.t if i is None or np.ndim(v.t) == 0 else float(v.t[i])}
+        return {"kind": "transpose_mix", "t": v.t if np.ndim(v.t) == 0 else float(v.t[i])}
     if i is not None:
         v = v[i]
     if isinstance(v, np.ndarray):
@@ -420,22 +403,17 @@ def _payload(i: Optional[int] = None, /, **values) -> Callable[[], dict]:
     return lambda: {k: _json_value(v, i) for k, v in values.items()}
 
 
-def _results(checks: list, *, single: bool = False, **stacks):
-    """One VerifyResult per instance, or the result alone for a single matrix.
-
-    A violation's payload holds instance i of each stack.
-    """
-    out = [_finish(c, _payload(i, **stacks)) for i, c in enumerate(checks)]
-    return out[0] if single else out
+def _results(checks: list, **stacks) -> list:
+    """One VerifyResult per instance; a violation's payload holds instance i of each stack."""
+    return [_finish(c, _payload(i, **stacks)) for i, c in enumerate(checks)]
 
 
-def _operators(*xs) -> tuple:
-    """Validated (N, d, d) stacks of one shape, and whether the inputs were single matrices."""
-    ms = [_check_hermitian(m) for m in _square_stacks(*xs)]
-    if ms[0].ndim > 3:
-        raise ValueError(f"expected matrices or (N, d, d) stacks, got shape {ms[0].shape}")
-    single = ms[0].ndim == 2
-    return [m[None] for m in ms] if single else ms, single
+def _operators(*xs) -> list:
+    """Validated (N, d, d) stacks of one shape."""
+    for x in xs:
+        if np.ndim(x) != 3:
+            raise ValueError(f"expected an (N, d, d) stack of operators, got shape {np.shape(x)}")
+    return [_check_hermitian(m) for m in _square_stacks(*xs)]
 
 
 def _per_instance(x, count: int) -> list:
@@ -444,32 +422,21 @@ def _per_instance(x, count: int) -> list:
 
 
 def verify_lemma_np(a, t):
-    """Tr A T <= Tr A_plus for the given contractions T, with attainment at A > 0.
+    """Tr A T <= Tr A_plus for a contraction T, with attainment at A > 0.
 
-    t holds one or more contractions per operator: a (trials, d, d) stack for
-    a matrix A, an (N, trials, d, d) stack for an (N, d, d) stack of them.
-    Each must lie in 0 <= T <= I.
+    t holds one contraction per operator, a stack of a's shape; each must
+    lie in 0 <= T <= I.
     """
-    (a,), single = _operators(a)
-    t = _check_hermitian(_square_stacks(t)[0])
-    if single:
-        t = t[None]
-    if t.ndim != 4 or t.shape[0] != a.shape[0] or t.shape[2:] != a.shape[1:] or t.shape[1] < 1:
-        raise ValueError(f"need a nonempty (trials, {a.shape[-1]}, {a.shape[-1]}) stack of contractions per operator")
+    a, t = _operators(a, t)
     _check_unit_interval(t)
     tp = _positive_trace(a).tolist()
-    vals = _trace(a[:, None] @ t).real.tolist()
+    vals = _trace(a @ t).real.tolist()
     attained = _trace(a @ _symmetrized(_projector(*np.linalg.eigh(a)))).real.tolist()
-    checks, tightest = [], []
-    for i, (tp_i, vals_i, attained_i) in enumerate(zip(tp, vals, attained)):
-        checks.append([("upper-bound", tp_i - val, 1e-9) for val in vals_i])
-        checks[-1].append(("attained-at-positive-projector", 1e-10 - abs(attained_i - tp_i), 0.0))
-        j, worst_val = None, -math.inf
-        for jj, val in enumerate(vals_i):
-            if val > worst_val:
-                j, worst_val = jj, val
-        tightest.append(None if j is None else t[i, j])
-    return _results(checks, single=single, operator=a, tightest_contraction=tightest)
+    checks = [
+        [("upper-bound", x - v, 1e-9), ("attained-at-positive-projector", 1e-10 - abs(y - x), 0.0)]
+        for x, v, y in zip(tp, vals, attained)
+    ]
+    return _results(checks, operator=a, tightest_contraction=t)
 
 
 def verify_lemma_bdm(f: TPMap, a):
@@ -477,16 +444,16 @@ def verify_lemma_bdm(f: TPMap, a):
 
     A stochastic map takes diagonal A only.
     """
-    (a,), single = _operators(a)
+    (a,) = _operators(a)
     before = _positive_trace(a).tolist()
     after = _positive_trace(_apply_tp(f, a)).tolist()
     checks = [[("positive-part-monotone", x - y, 1e-9)] for x, y in zip(before, after, strict=True)]
-    return _results(checks, single=single, map=f, operator=a)
+    return _results(checks, map=f, operator=a)
 
 
 def verify_bd_sandwich(rho, sigma, n, a, gamma):
     """Positive-part tail below projector tail, and the shifted-cut lower bound."""
-    (rho, sigma), single = _operators(rho, sigma)
+    rho, sigma = _operators(rho, sigma)
     n, a, gamma = (_per_instance(x, len(rho)) for x in (n, a, gamma))
     # written so that NaN fails
     if not all(g > 0.0 for g in gamma):
@@ -505,12 +472,12 @@ def verify_bd_sandwich(rho, sigma, n, a, gamma):
         ]
         for x, y, z, k, g in zip(c_a, d_a, d_b, n, gamma)
     ]
-    return _results(checks, single=single, rho=rho, sigma=sigma, n=n, a=a, gamma=gamma)
+    return _results(checks, rho=rho, sigma=sigma, n=n, a=a, gamma=gamma)
 
 
 def verify_continuity(rho, rho_prime, sigma, n, a):
     """Positive-part tails move by at most half the trace distance of the state."""
-    (rho, rho_prime, sigma), single = _operators(rho, rho_prime, sigma)
+    rho, rho_prime, sigma = _operators(rho, rho_prime, sigma)
     n, a = (_per_instance(x, len(rho)) for x in (n, a))
     _require_density("rho", rho)
     _require_density("rho_prime", rho_prime)
@@ -521,7 +488,7 @@ def verify_continuity(rho, rho_prime, sigma, n, a):
         [("perturbation-bound", y + h - x, 1e-9), ("perturbation-bound-swapped", x + h - y, 1e-9)]
         for x, y, h in zip(c, c_prime, half_l1)
     ]
-    return _results(checks, single=single, rho=rho, rho_prime=rho_prime, sigma=sigma, n=n, a=a)
+    return _results(checks, rho=rho, rho_prime=rho_prime, sigma=sigma, n=n, a=a)
 
 
 def verify_product_tails(p_a: Spectrum, s_b: Spectrum, n: int, a: float) -> VerifyResult:
@@ -561,14 +528,14 @@ def verify_tail_monotonicity(rho, sigma, f: TPMap, n, a):
     Stochastic maps are only a single linear map on commuting (diagonal)
     arguments, so they take diagonal rho and sigma only.
     """
-    (rho, sigma), single = _operators(rho, sigma)
+    rho, sigma = _operators(rho, sigma)
     n, a = (_per_instance(x, len(rho)) for x in (n, a))
     # the maps first: a rejected argument fails before any tail is computed
     f_rho, f_sigma = _apply_tp(f, rho), _apply_tp(f, sigma)
     before = tail_C(rho, sigma, n, a).tolist()
     after = tail_C(f_rho, f_sigma, n, a).tolist()
     checks = [[("tail-monotone", x - y, 1e-9)] for x, y in zip(before, after, strict=True)]
-    return _results(checks, single=single, rho=rho, sigma=sigma, map=f, n=n, a=a)
+    return _results(checks, rho=rho, sigma=sigma, map=f, n=n, a=a)
 
 
 def _projector_split_checks(a: np.ndarray, b: np.ndarray) -> list:
@@ -748,7 +715,7 @@ def _np_check(d, a, g, vals, b):
     # a is validated by verify_lemma_np; b is seen by no verifier
     a = _hermitians(np.array(a))
     b = _check_hermitian(_hermitians(np.array(b)))
-    lemma = verify_lemma_np(a, _contractions(np.array(g), np.array(vals))[:, None])
+    lemma = verify_lemma_np(a, _contractions(np.array(g), np.array(vals)))
     traceless, a0 = _traceless_abs_checks(a)
     return zip(
         lemma,

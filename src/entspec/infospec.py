@@ -33,18 +33,14 @@ _QUANTILE_TOL = 1e-12
 def cdf_selfinfo(s: Spectrum, n: int, a: float) -> float:
     """Mass of atoms whose self-information rate is <= a; a NaN threshold raises.
 
-    Costs O(k) big-int adds over the k atoms below the cut.
+    Bisects the k rate-ascending atoms (O(log k) logs) and reads the cached prefix table.
     """
     if n < 1:
         raise ValueError("n must be a positive integer")
     if math.isnan(a):
         raise ValueError("threshold a must be a number, got nan")
-    total = 0.0
-    for (p, _), cum in zip(s.atoms, cumulative_mass(s.atoms)):
-        if not -math.log(p) / n <= a:
-            break  # atoms are rate-ascending
-        total = cum
-    return total
+    k = bisect_right(s.atoms, a, key=lambda atom: -math.log(atom[0]) / n)
+    return s.prefix_table[1][k - 1] if k else 0.0
 
 
 def _check_epsilon(eps: float) -> float:

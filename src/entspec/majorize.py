@@ -35,9 +35,11 @@ from .spectra import (
 )
 
 MAJORIZE_TOL = 1e-10
-# largest expanded dimensions of the dense d x d certificates
+# largest expanded dimensions of the dense d x d certificates; transfer_matrix's
+# m - 1 dense m x m steps cost O(m^4): 0.22 s at m = 256, 3.0 s at m = 512 (one
+# BLAS thread, 2-core x86_64 VM, NumPy 2.4)
 MAX_CERTIFICATE_DIM = 2048
-MAX_TRANSFER_DIM = 4096
+MAX_TRANSFER_DIM = 512
 
 
 def prefix_gap_min(p: Spectrum, q: Spectrum) -> tuple[float, int]:
@@ -147,7 +149,7 @@ def _fibers_of(p: Spectrum, phi: DeterministicMap, max_dim: int, budget: str):
     """p's descending expansion, and the domain indices phi sends to each codomain element."""
     if p.total_dim > max_dim:
         raise BudgetExceededError(budget, p.total_dim, max_dim)
-    xs = expand(p, max_dim)
+    xs = expand(p)  # max_dim is at most expand's own budget
     if phi.domain_size != len(xs):
         raise ValueError(f"map domain {phi.domain_size} does not match expanded dimension {len(xs)}")
     fibers = [[] for _ in range(phi.codomain_size)]
@@ -233,16 +235,18 @@ def transfer_matrix(p: Spectrum, q: Spectrum) -> BistochasticMatrix:
     finds its two coordinates by a Python scan of the current vector and
     applies itself as a dense m x m matrix (one identity whose four entries
     are set and reset), so D is the same BLAS product, bit for bit, as with
-    a fresh identity per step.
+    a fresh identity per step.  m above MAX_TRANSFER_DIM exceeds `max_transfer_dim`.
     """
     import numpy as np
 
+    m = max(p.total_dim, q.total_dim)
+    if m > MAX_TRANSFER_DIM:
+        raise BudgetExceededError("max_transfer_dim", m, MAX_TRANSFER_DIM)
     gap, at = prefix_gap_min(p, q)
     if gap < -MAJORIZE_TOL:
         raise ValueError(f"majorization fails at prefix count {at}: gap {gap!r}")
-    pv = expand(p, MAX_TRANSFER_DIM)
-    qv = expand(q, MAX_TRANSFER_DIM)
-    m = max(len(pv), len(qv))
+    pv = expand(p)
+    qv = expand(q)
     target = np.zeros(m)
     target[: len(pv)] = pv
     cur = np.zeros(m)

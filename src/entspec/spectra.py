@@ -226,7 +226,9 @@ class AmplitudeMatrix:
         m = np.asarray(entries, dtype=complex)
         if m.ndim != 2 or m.shape[0] < 1 or m.shape[1] < 1:
             raise ValueError(f"amplitude matrix must be 2-D and nonempty, got shape {m.shape}")
-        sq = float(np.sum(np.abs(m) ** 2))
+        # an entry beyond 1e154 overflows to a squared norm of inf, rejected below
+        with np.errstate(over="ignore"):
+            sq = float(np.sum(np.abs(m) ** 2))
         # written so that NaN fails
         if not abs(sq - 1.0) <= 1e-10:
             raise ValueError(f"amplitude matrix is not normalized: squared norm {sq!r}")
@@ -459,9 +461,13 @@ def model_from_json_dict(obj: dict) -> SequenceModel:
 
 
 def load_model(path: str) -> SequenceModel:
-    with open(path, "r", encoding="utf-8") as fh:
-        obj = json.load(fh)
-    # a bare spectrum file acts as the n=1 entry of an explicit sequence
-    if isinstance(obj, dict) and "atoms" in obj and "kind" not in obj:
-        return Explicit((Spectrum.from_json_dict(obj),))
-    return model_from_json_dict(obj)
+    """The model in a JSON file; one nested too deeply to parse is a ValueError."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            obj = json.load(fh)
+        # a bare spectrum file acts as the n=1 entry of an explicit sequence
+        if isinstance(obj, dict) and "atoms" in obj and "kind" not in obj:
+            return Explicit((Spectrum.from_json_dict(obj),))
+        return model_from_json_dict(obj)
+    except RecursionError as exc:
+        raise ValueError(f"model file nests too deeply: {exc}") from None

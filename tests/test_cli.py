@@ -5,6 +5,7 @@ import os
 import resource
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -93,6 +94,17 @@ def test_schmidt_rejects_non_numeric_amplitudes(tmp_path, capsys, text, field):
     code, out, err = run_cli(capsys, "schmidt", str(path))
     assert code == 2 and out == ""
     assert field in err
+
+
+def test_schmidt_overflowing_norm_is_only_the_named_error(tmp_path, capsys):
+    # squaring 1e200 overflows; NumPy's RuntimeWarning used to reach stderr first
+    path = tmp_path / "amp.json"
+    path.write_text("[[1e200, 0], [0, 0]]")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, "schmidt", str(path))
+    assert (code, out) == (2, "")
+    assert err == "error: amplitude matrix is not normalized: squared norm inf\n"
 
 
 def test_rates_csv_exact(capsys):
@@ -451,6 +463,19 @@ def test_model_file_multiplicity_beyond_the_double_range_is_a_usage_error(tmp_pa
     code, out, err = run_cli(capsys, "rates", f"file:{path}", "--n", "1", "--eps", "0.1")
     assert (code, out) == (2, "")
     assert "spectrum mass inf deviates from 1" in err
+
+
+def test_deeply_nested_model_file_is_a_usage_error(tmp_path, capsys):
+    # written as a string: json.dump itself recurses once per level; this
+    # file used to end in an uncaught RecursionError, exit 1
+    text = '{"kind": "maxent", "rate": 0.1}'
+    for _ in range(600):
+        text = '{"kind": "mixture", "components": [[1.0, ' + text + ']]}'
+    path = tmp_path / "deep.json"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, "rates", f"file:{path}", "--n", "1", "--eps", "0.1")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: model file nests too deeply: maximum recursion depth exceeded")
 
 
 def test_model_file_integral_float_counts_are_accepted(tmp_path, capsys):

@@ -57,12 +57,12 @@ def _rand_doubly_stochastic(rng, dim):
 
 
 def _bdm_identity(a):
-    """verify_lemma_bdm under the identity map: operator validation and nothing else."""
-    return verify_lemma_bdm(TransposeMix(0.0), a)
+    """verify_lemma_bdm under the identity map on a stack of one: operator validation and nothing else."""
+    return verify_lemma_bdm(TransposeMix(0.0), np.array([a]))
 
 
 def test_hermitian_construction():
-    r = _bdm_identity([[1.0, 1.0j], [-1.0j, 2.0]])
+    (r,) = _bdm_identity([[1.0, 1.0j], [-1.0j, 2.0]])
     assert r.ok and r.checks == 1
     with pytest.raises(ValueError, match="Hermitian"):
         _bdm_identity([[0.0, 1.0], [0.0, 0.0]])
@@ -72,10 +72,10 @@ def test_hermitian_construction():
 
 def test_contraction_eigenvalue_gate():
     a = np.diag([1.0, -1.0, 0.5])
-    assert verify_lemma_np(a, [np.diag([0.0, 0.5, 1.0])]).ok
+    assert verify_lemma_np(a[None], [np.diag([0.0, 0.5, 1.0])])[0].ok
     for bad in ([0.0, 1.5, 0.5], [-0.2, 0.5, 0.5]):
         with pytest.raises(ValueError, match="interval"):
-            verify_lemma_np(a, [np.diag([0.0, 0.5, 1.0]), np.diag(bad)])
+            verify_lemma_np(np.array([a, a]), [np.diag([0.0, 0.5, 1.0]), np.diag(bad)])
 
 
 def test_operator_validation_rejects_non_finite_entries():
@@ -100,6 +100,7 @@ def test_operator_validation_rejects_non_finite_entries():
     ids=["non-square", "shape-mismatch", "empty", "non-finite"],
 )
 def test_tails_validate_operators_as_the_verifiers_do(tail, rho, sigma, message):
+    rho, sigma = rho[None], sigma[None]
     with pytest.raises(ValueError, match=message) as verifier:
         verify_bd_sandwich(rho, sigma, 1, 0.1, 0.1)
     with pytest.raises(ValueError, match=message) as got:
@@ -108,7 +109,7 @@ def test_tails_validate_operators_as_the_verifiers_do(tail, rho, sigma, message)
 
 
 def test_contraction_gate_rejects_non_finite_entries():
-    a = np.diag([1.0, -1.0])
+    a = np.diag([1.0, -1.0])[None]
     for bad in (math.nan, math.inf):
         with pytest.raises(ValueError, match="non-finite"):
             verify_lemma_np(a, [np.diag([bad, 0.5])])
@@ -165,14 +166,16 @@ def test_trace_plus_halved_norm_identity():
 
 def test_lemma_np_attainment():
     rng = np.random.default_rng(0)
-    r = verify_lemma_np(np.diag([1.0, -1.0]), [rand_contraction(rng, 2) for _ in range(50)])
-    assert r.ok
-    assert r.checks == 51  # 50 sampled contractions plus the attainment check
-    assert r.worst_slack >= -1e-9
+    results = verify_lemma_np(np.array([np.diag([1.0, -1.0])] * 50), [rand_contraction(rng, 2) for _ in range(50)])
+    assert len(results) == 50
+    for r in results:
+        assert r.ok
+        assert r.checks == 2  # the sampled contraction plus the attainment check
+        assert r.worst_slack >= -1e-9
     rng = np.random.default_rng(4)
     for _ in range(10):
         a = rand_hermitian(rng, 5)
-        assert verify_lemma_np(a, [rand_contraction(rng, 5) for _ in range(20)]).ok
+        assert all(r.ok for r in verify_lemma_np(np.array([a] * 20), [rand_contraction(rng, 5) for _ in range(20)]))
 
 
 def test_apply_tp_identity_kraus_is_exact():
@@ -215,24 +218,24 @@ def test_stochastic_maps_reject_non_diagonal_arguments():
     with pytest.raises(ValueError, match="diagonal arguments"):
         _apply_tp(f, rho)
     with pytest.raises(ValueError, match="diagonal arguments"):
-        verify_lemma_bdm(f, rho)
+        verify_lemma_bdm(f, rho[None])
     # one off-diagonal matrix in a stack is enough
     with pytest.raises(ValueError, match="diagonal arguments"):
         verify_lemma_bdm(f, np.array([diag, rho]))
-    assert verify_lemma_bdm(f, diag).ok
+    assert verify_lemma_bdm(f, diag[None])[0].ok
 
 
 def test_lemma_bdm_identity_and_depolarizing():
-    a = np.diag([1.0, -1.0])
-    r = verify_lemma_bdm(CPTPMap((np.eye(2, dtype=complex),)), a)
+    a = np.diag([1.0, -1.0])[None]
+    (r,) = verify_lemma_bdm(CPTPMap((np.eye(2, dtype=complex),)), a)
     assert r.ok and r.worst_slack == 0.0
-    r2 = verify_lemma_bdm(_depolarizing(0.5), a)
+    (r2,) = verify_lemma_bdm(_depolarizing(0.5), a)
     assert r2.ok
     assert abs(r2.worst_slack - 0.5) < 1e-12  # contraction by 1 - p
 
 
 def test_bd_sandwich_hand_example():
-    r = verify_bd_sandwich(np.diag([0.7, 0.3]), np.eye(2), 1, -0.5, 0.5)
+    (r,) = verify_bd_sandwich(np.diag([0.7, 0.3])[None], np.eye(2)[None], 1, -0.5, 0.5)
     assert r.ok and r.checks == 2
     # tighter bound is the shifted cut: tail_C = 0.7 - e^{-1/2} vs 0 - e^{-1/4}
     assert abs(r.worst_slack - math.exp(-0.5)) < 1e-12
@@ -240,19 +243,19 @@ def test_bd_sandwich_hand_example():
 
 def test_bd_sandwich_validation():
     with pytest.raises(ValueError):
-        verify_bd_sandwich(np.diag([0.7, 0.3]), np.eye(2), 1, 0.0, 0.0)
+        verify_bd_sandwich(np.diag([0.7, 0.3])[None], np.eye(2)[None], 1, 0.0, 0.0)
     with pytest.raises(ValueError):
-        verify_bd_sandwich(np.diag([0.7, 0.7]), np.eye(2), 1, 0.0, 0.1)
+        verify_bd_sandwich(np.diag([0.7, 0.7])[None], np.eye(2)[None], 1, 0.0, 0.1)
     # a NaN gamma used to pass and give NaN margins
     with pytest.raises(ValueError, match="gamma"):
-        verify_bd_sandwich(np.diag([0.7, 0.3]), np.eye(2), 1, 0.0, math.nan)
+        verify_bd_sandwich(np.diag([0.7, 0.3])[None], np.eye(2)[None], 1, 0.0, math.nan)
     with pytest.raises(ValueError, match="gamma"):
         verify_bd_sandwich(np.array([np.diag([0.7, 0.3])] * 2), np.array([np.eye(2)] * 2), 1, 0.0, [0.1, 0.0])
 
 
 def test_continuity_identical_states():
-    rho = np.diag([0.7, 0.3])
-    r = verify_continuity(rho, rho, np.eye(2), 1, -0.5)
+    rho = np.diag([0.7, 0.3])[None]
+    (r,) = verify_continuity(rho, rho, np.eye(2)[None], 1, -0.5)
     assert r.ok and r.worst_slack == 0.0
 
 
@@ -262,7 +265,7 @@ def test_continuity_random_perturbations():
         rho = rand_density(rng, 4)
         rho2 = rand_density(rng, 4)
         sigma = rand_density(rng, 4)
-        assert verify_continuity(rho, rho2, sigma, 2, float(rng.uniform(-1, 1))).ok
+        assert verify_continuity(rho[None], rho2[None], sigma[None], 2, float(rng.uniform(-1, 1)))[0].ok
 
 
 def test_product_tails_point_second_factor():
@@ -282,40 +285,52 @@ def test_product_tails_random():
 
 
 def test_monotonicity_identity_and_depolarizing():
-    rho = np.diag([0.7, 0.3])
-    sigma = np.eye(2)
-    assert verify_tail_monotonicity(rho, sigma, CPTPMap((np.eye(2, dtype=complex),)), 1, -0.5).ok
-    r = verify_tail_monotonicity(rho, sigma, _depolarizing(0.5), 1, -0.5)
+    rho = np.diag([0.7, 0.3])[None]
+    sigma = np.eye(2)[None]
+    assert verify_tail_monotonicity(rho, sigma, CPTPMap((np.eye(2, dtype=complex),)), 1, -0.5)[0].ok
+    (r,) = verify_tail_monotonicity(rho, sigma, _depolarizing(0.5), 1, -0.5)
     assert r.ok and r.worst_slack > 0.0
 
 
 def test_monotonicity_rejects_stochastic_on_nondiagonal():
     rng = np.random.default_rng(1)
-    rho = rand_density(rng, 3)
+    rho = rand_density(rng, 3)[None]
+    flat = np.eye(3)[None] / 3.0
     f = _rand_stochastic(rng, 3)
     with pytest.raises(ValueError, match="diagonal arguments"):
-        verify_tail_monotonicity(rho, np.eye(3) / 3.0, f, 1, 0.0)
+        verify_tail_monotonicity(rho, flat, f, 1, 0.0)
     with pytest.raises(ValueError, match="diagonal arguments"):
-        verify_tail_monotonicity(np.eye(3) / 3.0, rho, f, 1, 0.0)
+        verify_tail_monotonicity(flat, rho, f, 1, 0.0)
     # the maps come first: n = 0 would fail the tail's own check
     with pytest.raises(ValueError, match="diagonal arguments"):
-        verify_tail_monotonicity(rho, np.eye(3) / 3.0, f, 0, 0.0)
+        verify_tail_monotonicity(rho, flat, f, 0, 0.0)
+
+
+_EYE = np.eye(2)[None]
+_STACK_SHAPE = r"expected an \(N, d, d\) stack of operators, got shape"
 
 
 @pytest.mark.parametrize(
     "call, error, message",
     [
-        (lambda: verify_lemma_bdm(np.eye(2), np.eye(2)), TypeError, "not a TP map"),
-        (lambda: verify_lemma_bdm(CPTPMap((np.eye(3, dtype=complex),)), np.eye(2)), ValueError, "dimension mismatch"),
-        (lambda: verify_lemma_bdm(TransposeMix(0.5), np.zeros((1, 2, 2, 2))), ValueError,
-         r"expected matrices or \(N, d, d\) stacks"),
-        (lambda: verify_lemma_np(np.diag([1.0, -1.0]), np.eye(2)), ValueError, "need a nonempty"),
-        (lambda: verify_lemma_np(np.diag([1.0, -1.0]), np.zeros((0, 2, 2))), ValueError, "need a nonempty"),
-        (lambda: verify_lemma_np(np.diag([1.0, -1.0]), [np.eye(3)]), ValueError, "need a nonempty"),
-        (lambda: verify_lemma_np(np.array([np.eye(2)] * 2), [[np.eye(2)]]), ValueError, "need a nonempty"),
+        (lambda: verify_lemma_bdm(np.eye(2), _EYE), TypeError, "not a TP map"),
+        (lambda: verify_lemma_bdm(CPTPMap((np.eye(3, dtype=complex),)), _EYE), ValueError, "dimension mismatch"),
+        (lambda: verify_lemma_bdm(TransposeMix(0.5), np.zeros((1, 2, 2, 2))), ValueError, _STACK_SHAPE),
+        (lambda: verify_lemma_np(np.diag([1.0, -1.0])[None], np.eye(2)), ValueError, _STACK_SHAPE),
+        (lambda: verify_lemma_np(np.diag([1.0, -1.0])[None], np.zeros((0, 2, 2))), ValueError, "one shape"),
+        (lambda: verify_lemma_np(np.diag([1.0, -1.0])[None], [np.eye(3)]), ValueError, "one shape"),
+        (lambda: verify_lemma_np(np.array([np.eye(2)] * 2), [[np.eye(2)]]), ValueError, _STACK_SHAPE),
+        # no verifier takes a single matrix
+        (lambda: verify_lemma_np(np.diag([1.0, -1.0]), np.eye(2)), ValueError, _STACK_SHAPE),
+        (lambda: verify_lemma_bdm(TransposeMix(0.5), np.eye(2)), ValueError, _STACK_SHAPE),
+        (lambda: verify_bd_sandwich(np.eye(2) / 2, np.eye(2) / 2, 1, 0.1, 0.1), ValueError, _STACK_SHAPE),
+        (lambda: verify_continuity(np.eye(2) / 2, np.eye(2) / 2, np.eye(2) / 2, 1, 0.1), ValueError, _STACK_SHAPE),
+        (lambda: verify_tail_monotonicity(np.eye(2) / 2, np.eye(2) / 2, TransposeMix(0.5), 1, 0.1), ValueError,
+         _STACK_SHAPE),
     ],
     ids=["bare-array-map", "map-dimension", "4d-stack",
-         "contractions-not-4d", "no-contractions", "contraction-dimension", "contraction-count"],
+         "contractions-not-3d", "no-contractions", "contraction-dimension", "contraction-count",
+         "single-np", "single-bdm", "single-bd", "single-continuity", "single-monotonicity"],
 )
 def test_verifier_entry_errors(call, error, message):
     with pytest.raises(error, match=message):
@@ -327,7 +342,7 @@ def test_monotonicity_doubly_stochastic_diagonal():
     for _ in range(20):
         rho = rand_diagonal_density(rng, 5)
         f = _rand_doubly_stochastic(rng, 5)
-        assert verify_tail_monotonicity(rho, np.eye(5), f, 1, float(rng.uniform(-1, 0.5))).ok
+        assert verify_tail_monotonicity(rho[None], np.eye(5)[None], f, 1, float(rng.uniform(-1, 0.5)))[0].ok
 
 
 def test_sampler_validity():
@@ -519,8 +534,8 @@ def test_stacked_calculus_equals_per_matrix_calls_bit_for_bit(case):
     assert _positive_trace(zeros[0]) == 0.0
     assert np.array_equal(projector(zeros), zeros)
 
-    # each public verifier gives on a stack what it gives matrix by matrix, violations included
-    t = np.array([[rand_contraction(rng, d) for _ in range(2)] for _ in a])
+    # each public verifier gives on a stack what it gives on stacks of one, violations included
+    t = np.array([rand_contraction(rng, d) for _ in a])
     gamma = [float(g) for g in rng.uniform(0.05, 1.0, len(a))]
     diag_rho = np.array([rand_diagonal_density(rng, d) for _ in a])
     diag_sigma = np.array([rand_diagonal_density(rng, d) for _ in a])
@@ -529,28 +544,33 @@ def test_stacked_calculus_equals_per_matrix_calls_bit_for_bit(case):
         (stochastic, lambda i: StochasticMap(stochastic.matrix[i])),
         (mix, lambda i: TransposeMix(float(mix.t[i]))),
     )
+
+    def one(m, i):
+        return m[i : i + 1]
+
     calls = [
-        (verify_lemma_np, (a, t), lambda i: (a[i], t[i])),
-        (verify_bd_sandwich, (rho, sigma, n, x, gamma), lambda i: (rho[i], sigma[i], n[i], x[i], gamma[i])),
-        (verify_continuity, (rho, sigma, sigma, n, x), lambda i: (rho[i], sigma[i], sigma[i], n[i], x[i])),
+        (verify_lemma_np, (a, t), lambda i: (one(a, i), one(t, i))),
+        (verify_bd_sandwich, (rho, sigma, n, x, gamma), lambda i: (one(rho, i), one(sigma, i), n[i], x[i], gamma[i])),
+        (verify_continuity, (rho, sigma, sigma, n, x),
+         lambda i: (one(rho, i), one(sigma, i), one(sigma, i), n[i], x[i])),
         (verify_tail_monotonicity, (diag_rho, diag_sigma, stochastic, n, x),
-         lambda i: (diag_rho[i], diag_sigma[i], maps[1][1](i), n[i], x[i])),
+         lambda i: (one(diag_rho, i), one(diag_sigma, i), maps[1][1](i), n[i], x[i])),
     ]
     for f, instance in maps:
         b = diag if f is stochastic else a
-        calls.append((verify_lemma_bdm, (f, b), lambda i, instance=instance, b=b: (instance(i), b[i])))
+        calls.append((verify_lemma_bdm, (f, b), lambda i, instance=instance, b=b: (instance(i), one(b, i))))
         if f is not stochastic:
             calls.append((verify_tail_monotonicity, (rho, sigma, f, n, x),
-                          lambda i, instance=instance: (rho[i], sigma[i], instance(i), n[i], x[i])))
+                          lambda i, instance=instance: (one(rho, i), one(sigma, i), instance(i), n[i], x[i])))
     # a second pass flags every check, so every payload is built and compared
     finish = hermitian._finish
     flag_all = mock.patch.object(hermitian, "_finish", lambda checks, payload: finish(
         [(name, -1.0, 0.0) for name, _, _ in checks], payload))
     for patch in (nullcontext(), flag_all):
         with patch:
-            for verify, args, one in calls:
+            for verify, args, stacks_of_one in calls:
                 stacked = [_verdict(r) for r in verify(*args)]
-                assert stacked == [_verdict(verify(*one(i))) for i in range(len(a))], verify.__name__
+                assert stacked == [_verdict(r) for i in range(len(a)) for r in verify(*stacks_of_one(i))], verify.__name__
                 assert (patch is flag_all) == all(v[2] != "[]" for v in stacked)
 
 

@@ -13,6 +13,7 @@ from entspec import hermitian
 from entspec.hermitian import rand_spectrum
 from entspec.majorize import (
     MAJORIZE_TOL,
+    MAX_CERTIFICATE_DIM,
     MAX_TRANSFER_DIM,
     BistochasticMatrix,
     DeterministicMap,
@@ -171,8 +172,20 @@ def test_kh_certificate_random_maps():
 def test_kh_certificate_budget():
     p = iid_spectrum(Spectrum.from_probs([0.9, 0.1]), 20)
     phi = DeterministicMap(2 ** 20, tuple([0] * 2 ** 20), 1)
-    with pytest.raises(BudgetExceededError):
+    with pytest.raises(BudgetExceededError) as err:
         kh_certificate(p, phi)
+    assert (err.value.budget, err.value.needed, err.value.limit) == ("max_certificate_dim", 2 ** 20, MAX_CERTIFICATE_DIM)
+
+
+def test_transfer_matrix_budget_is_checked_at_entry():
+    # past the cap the dense steps cost O(m^4); it used to raise the
+    # max_expanded_dim budget of expand, and only above 4096
+    m = MAX_TRANSFER_DIM + 1
+    for p, q in ((Spectrum.from_atoms([(1.0 / m, m)]), Spectrum.from_probs([1.0])),
+                 (Spectrum.from_probs([1.0]), Spectrum.from_atoms([(1.0 / m, m)]))):
+        with pytest.raises(BudgetExceededError) as err:
+            transfer_matrix(p, q)  # the second pair is not even majorized
+        assert (err.value.budget, err.value.needed, err.value.limit) == ("max_transfer_dim", m, MAX_TRANSFER_DIM)
 
 
 def test_bistochastic_validation():
