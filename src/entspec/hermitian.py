@@ -21,13 +21,14 @@ conversion analysis rests on, plus structural suites for the majorization
 certificates and the greedy-versus-exhaustive map synthesis.  Each instance
 draws from its own generator seeded by (master seed, suite id, instance
 index), so results are independent of execution order and reruns are
-byte-identical.  A suite takes its instances a chunk at a time, about
-_CHUNK * 64 / d^2 of them at --dim d.  The dense suites first draw every
-instance's random numbers, then evaluate one shape group at a time
-(dimension, map family, and, wherever a positive projector is formed, the
-count of positive eigenvalues), so a chunk costs one NumPy call per step
-per shape group instead of one per instance, plus one generator per
-instance.  Stacked LAPACK, BLAS and reductions run the
+byte-identical.  A suite takes its instances a chunk at a time,
+_CHUNK * 64 // d^2 of them at --dim d: 1024 at the default 8, so a dense
+suite with default trials is one chunk, and 16 at the cap 64.  The dense
+suites first draw every instance's random numbers, then evaluate one shape
+group at a time (dimension, map family, and, wherever a positive projector
+is formed, the count of positive eigenvalues), so a chunk costs one NumPy
+call per step per shape group instead of one per instance, plus one
+generator per instance.  Stacked LAPACK, BLAS and reductions run the
 per-matrix routine on per-matrix memory layouts, so every margin is bit for
 bit the per-instance one.  The spectrum suites draw as they evaluate, one
 instance at a time.
@@ -649,10 +650,10 @@ def rand_spectrum(rng, max_dim: int) -> Spectrum:
     k = int(rng.integers(1, max_dim + 1))
     if rng.random() < 0.5:
         vals = rng.dirichlet(np.ones(k))
-        return Spectrum.from_probs([float(v) for v in vals if v > 0.0])
+        return Spectrum.from_probs([v for v in vals.tolist() if v > 0.0])
     total = int(rng.integers(k, 4 * k + 1))
     counts = rng.multinomial(total, np.ones(k) / k)
-    return Spectrum.from_probs([c / total for c in counts if c > 0])
+    return Spectrum.from_probs([c / total for c in counts.tolist() if c > 0])
 
 
 # ---------------------------------------------------------------------------
@@ -661,16 +662,18 @@ def rand_spectrum(rng, max_dim: int) -> Spectrum:
 # per instance for the suite's summary
 
 # dense eigen calls cost d^3 per instance, so --dim is capped: `verify all`
-# with default trials took 15-17 s at the cap (peak RSS 41 MB; 13-14 s and
-# 58 MB with 128-instance chunks) and 2.7 s at the default dim 8 (40 MB),
-# against 15 s and 4.2 s evaluating one instance at a time (2-core x86_64
-# VM, NumPy 2.4, same host state)
+# with default trials took 9.8-10.4 s at the cap (peak RSS 42 MB; 8.1-8.9 s
+# and 57 MB with 128-instance chunks) and 1.4-1.5 s at the default dim 8
+# (42 MB), in fresh processes (2-core x86_64 VM, NumPy 2.4)
 MAX_VERIFY_DIM = 64
 
 # instances drawn and evaluated together at --dim 8; a chunk holds at most
-# _CHUNK * 8**2 matrix entries per stack, so --dim 64 takes 2 instances at a
-# time and the memory of the stacks grows with neither --trials nor --dim
-_CHUNK = 128
+# _CHUNK * 8**2 matrix entries per stack (1 MiB of complex128), so --dim 64
+# takes 16 instances at a time and the memory of the stacks grows with
+# neither --trials nor --dim.  A smaller budget splits a default dense suite
+# into chunks of a few instances per shape group, where per-call overhead,
+# not eigen work, sets the time (BENCH_21.json: 512 and 128 are slower)
+_CHUNK = 1024
 
 
 def _grouped(check: Callable) -> Callable:
@@ -831,7 +834,7 @@ def _monotonicity_check(key, rho, sigma, n, a, f):
 def _kh_instance(rng, k: int, dim: int):
     p = rand_spectrum(rng, 64)
     ny = int(rng.integers(1, p.total_dim + 1))
-    targets = tuple(int(t) for t in rng.integers(0, ny, size=p.total_dim))
+    targets = tuple(rng.integers(0, ny, size=p.total_dim).tolist())
     phi = DeterministicMap(p.total_dim, targets, ny)
     push = pushforward(p, phi)
     gap, _ = prefix_gap_min(p, push)
@@ -849,7 +852,7 @@ def _transfer_instance(rng, k: int, dim: int):
     q = rand_spectrum(rng, 32)
     mix = _doubly_stochastics(*_draw_doubly_stochastic(rng, q.total_dim))
     qv = expand(q, 1 << 14)
-    p = Spectrum.from_probs([float(x) for x in mix.matrix @ qv])
+    p = Spectrum.from_probs((mix.matrix @ qv).tolist())
     cert = transfer_matrix(p, q)
     m = cert.dim
     pv = np.zeros(m)

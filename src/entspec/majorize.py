@@ -146,10 +146,10 @@ class BistochasticMatrix:
 
 
 def _fibers_of(p: Spectrum, phi: DeterministicMap, max_dim: int, budget: str):
-    """p's descending expansion, and the domain indices phi sends to each codomain element."""
+    """p's descending expansion as a list of floats, and the domain indices phi sends to each codomain element."""
     if p.total_dim > max_dim:
         raise BudgetExceededError(budget, p.total_dim, max_dim)
-    xs = expand(p)  # max_dim is at most expand's own budget
+    xs = expand(p).tolist()  # max_dim is at most expand's own budget
     if phi.domain_size != len(xs):
         raise ValueError(f"map domain {phi.domain_size} does not match expanded dimension {len(xs)}")
     fibers = [[] for _ in range(phi.codomain_size)]
@@ -165,7 +165,7 @@ def pushforward(p: Spectrum, phi: DeterministicMap) -> Spectrum:
     Codomain elements with zero mass are dropped.
     """
     xs, fibers = _fibers_of(p, phi, DEFAULT_MAX_EXPANDED_DIM, "max_expanded_dim")
-    return Spectrum.from_probs([math.fsum(float(xs[i]) for i in members) for members in fibers if members])
+    return Spectrum.from_probs([math.fsum(xs[i] for i in members) for members in fibers if members])
 
 
 def _split_and_reconstruction(xs, fibers):
@@ -176,8 +176,8 @@ def _split_and_reconstruction(xs, fibers):
     recon = np.zeros(len(xs))
     offset = 0
     for members in filter(None, fibers):
-        split[offset] = math.fsum(float(xs[i]) for i in members)
-        recon[offset : offset + len(members)] = [float(xs[i]) for i in members]
+        split[offset] = math.fsum(xs[i] for i in members)
+        recon[offset : offset + len(members)] = [xs[i] for i in members]
         offset += len(members)
     return split, recon
 

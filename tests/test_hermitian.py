@@ -436,12 +436,18 @@ def _oracle_results(name, seed, trials, dim):
 
 
 @pytest.mark.parametrize("name", DENSE_SUITES)
-def test_stacked_suites_match_per_instance_oracle_bit_for_bit(name):
-    # 150 trials span a chunk boundary; every instance's margins, check counts
-    # and violations equal the per-instance evaluation's
+def test_stacked_suites_match_per_instance_oracle_bit_for_bit(name, monkeypatch):
+    # every instance's margins, check counts and violations equal the
+    # per-instance evaluation's, with 150 trials in one chunk at the default
+    # budget and across chunk boundaries at a budget of 2 (chunks of 32, 5
+    # and 2 instances at dims 2, 5 and 8)
     for seed in (0, 7, 11):
         for dim in (2, 5, 8):
-            assert _stacked_results(name, seed, 150, dim) == _oracle_results(name, seed, 150, dim), (seed, dim)
+            oracle = _oracle_results(name, seed, 150, dim)
+            assert _stacked_results(name, seed, 150, dim) == oracle, (seed, dim)
+            with monkeypatch.context() as m:
+                m.setattr(hermitian, "_CHUNK", 2)
+                assert _stacked_results(name, seed, 150, dim) == oracle, (seed, dim, "chunk budget 2")
     # six instances cover every map family, at the largest allowed dimension
     assert _stacked_results(name, 5, 6, MAX_VERIFY_DIM) == _oracle_results(name, 5, 6, MAX_VERIFY_DIM)
 
@@ -453,6 +459,25 @@ def test_suite_results_do_not_depend_on_the_chunk_size(name, monkeypatch):
     monkeypatch.setattr(hermitian, "_CHUNK", 1)
     assert _stacked_results(name, 3, 40, 8) == stacked
     assert run_suite(name, seed=3, trials=40).to_json_dict() == report
+
+
+@pytest.mark.parametrize("dim", (8, MAX_VERIFY_DIM))
+@pytest.mark.parametrize("name", DENSE_SUITES)
+def test_a_suite_draws_one_chunk_before_its_first_result(name, dim, monkeypatch):
+    # the memory bound: a chunk's stacks hold at most _CHUNK * 64 matrix
+    # entries, so a suite draws at most one chunk of instances ahead of its
+    # results, whatever --trials is
+    chunk = max(1, hermitian._CHUNK * 64 // dim**2)
+    built = []
+    default_rng = np.random.default_rng
+
+    def counting_rng(*args):
+        built.append(args)
+        return default_rng(*args)
+
+    monkeypatch.setattr(np.random, "default_rng", counting_rng)
+    next(hermitian._instance_results(SUITES[name], 0, chunk + 1, dim))
+    assert len(built) == chunk
 
 
 def _bits(x):
