@@ -23,15 +23,17 @@ draws from its own generator seeded by (master seed, suite id, instance
 index), so results are independent of execution order and reruns are
 byte-identical.  A suite takes its instances a chunk at a time,
 _CHUNK * 64 // d^2 of them at --dim d: 1024 at the default 8, so a dense
-suite with default trials is one chunk, and 16 at the cap 64.  The dense
-suites first draw every instance's random numbers, then evaluate one shape
-group at a time (dimension, map family, and, wherever a positive projector
-is formed, the count of positive eigenvalues), so a chunk costs one NumPy
-call per step per shape group instead of one per instance, plus one
-generator per instance.  Stacked LAPACK, BLAS and reductions run the
-per-matrix routine on per-matrix memory layouts, so every margin is bit for
-bit the per-instance one.  The spectrum suites draw as they evaluate, one
-instance at a time.
+suite with default trials is one chunk, and 16 at the cap 64.  A chunk's
+generators come from one vectorized SeedSequence pass over its instance
+indices, then one cheap generator per instance from the precomputed words:
+the same PCG64 streams as np.random.default_rng([seed, suite id, k]).  The
+dense suites first draw every instance's random numbers, then evaluate one
+shape group at a time (dimension, map family, and, wherever a positive
+projector is formed, the count of positive eigenvalues), so a chunk costs
+one NumPy call per step per shape group instead of one per instance.
+Stacked LAPACK, BLAS and reductions run the per-matrix routine on
+per-matrix memory layouts, so every margin is bit for bit the per-instance
+one.  The spectrum suites draw as they evaluate, one instance at a time.
 """
 
 from __future__ import annotations
@@ -41,6 +43,8 @@ from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional, Union
 
 import numpy as np
+from numpy.random import PCG64, Generator
+from numpy.random.bit_generator import ISeedSequence
 
 from .infospec import cdf_selfinfo
 from .majorize import (
@@ -606,7 +610,8 @@ def _contractions(g: np.ndarray, vals: np.ndarray) -> np.ndarray:
 
 
 def _draw_cptp(rng, dim: int, n_kraus: int = 3) -> np.ndarray:
-    return np.array([_draw_gaussian(rng, dim) for _ in range(n_kraus)])
+    """(n_kraus, 2, dim, dim): the same draws as n_kraus _draw_gaussian calls."""
+    return rng.standard_normal((n_kraus, 2, dim, dim))
 
 
 def _cptps(g: np.ndarray) -> CPTPMap:
@@ -629,8 +634,9 @@ def _stochastics(u: np.ndarray) -> StochasticMap:
 
 
 def _draw_doubly_stochastic(rng, dim: int) -> tuple:
+    """Weights and (dim + 2, dim) permutations: the same draws as dim + 2 rng.permutation(dim) calls."""
     w = rng.uniform(size=dim + 2)
-    return w, np.array([rng.permutation(dim) for _ in range(dim + 2)])
+    return w, rng.permuted(np.tile(np.arange(dim), (dim + 2, 1)), axis=1)
 
 
 def _doubly_stochastics(u: np.ndarray, perms: np.ndarray) -> StochasticMap:
@@ -948,12 +954,77 @@ class SuiteReport:
         return out
 
 
+# NumPy's SeedSequence (numpy/random/bit_generator.pyx): a pool of four
+# uint32 words, hashed in with one running multiplier and read out with
+# another, every product taken mod 2**32
+_POOL = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_M32 = 0xFFFFFFFF
+
+# the instance index is one uint32 entropy word
+_MAX_TRIALS = 1 << 32
+
+
+def _hashmix(v: np.ndarray, h: list, mult: int) -> np.ndarray:
+    """SeedSequence's hashmix of a uint32 column; h[0] is the running hash constant."""
+    v = v ^ np.uint32(h[0])
+    h[0] = h[0] * mult & _M32
+    v = v * np.uint32(h[0])
+    return v ^ (v >> np.uint32(16))
+
+
+def _pcg64_words(seed: int, suite_id: int, ks: range) -> np.ndarray:
+    """SeedSequence([seed, suite_id, k]).generate_state(4, np.uint64) for each k of ks, as (len(ks), 4) rows.
+
+    Takes 0 <= seed < 2**63, 0 <= suite_id, k < 2**32: the entropy is at most
+    four words (one or two of the seed, one of the id, one of k), so it fits
+    the pool and the loop that mixes in words beyond the pool never runs.
+    """
+    fixed = [seed & _M32, *([seed >> 32] if seed >> 32 else []), suite_id]
+    entropy = np.zeros((len(ks), _POOL), dtype=np.uint32)
+    entropy[:, : len(fixed)] = fixed
+    entropy[:, len(fixed)] = np.arange(ks.start, ks.stop).astype(np.uint32)
+    h = [_INIT_A]
+    pool = [_hashmix(col, h, _MULT_A) for col in entropy.T]
+    # every pool word into every other, so late words affect early ones
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                x = np.uint32(_MIX_L) * pool[dst] - np.uint32(_MIX_R) * _hashmix(pool[src], h, _MULT_A)
+                pool[dst] = x ^ (x >> np.uint32(16))
+    # generate_state: eight uint32 words cycling over the pool, read as four
+    # little-endian uint64 pairs whatever the host's byte order
+    h = [_INIT_B]
+    state = np.stack([_hashmix(pool[i % _POOL], h, _MULT_B) for i in range(8)], axis=1)
+    return state.astype("<u4").view("<u8").astype(np.uint64)
+
+
+class _StateWords(ISeedSequence):
+    """A seed sequence holding one row of _pcg64_words, the four uint64 words PCG64 asks it for."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
+
+
+def _generators(seed: int, suite_id: int, ks: range):
+    """np.random.default_rng([seed, suite_id, k]) for each k of ks, from one SeedSequence pass over ks.
+
+    Built as they are asked for, so a generator that its draw does not keep is freed after it.
+    """
+    return (Generator(PCG64(_StateWords(w))) for w in _pcg64_words(seed, suite_id, ks))
+
+
 def _instance_results(suite: Suite, seed: int, trials: int, dim: int):
     """(k, results, note) for instances 0..trials-1, drawn and evaluated one chunk at a time."""
     chunk = max(1, _CHUNK * 8**2 // dim**2)
     for start in range(0, trials, chunk):
         ks = range(start, min(start + chunk, trials))
-        drawn = [suite.draw(np.random.default_rng([seed % (1 << 63), suite.id, k]), k, dim) for k in ks]
+        drawn = [suite.draw(rng, k, dim) for rng, k in zip(_generators(seed % (1 << 63), suite.id, ks), ks)]
         for k, (results, note) in zip(ks, suite.evaluate(drawn)):
             yield k, results, note
 
@@ -967,6 +1038,8 @@ def run_suite(name: str, *, seed: int, trials: Optional[int] = None, dim: int = 
         trials = suite.trials
     if trials < 1:
         raise ValueError("trials must be positive")
+    if trials > _MAX_TRIALS:
+        raise ValueError(f"trials must be at most {_MAX_TRIALS}")
     if dim < 2:
         raise ValueError(f"--dim must be at least 2, got {dim}")
     if dim > MAX_VERIFY_DIM:

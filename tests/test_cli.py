@@ -548,6 +548,11 @@ def test_verify_rejects_zero_trials(capsys):
     assert (code, out) == (2, "") and "trials must be positive" in err
 
 
+def test_verify_rejects_trials_beyond_the_seed_word(capsys):
+    code, out, err = run_cli(capsys, "verify", "np", "--trials", "4294967297")
+    assert (code, out) == (2, "") and "trials must be at most 4294967296" in err
+
+
 def test_verify_reruns_are_byte_identical(tmp_path, capsys):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"

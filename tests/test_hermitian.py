@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from entspec import hermitian
@@ -398,6 +398,18 @@ def test_run_suite_checks_dim_before_sampling(monkeypatch):
             run_suite(name, seed=1, trials=1, dim=MAX_VERIFY_DIM)
 
 
+def test_run_suite_bounds_trials_by_the_seed_word_before_sampling(monkeypatch):
+    # instance k is one uint32 word of its seed, so k stops at 2**32 - 1
+    def boom(rng, k, dim):
+        raise AssertionError("sampled an instance")
+
+    monkeypatch.setitem(SUITES, "np", SUITES["np"]._replace(draw=boom))
+    with pytest.raises(ValueError, match="trials must be at most 4294967296"):
+        run_suite("np", seed=1, trials=2**32 + 1)
+    with pytest.raises(AssertionError, match="sampled"):
+        run_suite("np", seed=1, trials=2**32)
+
+
 def test_all_suites_pass_at_small_trials():
     reports = [run_suite(name, seed=11, trials=30) for name in SUITES]
     assert [r.suite for r in reports] == list(SUITES)
@@ -463,21 +475,65 @@ def test_suite_results_do_not_depend_on_the_chunk_size(name, monkeypatch):
 
 @pytest.mark.parametrize("dim", (8, MAX_VERIFY_DIM))
 @pytest.mark.parametrize("name", DENSE_SUITES)
-def test_a_suite_draws_one_chunk_before_its_first_result(name, dim, monkeypatch):
+def test_a_suite_draws_one_chunk_before_its_first_result(name, dim):
     # the memory bound: a chunk's stacks hold at most _CHUNK * 64 matrix
     # entries, so a suite draws at most one chunk of instances ahead of its
     # results, whatever --trials is
     chunk = max(1, hermitian._CHUNK * 64 // dim**2)
-    built = []
-    default_rng = np.random.default_rng
+    suite = SUITES[name]
+    drawn = []
 
-    def counting_rng(*args):
-        built.append(args)
-        return default_rng(*args)
+    def counting_draw(rng, k, dim):
+        drawn.append(k)
+        return suite.draw(rng, k, dim)
 
-    monkeypatch.setattr(np.random, "default_rng", counting_rng)
-    next(hermitian._instance_results(SUITES[name], 0, chunk + 1, dim))
-    assert len(built) == chunk
+    next(hermitian._instance_results(suite._replace(draw=counting_draw), 0, chunk + 1, dim))
+    assert len(drawn) == chunk
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(-(2**70), 2**70),
+    suite_id=st.integers(1, 9),
+    # windows holding 0, the chunk boundary at --dim 8, and the largest index
+    start=st.sampled_from((0, hermitian._CHUNK - 2, hermitian._MAX_TRIALS - 5)) | st.integers(0, 2**32 - 5),
+)
+# one-word and two-word seeds, taken mod 2**63 as run_suite takes them
+@example(seed=0, suite_id=1, start=0)
+@example(seed=1, suite_id=9, start=0)
+@example(seed=2**32 - 1, suite_id=3, start=2**32 - 5)
+@example(seed=2**32, suite_id=3, start=2**32 - 5)
+@example(seed=2**63 - 1, suite_id=5, start=hermitian._CHUNK - 2)
+@example(seed=-1, suite_id=7, start=0)
+def test_chunk_generators_match_default_rng(seed, suite_id, start):
+    seed %= 1 << 63
+    ks = range(start, start + 5)
+    rngs = list(hermitian._generators(seed, suite_id, ks))
+    assert len(rngs) == len(ks)
+    for k, rng in zip(ks, rngs):
+        ref = np.random.default_rng([seed, suite_id, k])
+        assert rng.bit_generator.state == ref.bit_generator.state, k
+        assert _bits(rng.standard_normal(4)) == _bits(ref.standard_normal(4)), k
+
+
+def test_one_call_draws_match_the_per_call_draws():
+    # the same values and dtype, and the generator in the same state after
+    for seed in range(20):
+        for dim in range(1, 40):
+            rng, ref = np.random.default_rng([seed, dim]), np.random.default_rng([seed, dim])
+            w, perms = hermitian._draw_doubly_stochastic(rng, dim)
+            ref_w = ref.uniform(size=dim + 2)
+            ref_perms = np.array([ref.permutation(dim) for _ in range(dim + 2)])
+            assert _bits(w) == _bits(ref_w) and perms.dtype == ref_perms.dtype
+            assert np.array_equal(perms, ref_perms), (seed, dim)
+            assert rng.random() == ref.random(), (seed, dim)
+    for seed in range(50):
+        for dim in range(2, 9):
+            rng, ref = np.random.default_rng([seed, dim]), np.random.default_rng([seed, dim])
+            kraus = hermitian._draw_cptp(rng, dim)
+            ref_kraus = np.array([hermitian._draw_gaussian(ref, dim) for _ in range(3)])
+            assert kraus.dtype == ref_kraus.dtype and _bits(kraus) == _bits(ref_kraus), (seed, dim)
+            assert rng.random() == ref.random(), (seed, dim)
 
 
 def _bits(x):
