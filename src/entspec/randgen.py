@@ -15,24 +15,28 @@ without materializing type classes.  Synthesis stays polynomial in the atom
 counts when the expanded dimensions are astronomical.
 
 Cost: the F fibers stay sorted by deficit across the k_p source runs, one
-immutable row (deficit, count, start, target atom) per fiber in one list,
-so the fibers of one level (deficit // P) form a contiguous block.  A run
+immutable row (deficit, count, offset, Q) per fiber in one list, so the
+fibers of one level (deficit // P) form a contiguous block.  Q is the target
+atom's scaled probability, the very int its fibers' deficits start from, and
+offset is the fiber's place in that atom's range of codomain elements (the
+shared 0 until a take splits the atom), so a row allocates no index of its
+own.  Codomain order is Q descending, then offset ascending.  A run
 finds the cut from the blocks at or above it, with one bisect and one
 big-int division per block (O(B·log F) for B blocks, no division per
 fiber).  It lowers each block above the cut by one amount and the fibers it
 takes by one more; in each step the largest group of fibers that moves by
 one amount (the fibers that do not move count as one) stays put and one
-shared offset records its shift, so with the usual two blocks a run
+shared bias records its shift, so with the usual two blocks a run
 rebuilds at most F/2 rows per step, one big-int subtraction each.  It then
 sorts the rows of the cut level by deficit, which merges the presorted
 blocks it lowered there, and moves rows by list slices: O(F) pointer moves
 and O(F·log B) comparisons per run, O(k_p·F) over the synthesis while B
 stays small (for i.i.d. sources onto flat targets, two or three blocks per
 run once F is large).  Fibers of equal deficit stay in any order except the
-one group at the boundary of the take, which is put in start order there,
+one group at the boundary of the take, which is put in codomain order there,
 the only place the rule reads it.  Codomain neighbours that come to share
-target and deficit are coalesced by one sort by start index, whenever the
-fiber count has doubled since the last coalescing and once more after the
+target and deficit are coalesced by one sort into codomain order, whenever
+the fiber count has doubled since the last coalescing and once more after the
 last run.  So a tie-heavy source, whose runs keep splitting fibers that
 meet again later at equal deficits, carries fewer than twice the fibers of
 its coalesced state, not one more per run.  A run splits at most one fiber,
@@ -40,7 +44,8 @@ so F <= k_p + k_q, the bound the max_greedy_fibers budget checks up front.
 
 A DeterministicMap is built only on request (`with_map=True`): the same
 kernel is then stepped one source element at a time, one kernel call per
-element, so its cost grows with the expanded source dimension, which
+element, each taken (Q, offset) read back as an absolute codomain index, so
+its cost grows with the expanded source dimension, which
 DEFAULT_MAX_EXPANDED_DIM bounds.
 """
 
@@ -70,30 +75,32 @@ class _Fibers:
     """Fiber state between source runs, one fiber per run of codomain
     elements that share target and deficit.
 
-    `rows` holds one immutable row (deficit, count, start, atom) per fiber
-    in deficit-descending order, equal deficits in any order: the stored
-    deficit, the element count, the codomain index of the first element and
-    the target atom (its index in q.atoms).  Stored deficits are true
-    deficits minus `offset`, so a uniform shift of one side of the order can
-    move the other side instead.  `total` is the codomain size.  Codomain
-    neighbours may share target and deficit until the live fiber count
-    reaches twice `coalesced`, the count after the last coalescing
-    (`_coalesce_fibers`).
+    `rows` holds one immutable row (deficit, count, offset, Q) per fiber in
+    deficit-descending order, equal deficits in any order: the stored
+    deficit, the element count, the fiber's place inside its target atom's
+    codomain range, and the atom's scaled probability Q, the int the
+    atom's deficits start from.  Probabilities are distinct across atoms, so
+    Q names the atom, and codomain order is (Q descending, offset
+    ascending).  Stored deficits are true deficits minus `bias`, so a
+    uniform shift of one side of the order can move the other side instead.
+    `total` is the codomain size.  Codomain neighbours may share target and
+    deficit until the live fiber count reaches twice `coalesced`, the count
+    after the last coalescing (`_coalesce_fibers`).
     """
 
-    __slots__ = ("rows", "offset", "coalesced", "total")
+    __slots__ = ("rows", "bias", "coalesced", "total")
 
-    def __init__(self, deficits: list[int], counts: list[int]):
-        starts = list(accumulate(counts, initial=0))
-        self.rows = list(zip(deficits, counts, starts, count()))
-        self.offset = 0
+    def __init__(self, q: Spectrum, qs: list[int]):
+        self.rows = list(zip(qs, map(_count, q.atoms), repeat(0), qs))
+        self.bias = 0
         self.coalesced = len(self.rows)
-        self.total = starts[-1]
+        self.total = q.total_dim
 
 
 _deficit = itemgetter(0)
 _count = itemgetter(1)
-_start = itemgetter(2)
+_offset = itemgetter(2)
+_target = itemgetter(3)
 
 
 def _descending(row: tuple[int, ...]) -> int:
@@ -101,20 +108,27 @@ def _descending(row: tuple[int, ...]) -> int:
     return -row[0]
 
 
+def _in_codomain_order(rows) -> list[tuple[int, ...]]:
+    """The rows sorted by Q descending, then offset ascending: two stable sorts."""
+    rows = sorted(rows, key=_offset)
+    rows.sort(key=_target, reverse=True)
+    return rows
+
+
 def _shift(R: list[tuple[int, ...]], i: int, j: int, x: int) -> None:
     """Subtract x from the deficits of rows i to j, one row at a time, so
     each old row is freed before the next new one is made."""
     for k in range(i, j):
-        d, c, s, at = R[k]
-        R[k] = (d - x, c, s, at)
+        d, c, o, Q = R[k]
+        R[k] = (d - x, c, o, Q)
 
 
-def _assign_run(f: _Fibers, P: int, m: int) -> int:
+def _assign_run(f: _Fibers, P: int, m: int) -> tuple[int, int]:
     """Assign a run of m source elements of scaled probability P, in place.
 
-    Returns the start of the first element taken at the cut level: for
-    m = 1, the codomain index the one element goes to."""
-    R, off = f.rows, f.offset
+    Returns (Q, offset) of the first element taken at the cut level: for
+    m = 1, the codomain element the one element goes to."""
+    R, bias = f.rows, f.bias
     n = len(R)
 
     # Elements of a fiber at level L = deficit // P (one per codomain slot,
@@ -125,10 +139,10 @@ def _assign_run(f: _Fibers, P: int, m: int) -> int:
     # blocks walked, T(t) = a - b*t, so the cut is (a - m) // b once that
     # lies above the next block's level.
     a = b = i = 0
-    L = (R[0][0] + off) // P
+    L = (R[0][0] + bias) // P
     bounds, levels = [0], []
     while True:
-        floor = L * P - off
+        floor = L * P - bias
         j = i + 1
         if j < n and R[j][0] >= floor:
             j = bisect_right(R, -floor, j + 1, key=_descending)
@@ -142,7 +156,7 @@ def _assign_run(f: _Fibers, P: int, m: int) -> int:
         levels.append(L)
         if j == n:
             break
-        L = (R[j][0] + off) // P
+        L = (R[j][0] + bias) // P
         if a - m >= b * (L + 1):
             break
         i = j
@@ -151,7 +165,7 @@ def _assign_run(f: _Fibers, P: int, m: int) -> int:
     # everything strictly above the cut is consumed outright: lower those
     # blocks to the cut level.  The fibers from `below` on stay where they
     # are.  If the largest lowered block outnumbers them, its shift goes
-    # into the offset and every other group moves by the difference.  Then
+    # into the bias and every other group moves by the difference.  Then
     # merge the lowered blocks by deficit.
     lowered = len(levels) - (levels[-1] == t)
     x = 0
@@ -162,12 +176,12 @@ def _assign_run(f: _Fibers, P: int, m: int) -> int:
         if big > n - below:
             x = (levels[sizes.index(big)] - t) * P
             _shift(R, below, n, -x)
-            off -= x
+            bias -= x
     for i, j, L in zip(bounds, bounds[1 : lowered + 1], levels):
         y = (L - t) * P - x
         if j == i + 1:
-            d, c, s, at = R[i]
-            R[i] = (d - y, c, s, at)
+            d, c, o, Q = R[i]
+            R[i] = (d - y, c, o, Q)
         elif y:
             _shift(R, i, j, y)
     if len(levels) > 1:
@@ -176,8 +190,9 @@ def _assign_run(f: _Fibers, P: int, m: int) -> int:
     # T(t + 1) < m elements lay above the cut, so r >= 1 remain for the cut
     # level; they are consumed from the front of the order, every fiber but
     # the last taking its full count.  The greedy rule breaks deficit ties
-    # by lowest start, so the group of equal deficits at the boundary is put
-    # in start order before the take; no other tie is ever read.
+    # by lowest codomain index, so the group of equal deficits at the
+    # boundary is put in codomain order before the take; no other tie is
+    # ever read.
     r = m - (a - b * (t + 1))
     for k, row in enumerate(islice(R, cut)):
         if row[1] >= r:
@@ -193,85 +208,90 @@ def _assign_run(f: _Fibers, P: int, m: int) -> int:
         hi += 1
     if hi > lo:
         r += sum(map(_count, islice(R, lo, k)))
-        R[lo : hi + 1] = sorted(islice(R, lo, hi + 1), key=_start)
+        R[lo : hi + 1] = _in_codomain_order(islice(R, lo, hi + 1))
         for k in range(lo, hi + 1):
             if R[k][1] >= r:
                 break
             r -= R[k][1]
-    d, c, taken, at = R[k]
+    d, c, o, Q = R[k]
     if c > r:
-        R[k] = (d, r, taken, at)
-        R.insert(k + 1, (d, c - r, taken + r, at))
+        R[k] = (d, r, o, Q)
+        R.insert(k + 1, (d, c - r, o + r, Q))
         cut += 1
         n += 1
     k += 1
 
     # the taken fibers now lie one level below the cut: lower them by P (or
-    # raise the others into the offset), move them behind the rest of the
+    # raise the others into the bias), move them behind the rest of the
     # cut level and merge them into the block already there
     if 2 * k <= n:
         _shift(R, 0, k, P)
     else:
         _shift(R, k, n, -P)
-        off -= P
+        bias -= P
     R[:cut] = R[k:cut] + R[:k]
-    floor = (t - 1) * P - off
+    floor = (t - 1) * P - bias
     if cut < n and R[cut][0] >= floor:
         end = bisect_right(R, -floor, cut + 1, key=_descending)
         R[cut - k : end] = sorted(islice(R, cut - k, end), key=_deficit, reverse=True)
-    f.offset = off
+    f.bias = bias
     if n >= 2 * f.coalesced:
         _coalesce_fibers(f)
-    return taken
+    return Q, o
 
 
 def _codomain_columns(f: _Fibers) -> tuple[list[int], ...]:
-    """The fiber columns (deficits, starts, counts, target atoms) in codomain
-    order, each run of neighbours that share target and deficit made one
-    fiber."""
-    rows = sorted(f.rows, key=_start)
-    off = f.offset
-    D = list(map(add, map(_deficit, rows), repeat(off))) if off else list(map(_deficit, rows))
-    return _coalesce(D, list(map(_start, rows)), list(map(_count, rows)), list(map(itemgetter(3), rows)))
+    """The fiber columns (deficits, offsets, counts, Qs) in codomain order,
+    each run of neighbours that share target and deficit made one fiber."""
+    rows = _in_codomain_order(f.rows)
+    bias = f.bias
+    D = list(map(add, map(_deficit, rows), repeat(bias))) if bias else list(map(_deficit, rows))
+    return _coalesce(D, list(map(_offset, rows)), list(map(_count, rows)), list(map(_target, rows)))
 
 
 def _coalesce_fibers(f: _Fibers) -> None:
     """Coalesce f's fibers and put them back in deficit order (stable, so
-    ties stay in start order), with the offset folded in.  Called whenever
+    ties stay in codomain order), with the bias folded in.  Called whenever
     the fiber count doubles, it keeps the count below twice that of the
     coalesced state, at O(log F) amortized comparisons per run."""
-    D, S, C, A = _codomain_columns(f)
-    f.rows = sorted(zip(D, C, S, A), key=_deficit, reverse=True)
-    f.offset = 0
+    D, O, C, Q = _codomain_columns(f)
+    f.rows = sorted(zip(D, C, O, Q), key=_deficit, reverse=True)
+    f.bias = 0
     f.coalesced = len(D)
 
 
 def _run_greedy(
     p: Spectrum, q: Spectrum, targets: Optional[list[int]] = None
-) -> tuple[tuple[list[int], list[int], list[int], list[int]], list[int], int]:
-    """Fiber columns (deficits, starts, counts, target atoms) in codomain order
-    after every source run, q's probabilities, all scaled by 2**e, and e.
+) -> tuple[tuple[list[int], list[int], list[int], list[int]], int]:
+    """Fiber columns (deficits, offsets, counts, Qs) in codomain order after
+    every source run, deficits and Qs scaled by 2**e, and e.
 
     Codomain neighbours that share target and deficit are one fiber.  Given
     a `targets` list, the kernel steps one source element at a time and
-    appends the codomain index each element goes to.
+    appends the codomain index each element goes to: its atom's first index
+    plus its offset.
     """
     e, (ps, qs) = _scaled_atoms(p, q)
-    f = _Fibers(qs, [mult for _, mult in q.atoms])
+    f = _Fibers(q, qs)
+    if targets is not None:
+        first = dict(zip(qs, accumulate(map(_count, q.atoms), initial=0)))
+    del qs  # the rows hold its ints; the list itself is not kept
     for P, (_, mult) in zip(ps, p.atoms):
         if targets is None:
             _assign_run(f, P, mult)
         else:
-            targets.extend(_assign_run(f, P, 1) for _ in range(mult))
-    return _codomain_columns(f), qs, e
+            for _ in range(mult):
+                Q, o = _assign_run(f, P, 1)
+                targets.append(first[Q] + o)
+    return _codomain_columns(f), e
 
 
-def _coalesce(D: list[int], S: list[int], C: list[int], A: list[int]) -> tuple[list[int], ...]:
-    """Codomain-ordered fiber columns (deficits, starts, counts, target atoms)
-    with each run of neighbours that share target and deficit made one
-    fiber, which keeps the first neighbour's entries."""
-    cols = (D, S, C, A)
-    ties = [x for x in compress(count(1), map(eq, islice(D, 1, None), D)) if A[x] == A[x - 1]]
+def _coalesce(D: list[int], O: list[int], C: list[int], Q: list[int]) -> tuple[list[int], ...]:
+    """Codomain-ordered fiber columns (deficits, offsets, counts, Qs) with
+    each run of neighbours that share target and deficit made one fiber,
+    which keeps the first neighbour's entries."""
+    cols = (D, O, C, Q)
+    ties = [x for x in compress(count(1), map(eq, islice(D, 1, None), D)) if Q[x] == Q[x - 1]]
     if not ties:
         return cols
     keep = [True] * len(D)
@@ -319,15 +339,17 @@ class MapSynthesisReport:
 
 
 def _report(
-    q: Spectrum, fibers: tuple[list[int], ...], qs: list[int], e: int, map_: Optional[DeterministicMap]
+    q: Spectrum, fibers: tuple[list[int], ...], e: int, map_: Optional[DeterministicMap]
 ) -> MapSynthesisReport:
-    """The report of a map onto q from its coalesced fiber columns and q's
-    probabilities qs, all scaled by 2**e: the three report columns, the
-    exact distance, and the pushforward built from (mass, count) pairs."""
-    deficits, _, counts, atoms = fibers
+    """The report of a map onto q from its coalesced fiber columns, deficits
+    and Qs scaled by 2**e: the three report columns, the exact distance, and
+    the pushforward built from (mass, count) pairs.  Each target probability
+    is Q / 2**e, the atom's own double, and each assigned mass
+    (Q - deficit) / 2**e, both correctly rounded int quotients."""
+    deficits, _, counts, qs = fibers
     den = 1 << e
-    probs = tuple(map(itemgetter(0), map(q.atoms.__getitem__, atoms)))
-    masses = tuple(map(truediv, map(sub, map(qs.__getitem__, atoms), deficits), repeat(den)))
+    probs = tuple(map(truediv, qs, repeat(den)))
+    masses = tuple(map(truediv, map(sub, qs, deficits), repeat(den)))
     distance = sum(map(abs, map(mul, counts, deficits))) / den
     # an assigned mass is a sum of source probabilities, so never negative:
     # compress keeps exactly the fibers of positive mass
@@ -348,14 +370,14 @@ def synthesize_map(
     """Greedy largest-deficit assignment of p's expansion onto q's labels.
 
     Runs in compressed form on F <= k_p + k_q fibers (k_p, k_q the atom
-    counts of p and q), one (deficit, count, start, target atom) row each,
-    kept in deficit order.  Per source run: O(B·log F) bisects for the B
+    counts of p and q), one (deficit, count, offset, Q) row each, kept in
+    deficit order.  Per source run: O(B·log F) bisects for the B
     level blocks at or above the cut, one rebuilt row and big-int
     subtraction per fiber outside the largest group that moves by one
-    amount (one shared offset records that group's shift), one sort of the
+    amount (one shared bias records that group's shift), one sort of the
     cut level's rows that merges a few presorted blocks, and O(F) pointer
     moves of one row list; no division per fiber, O(k_p·F) in all.  Ties between
-    equal deficits are resolved lazily: put in start order only at the
+    equal deficits are resolved lazily: put in codomain order only at the
     boundary of each take, and codomain neighbours that share target and
     deficit are coalesced whenever the fiber count doubles and after the
     last run.  The report's columns and distance are exact.  The
@@ -367,14 +389,14 @@ def synthesize_map(
         raise BudgetExceededError("max_greedy_fibers", len(p.atoms) + len(q.atoms), max_fibers)
     if with_map and p.total_dim > DEFAULT_MAX_EXPANDED_DIM:
         raise BudgetExceededError("max_expanded_dim", p.total_dim, DEFAULT_MAX_EXPANDED_DIM)
-    fibers, qs, e = _run_greedy(p, q)
+    fibers, e = _run_greedy(p, q)
     map_: Optional[DeterministicMap] = None
     if with_map:
         targets: list[int] = []
         if _run_greedy(p, q, targets)[0] != fibers:
             raise RuntimeError("element-stepped and run-wise greedy assignments disagree")
         map_ = DeterministicMap(p.total_dim, tuple(targets), q.total_dim)
-    return _report(q, fibers, qs, e, map_)
+    return _report(q, fibers, e, map_)
 
 
 def brute_force_optimal(p: Spectrum, q: Spectrum) -> MapSynthesisReport:
@@ -390,8 +412,7 @@ def brute_force_optimal(p: Spectrum, q: Spectrum) -> MapSynthesisReport:
         raise BudgetExceededError("brute_force_cap", total, BRUTE_FORCE_CAP)
     e, (p_sc, q_sc) = _scaled_atoms(p, q)
     xs = [sc for sc, (_, mult) in zip(p_sc, p.atoms) for _ in range(mult)]
-    atoms = [a for a, (_, mult) in enumerate(q.atoms) for _ in range(mult)]
-    q_scaled = [q_sc[a] for a in atoms]
+    q_scaled = [Q for Q, (_, mult) in zip(q_sc, q.atoms) for _ in range(mult)]
     best_d = None
     best_targets = None
     best_masses = None
@@ -405,5 +426,6 @@ def brute_force_optimal(p: Spectrum, q: Spectrum) -> MapSynthesisReport:
         if best_d is None or d < best_d:
             best_d, best_targets, best_masses = d, targets, masses
     # one fiber per codomain element, coalesced as the greedy's are
-    fibers = _coalesce(list(map(sub, q_scaled, best_masses)), list(range(ny)), [1] * ny, atoms)
-    return _report(q, fibers, q_sc, e, DeterministicMap(nx, tuple(best_targets), ny))
+    offsets = [o for _, mult in q.atoms for o in range(mult)]
+    fibers = _coalesce(list(map(sub, q_scaled, best_masses)), offsets, [1] * ny, q_scaled)
+    return _report(q, fibers, e, DeterministicMap(nx, tuple(best_targets), ny))

@@ -88,10 +88,29 @@ def _real(x, what: str) -> float:
 
 def _scaled_atoms(*spectra: Spectrum) -> tuple[int, list[list[int]]]:
     """The common exponent e of the spectra's probabilities, and each
-    spectrum's probabilities times 2**e, from one as_integer_ratio per atom."""
-    ratios = [[p.as_integer_ratio() for p, _ in s.atoms] for s in spectra]
-    e = max((den.bit_length() - 1 for rs in ratios for _, den in rs), default=0)
-    return e, [[num << (e + 1 - den.bit_length()) for num, den in rs] for rs in ratios]
+    spectrum's probabilities times 2**e.
+
+    e is the largest dyadic exponent of any probability, the log2 of its
+    as_integer_ratio denominator.  A normal double f * 2**x (0.5 <= f < 1)
+    has one of at most 53 - x, and x never falls towards the head of a
+    descending atom list, so each spectrum is read from its smallest atom up
+    only while that bound exceeds the e found so far: a few atoms, not k.
+    The ints are then made in one pass that holds nothing per atom: ldexp is
+    exact while every p * 2**e stays in the double range (always while
+    e <= 1023), and past it each numerator is shifted instead.
+    """
+    e = 0
+    for s in spectra:
+        for p, _ in reversed(s.atoms):
+            if 53 - math.frexp(p)[1] <= e:
+                break
+            e = max(e, p.as_integer_ratio()[1].bit_length() - 1)
+    if all(math.frexp(s.atoms[0][0])[1] + e <= 1024 for s in spectra):
+        return e, [[int(math.ldexp(p, e)) for p, _ in s.atoms] for s in spectra]
+    return e, [
+        [num << (e + 1 - den.bit_length()) for num, den in (p.as_integer_ratio() for p, _ in s.atoms)]
+        for s in spectra
+    ]
 
 
 def cumulative_mass(atoms: Iterable[tuple[float, int]]) -> Iterator[float]:
@@ -175,9 +194,9 @@ class Spectrum:
                 head, mult = pair
                 tol = MERGE_RTOL * head
         merged.append(first or (head, mult))
-        del cleaned, run  # free the sorted pairs before the mass terms are built
+        del cleaned, run  # free the sorted list before the atoms tuple is built
         try:
-            mass = math.fsum([p * m for p, m in merged])
+            mass = math.fsum(p * m for p, m in merged)
         except OverflowError:  # a multiplicity beyond the double range
             mass = math.inf
         if abs(mass - 1.0) > mass_tol:

@@ -1,4 +1,6 @@
+import gc
 import math
+import tracemalloc
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate, chain, repeat
@@ -8,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import check_synthesis_report
 from entspec.hermitian import rand_spectrum
 from entspec.majorize import DeterministicMap, majorizes, pushforward
 from entspec.randgen import (
@@ -31,6 +34,10 @@ from entspec.spectra import (
     maxent_rank,
     maxent_spectrum,
 )
+
+
+# the report's own checks, before tests/conftest.py appends its oracle
+_PROGRAM_REPORT_CHECKS = MapSynthesisReport.__post_init__
 
 
 def _probs(*xs):
@@ -367,12 +374,38 @@ def _assert_map_matches_heap(p, q):
     does, and the run-wise fibers expand to the heap's final deficits."""
     targets, deficits = _expanded_greedy(p, q)
     assert synthesize_map(p, q, with_map=True).map.targets == tuple(targets)
-    (D, _, C, _), _, _ = _run_greedy(p, q)
+    (D, _, C, _), _ = _run_greedy(p, q)
     assert list(chain.from_iterable(map(repeat, D, C))) == deficits
 
 
+class _Absolute:
+    """The adapter through which the white-box tests read the kernel: a
+    fiber's (offset, Q), its place inside its target atom's codomain range
+    and the atom's scaled probability, becomes (absolute start, atom index),
+    so rows read (deficit, count, start, atom) and codomain columns
+    (deficits, starts, counts, atoms), as the oracles write them."""
+
+    def __init__(self, q, qs):
+        starts = accumulate((mult for _, mult in q.atoms), initial=0)
+        self.first = {Q: (s, a) for a, (Q, s) in enumerate(zip(qs, starts))}
+
+    def place(self, o, Q):
+        s, a = self.first[Q]
+        return s + o, a
+
+    def rows(self, rows):
+        return [(d, c, *self.place(o, Q)) for d, c, o, Q in rows]
+
+    def columns(self, cols):
+        D, O, C, Q = cols
+        S, A = map(list, zip(*map(self.place, O, Q)))
+        return D, S, C, A
+
+
 def _assert_matches_oracle(p, q):
-    (D, S, C, A), qs, e = _run_greedy(p, q)
+    cols, e = _run_greedy(p, q)
+    _, (_, qs) = _scaled_atoms(p, q)
+    D, S, C, A = _Absolute(q, qs).columns(cols)
     fibers, want_e = _oracle_run_greedy(p, q)
     assert e == want_e
     got = [(s, qs[a], q.atoms[a][0], d, c) for d, s, c, a in zip(D, S, C, A)]
@@ -383,29 +416,30 @@ def _assert_fiber_invariants(p, q):
     """Step the kernel run by run and check the fiber rows after each, then
     check the coalesced codomain-order output against the last state."""
     e, (ps, qs) = _scaled_atoms(p, q)
-    f = _Fibers(qs, [mult for _, mult in q.atoms])
+    f = _Fibers(q, qs)
+    at = _Absolute(q, qs)
     q_starts = [0, *accumulate(mult for _, mult in q.atoms)]
     for runs, (P, (_, mult)) in enumerate(zip(ps, p.atoms), 1):
-        before = {s for _, _, s, _ in f.rows}
+        before = {s for _, _, s, _ in at.rows(f.rows)}
         _assign_run(f, P, mult)
         D = [d for d, _, _, _ in f.rows]
-        starts = [s for _, _, s, _ in f.rows]
+        starts = [s for _, _, s, _ in at.rows(f.rows)]
         assert len(set(starts) - before) <= 1  # at most one fiber split
         assert len(starts) == len(set(starts))  # a start names one fiber
         assert all(x >= y for x, y in zip(D, D[1:]))  # deficit non-increasing
-        rows = sorted((s, c, a) for _, c, s, a in f.rows)  # codomain order
+        rows = sorted((s, c, a) for _, c, s, a in at.rows(f.rows))  # codomain order
         C = [c for _, c, _ in rows]
         assert rows[0][0] == 0 and sum(C) == q.total_dim == f.total and min(C) > 0
         assert all(s + c == s2 for (s, c, _), (s2, _, _) in zip(rows, rows[1:]))
         assert all(q_starts[a] <= s and s + c <= q_starts[a + 1] for s, c, a in rows)
         assert len(f.rows) <= runs + len(q.atoms)  # the fiber bound
-    (D, S, C, A), _, _ = _run_greedy(p, q)
+    D, S, C, A = at.columns(_run_greedy(p, q)[0])
     assert S == [0, *accumulate(C[:-1])] and sum(C) == q.total_dim and min(C) > 0  # codomain order
     pairs = list(zip(A, D))
     assert all(x != y for x, y in zip(pairs, pairs[1:]))  # nothing left to coalesce
-    for d, c, s, a in f.rows:
+    for d, c, s, a in at.rows(f.rows):
         x = bisect_right(S, s) - 1  # the output fiber holding this one
-        assert s + c <= S[x] + C[x] and (A[x], D[x]) == (a, d + f.offset)
+        assert s + c <= S[x] + C[x] and (A[x], D[x]) == (a, d + f.bias)
 
 
 def _assert_matches_oracle_after_every_run(p, q):
@@ -414,13 +448,14 @@ def _assert_matches_oracle_after_every_run(p, q):
     later run masks still fails."""
     e, (ps, qs) = _scaled_atoms(p, q)
     assert e == _common_exponent(p, q)
-    f = _Fibers(qs, [mult for _, mult in q.atoms])
+    f = _Fibers(q, qs)
+    at = _Absolute(q, qs)
     starts = accumulate((mult for _, mult in q.atoms), initial=0)
     fibers = [_OracleFiber(s, prob, sc, sc, mult) for s, sc, (prob, mult) in zip(starts, qs, q.atoms)]
     for P, (_, mult) in zip(ps, p.atoms):
         _assign_run(f, P, mult)
         fibers = _oracle_assign_run(fibers, P, mult)
-        D, S, C, A = _codomain_columns(f)
+        D, S, C, A = at.columns(_codomain_columns(f))
         got = [(s, qs[a], q.atoms[a][0], d, c) for d, s, c, a in zip(D, S, C, A)]
         assert got == [(o.start, o.target_scaled, o.target_prob, o.deficit, o.count) for o in fibers]
 
@@ -446,12 +481,13 @@ def test_tie_heavy_fiber_count_stays_below_twice_the_coalesced_count():
     # fiber per source run, 32 before that pass
     p, q = _GRID[_GRID_IDS.index("tied30-flat")]
     _, (ps, qs) = _scaled_atoms(p, q)
-    f = _Fibers(qs, [mult for _, mult in q.atoms])
+    f = _Fibers(q, qs)
+    at = _Absolute(q, qs)
     most = len(q.atoms)
     for P, (_, mult) in zip(ps, p.atoms):
         _assign_run(f, P, mult)
         # fibers left after merging codomain neighbours of one target and deficit
-        rows = sorted((s, a, d) for d, _, s, a in f.rows)
+        rows = sorted((s, a, d) for d, _, s, a in at.rows(f.rows))
         most = max(most, 1 + sum(x[1:] != y[1:] for x, y in zip(rows, rows[1:])))
         assert len(f.rows) < 2 * most <= 12
 
@@ -475,6 +511,97 @@ def test_tied_concentration_map_matches_heap():
     # 3**8 = 6,561 source elements onto rank 55; the run-wise state ends
     # with codomain neighbours at equal deficits, coalesced only at the end
     _assert_map_matches_heap(_tied(8), _flat(0.5, 8))
+
+
+_TINY = (1 + 2**-52) * 2**-1022  # dyadic exponent 1074, the largest of any normal double
+
+
+def test_scaled_atoms_scan_past_a_last_atom_with_trailing_zeros():
+    # 0.125 has dyadic exponent 3; the common one, 54, comes from 0.3 and 0.2
+    q = Spectrum.from_atoms([(0.3, 1), (0.2, 1), (0.125, 4)])
+    p = _probs(0.75, 0.25)
+    e, (ps, qs) = _scaled_atoms(p, q)
+    assert e == _common_exponent(p, q) == 54
+    assert ps == [_scaled(x, e) for x, _ in p.atoms] and qs == [_scaled(x, e) for x, _ in q.atoms]
+
+
+@pytest.mark.parametrize("k", [970, 971, 972, 1022])
+@pytest.mark.parametrize("head", [(0.75, 0.25), (1.0,)], ids=["half", "one"])
+def test_scaled_atoms_are_exact_on_both_sides_of_the_double_range(k, head):
+    # (1 + 2**-52) * 2**-k has dyadic exponent k + 52; p * 2**e leaves the
+    # double range at e = 1024 for p = 1.0 and at e = 1025 for p < 1
+    q = Spectrum.from_atoms([(0.5, 2), ((1 + 2**-52) * 2.0**-k, 1)])
+    p = _probs(*head)
+    e, (ps, qs) = _scaled_atoms(p, q)
+    assert e == _common_exponent(p, q) == k + 52
+    assert ps == [_scaled(x, e) for x, _ in p.atoms] and qs == [_scaled(x, e) for x, _ in q.atoms]
+
+
+def test_bottom_of_the_normal_range_matches_the_oracles():
+    # e = 1074: int(ldexp(p, e)) would overflow, so the ints come from shifts;
+    # the requested map reads every taken (Q, offset) back as a codomain index
+    p = Spectrum.from_atoms([(0.375, 2), (0.25, 1), (_TINY, 3)])
+    q = Spectrum.from_atoms([(0.5, 1), (0.125, 4), (_TINY, 2)])
+    assert _scaled_atoms(p, q)[0] == 1074
+    _assert_matches_oracle(p, q)
+    _assert_fiber_invariants(p, q)
+    _assert_matches_oracle_after_every_run(p, q)
+    _assert_map_matches_heap(p, q)
+    r = synthesize_map(p, q, with_map=True)
+    cols, _ = _run_greedy(p, q)
+    _, _, _, A = _Absolute(q, _scaled_atoms(p, q)[1][1]).columns(cols)
+    assert r.target_probs == tuple(q.atoms[a][0] for a in A)  # Q / 2**e is the atom's own double
+
+
+def _traced(fn):
+    """fn's result, the bytes it allocates and keeps, and its peak, both
+    over the memory traced before it.  A full collection first empties the
+    free lists, whose recycled tuples and floats tracemalloc does not see."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = fn()
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return out, kept - base, peak - base
+
+
+def _half_and_halved(s):
+    """0.5 beside s halved: a head near 1 beside atoms near the bottom of
+    the normal range, whose ints lie past ldexp's range."""
+    return Spectrum.from_atoms([(0.5, 1), *((x / 2, m) for x, m in s.atoms)])
+
+
+@pytest.mark.parametrize(
+    "p,q",
+    [
+        (_flat(1.2, 120), _iid(120)),
+        (_probs(0.75, 0.25), _half_and_halved(iid_spectrum(_probs(0.9, 0.1), 400))),
+    ],
+    ids=["ldexp", "shift"],
+)
+def test_scaled_atoms_peaks_at_what_it_returns(p, q):
+    # no as_integer_ratio pair is held per atom: holding them all until the
+    # ints were built peaked at about three times what is kept
+    _, kept, peak = _traced(lambda: _scaled_atoms(p, q))
+    assert peak <= 1.1 * kept
+
+
+def test_synthesis_peaks_below_twice_its_target(monkeypatch):
+    # flat R=1.2 onto IID(0.6,0.3,0.1) at n=120: the rows share the target's
+    # scaled ints and hold offsets, so the greedy's state stays near the size
+    # of the target itself (1.70x; absolute starts and atom indices read
+    # 2.32x).  The report oracle re-derives every report inside its
+    # __post_init__, so here the program's own checks run in the traced call
+    # and the oracle after it.
+    monkeypatch.setattr(MapSynthesisReport, "__post_init__", _PROGRAM_REPORT_CHECKS)
+    p = _flat(1.2, 120)
+    q, size, _ = _traced(lambda: _iid(120))
+    r, _, peak = _traced(lambda: synthesize_map(p, q))
+    check_synthesis_report(r)
+    assert peak <= 2.0 * size
 
 
 @st.composite
