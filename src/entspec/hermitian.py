@@ -33,8 +33,7 @@ projector is formed, the count of positive eigenvalues), so a chunk costs
 one NumPy call per step per shape group instead of one per instance.
 Stacked LAPACK, BLAS and reductions run the per-matrix routine on
 per-matrix memory layouts, so every margin is bit for bit the per-instance
-one.  The spectrum suites draw as they evaluate, one instance at a time, so
-each instance's generator is freed before the next is built.
+one.  The spectrum suites draw as they evaluate, one instance at a time.
 """
 
 from __future__ import annotations
@@ -665,8 +664,8 @@ def rand_spectrum(rng, max_dim: int) -> Spectrum:
 
 # ---------------------------------------------------------------------------
 # suites: each draws one instance from its generator, (rng, instance index,
-# dim) -> draws, and evaluates a chunk's draws, given lazily, giving one
-# (results, note) per instance for the suite's summary
+# dim) -> draws, and evaluates a list of draws, giving one (results, note)
+# per instance for the suite's summary
 
 # dense eigen calls cost d^3 per instance, so --dim is capped: `verify all`
 # with default trials took 9.8-10.4 s at the cap (peak RSS 42 MB; 8.1-8.9 s
@@ -688,11 +687,9 @@ def _grouped(check: Callable) -> Callable:
 
     A draw is (group key, field, ...); check(key, *fields) gets each field as
     a tuple over the group and gives one sequence of results per instance.
-    The whole chunk is drawn before the first group is evaluated.
     """
 
-    def evaluate(drawn) -> list:
-        drawn = list(drawn)
+    def evaluate(drawn: list) -> list:
         groups: dict = {}
         for i, (key, *_) in enumerate(drawn):
             groups.setdefault(key, []).append(i)
@@ -712,8 +709,7 @@ def _defer(rng, k: int, dim: int):
 
 
 def _each(instance: Callable) -> Callable:
-    """Evaluate each draw as it is made, so one generator is alive at a time."""
-    return lambda drawn: (instance(*x) for x in drawn)
+    return lambda drawn: [instance(*x) for x in drawn]
 
 
 def _np_draw(rng, k: int, dim: int):
@@ -909,7 +905,7 @@ class Suite(NamedTuple):
     id: int  # mixed into every instance seed; never reuse or renumber
     trials: int  # default instance count
     draw: Callable  # (rng, instance index, dim) -> the instance's draws
-    evaluate: Callable  # iterator of draws -> one (results, note) per instance
+    evaluate: Callable  # list of draws -> one (results, note) per instance
     summary: Optional[Callable[[list], dict]] = None  # notes -> the report's extras
 
 
@@ -1028,7 +1024,7 @@ def _instance_results(suite: Suite, seed: int, trials: int, dim: int):
     chunk = max(1, _CHUNK * 8**2 // dim**2)
     for start in range(0, trials, chunk):
         ks = range(start, min(start + chunk, trials))
-        drawn = (suite.draw(rng, k, dim) for rng, k in zip(_generators(seed % (1 << 63), suite.id, ks), ks))
+        drawn = [suite.draw(rng, k, dim) for rng, k in zip(_generators(seed % (1 << 63), suite.id, ks), ks)]
         for k, (results, note) in zip(ks, suite.evaluate(drawn)):
             yield k, results, note
 

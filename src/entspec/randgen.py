@@ -15,18 +15,18 @@ without materializing type classes.  Synthesis stays polynomial in the atom
 counts when the expanded dimensions are astronomical.
 
 Cost: the F fibers stay sorted by deficit across the k_p source runs, one
-immutable row (deficit, count, offset, Q) per fiber in one list, so the
+immutable row (deficit, count, pos, Q) per fiber in one list, so the
 fibers of one level (deficit // P) form a contiguous block.  Q is the target
 atom's scaled probability, the very int its fibers' deficits start from, and
-offset is the fiber's place in that atom's range of codomain elements (the
+pos is the fiber's place in that atom's range of codomain elements (the
 shared 0 until a take splits the atom), so a row allocates no index of its
-own.  Codomain order is Q descending, then offset ascending.  A run
+own.  Codomain order is Q descending, then pos ascending.  A run
 finds the cut from the blocks at or above it, with one bisect and one
 big-int division per block (O(B·log F) for B blocks, no division per
 fiber).  It lowers each block above the cut by one amount and the fibers it
 takes by one more; in each step the largest group of fibers that moves by
 one amount (the fibers that do not move count as one) stays put and one
-shared bias records its shift, so with the usual two blocks a run
+shared offset records its shift, so with the usual two blocks a run
 rebuilds at most F/2 rows per step, one big-int subtraction each.  It then
 sorts the rows of the cut level by deficit, which merges the presorted
 blocks it lowered there, and moves rows by list slices: O(F) pointer moves
@@ -44,7 +44,7 @@ so F <= k_p + k_q, the bound the max_greedy_fibers budget checks up front.
 
 A DeterministicMap is built only on request (`with_map=True`): the same
 kernel is then stepped one source element at a time, one kernel call per
-element, each taken (Q, offset) read back as an absolute codomain index, so
+element, each taken (Q, pos) read back as an absolute codomain index, so
 its cost grows with the expanded source dimension, which
 DEFAULT_MAX_EXPANDED_DIM bounds.
 """
@@ -53,8 +53,8 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import accumulate, compress, count, islice, product, repeat
-from operator import add, eq, itemgetter, mul, sub, truediv
+from itertools import accumulate, chain, compress, count, islice, product, repeat
+from operator import add, eq, itemgetter, mul, ne, sub, truediv
 from typing import Optional
 
 from .majorize import DeterministicMap
@@ -75,31 +75,31 @@ class _Fibers:
     """Fiber state between source runs, one fiber per run of codomain
     elements that share target and deficit.
 
-    `rows` holds one immutable row (deficit, count, offset, Q) per fiber in
+    `rows` holds one immutable row (deficit, count, pos, Q) per fiber in
     deficit-descending order, equal deficits in any order: the stored
     deficit, the element count, the fiber's place inside its target atom's
     codomain range, and the atom's scaled probability Q, the int the
     atom's deficits start from.  Probabilities are distinct across atoms, so
-    Q names the atom, and codomain order is (Q descending, offset
-    ascending).  Stored deficits are true deficits minus `bias`, so a
+    Q names the atom, and codomain order is (Q descending, pos
+    ascending).  Stored deficits are true deficits minus `offset`, so a
     uniform shift of one side of the order can move the other side instead.
     `total` is the codomain size.  Codomain neighbours may share target and
     deficit until the live fiber count reaches twice `coalesced`, the count
     after the last coalescing (`_coalesce_fibers`).
     """
 
-    __slots__ = ("rows", "bias", "coalesced", "total")
+    __slots__ = ("rows", "offset", "coalesced", "total")
 
     def __init__(self, q: Spectrum, qs: list[int]):
         self.rows = list(zip(qs, map(_count, q.atoms), repeat(0), qs))
-        self.bias = 0
+        self.offset = 0
         self.coalesced = len(self.rows)
         self.total = q.total_dim
 
 
 _deficit = itemgetter(0)
 _count = itemgetter(1)
-_offset = itemgetter(2)
+_pos = itemgetter(2)
 _target = itemgetter(3)
 
 
@@ -109,8 +109,8 @@ def _descending(row: tuple[int, ...]) -> int:
 
 
 def _in_codomain_order(rows) -> list[tuple[int, ...]]:
-    """The rows sorted by Q descending, then offset ascending: two stable sorts."""
-    rows = sorted(rows, key=_offset)
+    """The rows sorted by Q descending, then pos ascending: two stable sorts."""
+    rows = sorted(rows, key=_pos)
     rows.sort(key=_target, reverse=True)
     return rows
 
@@ -119,16 +119,16 @@ def _shift(R: list[tuple[int, ...]], i: int, j: int, x: int) -> None:
     """Subtract x from the deficits of rows i to j, one row at a time, so
     each old row is freed before the next new one is made."""
     for k in range(i, j):
-        d, c, o, Q = R[k]
-        R[k] = (d - x, c, o, Q)
+        d, c, pos, Q = R[k]
+        R[k] = (d - x, c, pos, Q)
 
 
 def _assign_run(f: _Fibers, P: int, m: int) -> tuple[int, int]:
     """Assign a run of m source elements of scaled probability P, in place.
 
-    Returns (Q, offset) of the first element taken at the cut level: for
+    Returns (Q, pos) of the first element taken at the cut level: for
     m = 1, the codomain element the one element goes to."""
-    R, bias = f.rows, f.bias
+    R, off = f.rows, f.offset
     n = len(R)
 
     # Elements of a fiber at level L = deficit // P (one per codomain slot,
@@ -139,10 +139,10 @@ def _assign_run(f: _Fibers, P: int, m: int) -> tuple[int, int]:
     # blocks walked, T(t) = a - b*t, so the cut is (a - m) // b once that
     # lies above the next block's level.
     a = b = i = 0
-    L = (R[0][0] + bias) // P
+    L = (R[0][0] + off) // P
     bounds, levels = [0], []
     while True:
-        floor = L * P - bias
+        floor = L * P - off
         j = i + 1
         if j < n and R[j][0] >= floor:
             j = bisect_right(R, -floor, j + 1, key=_descending)
@@ -156,7 +156,7 @@ def _assign_run(f: _Fibers, P: int, m: int) -> tuple[int, int]:
         levels.append(L)
         if j == n:
             break
-        L = (R[j][0] + bias) // P
+        L = (R[j][0] + off) // P
         if a - m >= b * (L + 1):
             break
         i = j
@@ -165,7 +165,7 @@ def _assign_run(f: _Fibers, P: int, m: int) -> tuple[int, int]:
     # everything strictly above the cut is consumed outright: lower those
     # blocks to the cut level.  The fibers from `below` on stay where they
     # are.  If the largest lowered block outnumbers them, its shift goes
-    # into the bias and every other group moves by the difference.  Then
+    # into the offset and every other group moves by the difference.  Then
     # merge the lowered blocks by deficit.
     lowered = len(levels) - (levels[-1] == t)
     x = 0
@@ -176,12 +176,12 @@ def _assign_run(f: _Fibers, P: int, m: int) -> tuple[int, int]:
         if big > n - below:
             x = (levels[sizes.index(big)] - t) * P
             _shift(R, below, n, -x)
-            bias -= x
+            off -= x
     for i, j, L in zip(bounds, bounds[1 : lowered + 1], levels):
         y = (L - t) * P - x
         if j == i + 1:
-            d, c, o, Q = R[i]
-            R[i] = (d - y, c, o, Q)
+            d, c, pos, Q = R[i]
+            R[i] = (d - y, c, pos, Q)
         elif y:
             _shift(R, i, j, y)
     if len(levels) > 1:
@@ -213,63 +213,63 @@ def _assign_run(f: _Fibers, P: int, m: int) -> tuple[int, int]:
             if R[k][1] >= r:
                 break
             r -= R[k][1]
-    d, c, o, Q = R[k]
+    d, c, pos, Q = R[k]
     if c > r:
-        R[k] = (d, r, o, Q)
-        R.insert(k + 1, (d, c - r, o + r, Q))
+        R[k] = (d, r, pos, Q)
+        R.insert(k + 1, (d, c - r, pos + r, Q))
         cut += 1
         n += 1
     k += 1
 
     # the taken fibers now lie one level below the cut: lower them by P (or
-    # raise the others into the bias), move them behind the rest of the
+    # raise the others into the offset), move them behind the rest of the
     # cut level and merge them into the block already there
     if 2 * k <= n:
         _shift(R, 0, k, P)
     else:
         _shift(R, k, n, -P)
-        bias -= P
+        off -= P
     R[:cut] = R[k:cut] + R[:k]
-    floor = (t - 1) * P - bias
+    floor = (t - 1) * P - off
     if cut < n and R[cut][0] >= floor:
         end = bisect_right(R, -floor, cut + 1, key=_descending)
         R[cut - k : end] = sorted(islice(R, cut - k, end), key=_deficit, reverse=True)
-    f.bias = bias
+    f.offset = off
     if n >= 2 * f.coalesced:
         _coalesce_fibers(f)
-    return Q, o
+    return Q, pos
 
 
 def _codomain_columns(f: _Fibers) -> tuple[list[int], ...]:
-    """The fiber columns (deficits, offsets, counts, Qs) in codomain order,
+    """The fiber columns (deficits, positions, counts, Qs) in codomain order,
     each run of neighbours that share target and deficit made one fiber."""
     rows = _in_codomain_order(f.rows)
-    bias = f.bias
-    D = list(map(add, map(_deficit, rows), repeat(bias))) if bias else list(map(_deficit, rows))
-    return _coalesce(D, list(map(_offset, rows)), list(map(_count, rows)), list(map(_target, rows)))
+    off = f.offset
+    D = list(map(add, map(_deficit, rows), repeat(off))) if off else list(map(_deficit, rows))
+    return _coalesce(D, list(map(_pos, rows)), list(map(_count, rows)), list(map(_target, rows)))
 
 
 def _coalesce_fibers(f: _Fibers) -> None:
     """Coalesce f's fibers and put them back in deficit order (stable, so
-    ties stay in codomain order), with the bias folded in.  Called whenever
+    ties stay in codomain order), with the offset folded in.  Called whenever
     the fiber count doubles, it keeps the count below twice that of the
     coalesced state, at O(log F) amortized comparisons per run."""
-    D, O, C, Q = _codomain_columns(f)
-    f.rows = sorted(zip(D, C, O, Q), key=_deficit, reverse=True)
-    f.bias = 0
+    D, Pos, C, Q = _codomain_columns(f)
+    f.rows = sorted(zip(D, C, Pos, Q), key=_deficit, reverse=True)
+    f.offset = 0
     f.coalesced = len(D)
 
 
 def _run_greedy(
     p: Spectrum, q: Spectrum, targets: Optional[list[int]] = None
 ) -> tuple[tuple[list[int], list[int], list[int], list[int]], int]:
-    """Fiber columns (deficits, offsets, counts, Qs) in codomain order after
+    """Fiber columns (deficits, positions, counts, Qs) in codomain order after
     every source run, deficits and Qs scaled by 2**e, and e.
 
     Codomain neighbours that share target and deficit are one fiber.  Given
     a `targets` list, the kernel steps one source element at a time and
     appends the codomain index each element goes to: its atom's first index
-    plus its offset.
+    plus its position.
     """
     e, (ps, qs) = _scaled_atoms(p, q)
     f = _Fibers(q, qs)
@@ -281,16 +281,16 @@ def _run_greedy(
             _assign_run(f, P, mult)
         else:
             for _ in range(mult):
-                Q, o = _assign_run(f, P, 1)
-                targets.append(first[Q] + o)
+                Q, pos = _assign_run(f, P, 1)
+                targets.append(first[Q] + pos)
     return _codomain_columns(f), e
 
 
-def _coalesce(D: list[int], O: list[int], C: list[int], Q: list[int]) -> tuple[list[int], ...]:
-    """Codomain-ordered fiber columns (deficits, offsets, counts, Qs) with
+def _coalesce(D: list[int], Pos: list[int], C: list[int], Q: list[int]) -> tuple[list[int], ...]:
+    """Codomain-ordered fiber columns (deficits, positions, counts, Qs) with
     each run of neighbours that share target and deficit made one fiber,
     which keeps the first neighbour's entries."""
-    cols = (D, O, C, Q)
+    cols = (D, Pos, C, Q)
     ties = [x for x in compress(count(1), map(eq, islice(D, 1, None), D)) if Q[x] == Q[x - 1]]
     if not ties:
         return cols
@@ -343,12 +343,15 @@ def _report(
 ) -> MapSynthesisReport:
     """The report of a map onto q from its coalesced fiber columns, deficits
     and Qs scaled by 2**e: the three report columns, the exact distance, and
-    the pushforward built from (mass, count) pairs.  Each target probability
-    is Q / 2**e, the atom's own double, and each assigned mass
-    (Q - deficit) / 2**e, both correctly rounded int quotients."""
+    the pushforward built from (mass, count) pairs.  Each atom of q covers
+    a run of consecutive fibers, over which Q holds, so a fiber's atom index
+    is the count of Q changes before it and its target probability is that
+    atom's own double; its assigned mass is (Q - deficit) / 2**e, a
+    correctly rounded int quotient."""
     deficits, _, counts, qs = fibers
     den = 1 << e
-    probs = tuple(map(truediv, qs, repeat(den)))
+    atoms = accumulate(map(ne, qs, chain(qs[:1], qs)))
+    probs = tuple(map(itemgetter(0), map(q.atoms.__getitem__, atoms)))
     masses = tuple(map(truediv, map(sub, qs, deficits), repeat(den)))
     distance = sum(map(abs, map(mul, counts, deficits))) / den
     # an assigned mass is a sum of source probabilities, so never negative:
@@ -370,11 +373,11 @@ def synthesize_map(
     """Greedy largest-deficit assignment of p's expansion onto q's labels.
 
     Runs in compressed form on F <= k_p + k_q fibers (k_p, k_q the atom
-    counts of p and q), one (deficit, count, offset, Q) row each, kept in
+    counts of p and q), one (deficit, count, pos, Q) row each, kept in
     deficit order.  Per source run: O(B·log F) bisects for the B
     level blocks at or above the cut, one rebuilt row and big-int
     subtraction per fiber outside the largest group that moves by one
-    amount (one shared bias records that group's shift), one sort of the
+    amount (one shared offset records that group's shift), one sort of the
     cut level's rows that merges a few presorted blocks, and O(F) pointer
     moves of one row list; no division per fiber, O(k_p·F) in all.  Ties between
     equal deficits are resolved lazily: put in codomain order only at the
@@ -426,6 +429,6 @@ def brute_force_optimal(p: Spectrum, q: Spectrum) -> MapSynthesisReport:
         if best_d is None or d < best_d:
             best_d, best_targets, best_masses = d, targets, masses
     # one fiber per codomain element, coalesced as the greedy's are
-    offsets = [o for _, mult in q.atoms for o in range(mult)]
-    fibers = _coalesce(list(map(sub, q_scaled, best_masses)), offsets, [1] * ny, q_scaled)
+    positions = [pos for _, mult in q.atoms for pos in range(mult)]
+    fibers = _coalesce(list(map(sub, q_scaled, best_masses)), positions, [1] * ny, q_scaled)
     return _report(q, fibers, e, DeterministicMap(nx, tuple(best_targets), ny))

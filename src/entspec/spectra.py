@@ -95,9 +95,8 @@ def _scaled_atoms(*spectra: Spectrum) -> tuple[int, list[list[int]]]:
     has one of at most 53 - x, and x never falls towards the head of a
     descending atom list, so each spectrum is read from its smallest atom up
     only while that bound exceeds the e found so far: a few atoms, not k.
-    The ints are then made in one pass that holds nothing per atom: ldexp is
-    exact while every p * 2**e stays in the double range (always while
-    e <= 1023), and past it each numerator is shifted instead.
+    The ints are then made in one pass that shifts each numerator and holds
+    nothing per atom.
     """
     e = 0
     for s in spectra:
@@ -105,8 +104,6 @@ def _scaled_atoms(*spectra: Spectrum) -> tuple[int, list[list[int]]]:
             if 53 - math.frexp(p)[1] <= e:
                 break
             e = max(e, p.as_integer_ratio()[1].bit_length() - 1)
-    if all(math.frexp(s.atoms[0][0])[1] + e <= 1024 for s in spectra):
-        return e, [[int(math.ldexp(p, e)) for p, _ in s.atoms] for s in spectra]
     return e, [
         [num << (e + 1 - den.bit_length()) for num, den in (p.as_integer_ratio() for p, _ in s.atoms)]
         for s in spectra

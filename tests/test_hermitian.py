@@ -491,24 +491,6 @@ def test_a_suite_draws_one_chunk_before_its_first_result(name, dim):
     assert len(drawn) == chunk
 
 
-@pytest.mark.parametrize("name", sorted(set(SUITES) - set(DENSE_SUITES)))
-def test_a_spectrum_suite_draws_one_instance_before_its_first_result(name):
-    # the spectrum suites evaluate each draw as it is made, so a chunk's
-    # generators are not all alive at once
-    suite = SUITES[name]
-    drawn = []
-
-    def counting_draw(rng, k, dim):
-        drawn.append(k)
-        return suite.draw(rng, k, dim)
-
-    results = hermitian._instance_results(suite._replace(draw=counting_draw), 0, 3, 8)
-    next(results)
-    assert drawn == [0]
-    next(results)
-    assert drawn == [0, 1]
-
-
 @settings(max_examples=100, deadline=None)
 @given(
     seed=st.integers(-(2**70), 2**70),

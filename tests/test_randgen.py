@@ -380,7 +380,7 @@ def _assert_map_matches_heap(p, q):
 
 class _Absolute:
     """The adapter through which the white-box tests read the kernel: a
-    fiber's (offset, Q), its place inside its target atom's codomain range
+    fiber's (pos, Q), its place inside its target atom's codomain range
     and the atom's scaled probability, becomes (absolute start, atom index),
     so rows read (deficit, count, start, atom) and codomain columns
     (deficits, starts, counts, atoms), as the oracles write them."""
@@ -389,16 +389,16 @@ class _Absolute:
         starts = accumulate((mult for _, mult in q.atoms), initial=0)
         self.first = {Q: (s, a) for a, (Q, s) in enumerate(zip(qs, starts))}
 
-    def place(self, o, Q):
+    def place(self, pos, Q):
         s, a = self.first[Q]
-        return s + o, a
+        return s + pos, a
 
     def rows(self, rows):
-        return [(d, c, *self.place(o, Q)) for d, c, o, Q in rows]
+        return [(d, c, *self.place(pos, Q)) for d, c, pos, Q in rows]
 
     def columns(self, cols):
-        D, O, C, Q = cols
-        S, A = map(list, zip(*map(self.place, O, Q)))
+        D, Pos, C, Q = cols
+        S, A = map(list, zip(*map(self.place, Pos, Q)))
         return D, S, C, A
 
 
@@ -439,7 +439,7 @@ def _assert_fiber_invariants(p, q):
     assert all(x != y for x, y in zip(pairs, pairs[1:]))  # nothing left to coalesce
     for d, c, s, a in at.rows(f.rows):
         x = bisect_right(S, s) - 1  # the output fiber holding this one
-        assert s + c <= S[x] + C[x] and (A[x], D[x]) == (a, d + f.bias)
+        assert s + c <= S[x] + C[x] and (A[x], D[x]) == (a, d + f.offset)
 
 
 def _assert_matches_oracle_after_every_run(p, q):
@@ -527,9 +527,9 @@ def test_scaled_atoms_scan_past_a_last_atom_with_trailing_zeros():
 
 @pytest.mark.parametrize("k", [970, 971, 972, 1022])
 @pytest.mark.parametrize("head", [(0.75, 0.25), (1.0,)], ids=["half", "one"])
-def test_scaled_atoms_are_exact_on_both_sides_of_the_double_range(k, head):
-    # (1 + 2**-52) * 2**-k has dyadic exponent k + 52; p * 2**e leaves the
-    # double range at e = 1024 for p = 1.0 and at e = 1025 for p < 1
+def test_scaled_atoms_are_exact_past_the_double_range(k, head):
+    # (1 + 2**-52) * 2**-k has dyadic exponent e = k + 52, and past e = 1023
+    # the head's int p * 2**e outgrows the double range
     q = Spectrum.from_atoms([(0.5, 2), ((1 + 2**-52) * 2.0**-k, 1)])
     p = _probs(*head)
     e, (ps, qs) = _scaled_atoms(p, q)
@@ -538,8 +538,8 @@ def test_scaled_atoms_are_exact_on_both_sides_of_the_double_range(k, head):
 
 
 def test_bottom_of_the_normal_range_matches_the_oracles():
-    # e = 1074: int(ldexp(p, e)) would overflow, so the ints come from shifts;
-    # the requested map reads every taken (Q, offset) back as a codomain index
+    # e = 1074, the largest dyadic exponent of a normal double; the requested
+    # map reads every taken (Q, pos) back as a codomain index
     p = Spectrum.from_atoms([(0.375, 2), (0.25, 1), (_TINY, 3)])
     q = Spectrum.from_atoms([(0.5, 1), (0.125, 4), (_TINY, 2)])
     assert _scaled_atoms(p, q)[0] == 1074
@@ -550,7 +550,7 @@ def test_bottom_of_the_normal_range_matches_the_oracles():
     r = synthesize_map(p, q, with_map=True)
     cols, _ = _run_greedy(p, q)
     _, _, _, A = _Absolute(q, _scaled_atoms(p, q)[1][1]).columns(cols)
-    assert r.target_probs == tuple(q.atoms[a][0] for a in A)  # Q / 2**e is the atom's own double
+    assert r.target_probs == tuple(q.atoms[a][0] for a in A)  # each fiber reads its atom's double
 
 
 def _traced(fn):
@@ -570,7 +570,7 @@ def _traced(fn):
 
 def _half_and_halved(s):
     """0.5 beside s halved: a head near 1 beside atoms near the bottom of
-    the normal range, whose ints lie past ldexp's range."""
+    the normal range, so e is near 1074 and the head's int has e bits."""
     return Spectrum.from_atoms([(0.5, 1), *((x / 2, m) for x, m in s.atoms)])
 
 
@@ -580,7 +580,7 @@ def _half_and_halved(s):
         (_flat(1.2, 120), _iid(120)),
         (_probs(0.75, 0.25), _half_and_halved(iid_spectrum(_probs(0.9, 0.1), 400))),
     ],
-    ids=["ldexp", "shift"],
+    ids=["flat-iid120", "half-iid2x400"],
 )
 def test_scaled_atoms_peaks_at_what_it_returns(p, q):
     # no as_integer_ratio pair is held per atom: holding them all until the
@@ -591,7 +591,7 @@ def test_scaled_atoms_peaks_at_what_it_returns(p, q):
 
 def test_synthesis_peaks_below_twice_its_target(monkeypatch):
     # flat R=1.2 onto IID(0.6,0.3,0.1) at n=120: the rows share the target's
-    # scaled ints and hold offsets, so the greedy's state stays near the size
+    # scaled ints and hold positions, so the greedy's state stays near the size
     # of the target itself (1.70x; absolute starts and atom indices read
     # 2.32x).  The report oracle re-derives every report inside its
     # __post_init__, so here the program's own checks run in the traced call
