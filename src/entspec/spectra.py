@@ -156,27 +156,55 @@ class Spectrum:
     @classmethod
     def from_atoms(cls, pairs: Iterable[tuple[float, int]], *, mass_tol: float = MASS_TOL) -> "Spectrum":
         """Zero and subnormal atoms are dropped, so every p * m is a finite double; the
-        mass check counts what they carried, and fails for an m beyond the double range."""
-        cleaned = []
+        mass check counts what they carried, and fails for an m beyond the double range.
+
+        A list passed in is never reordered.  When all its pairs are already
+        (float, int) tuples of normal probability and positive multiplicity,
+        it is scanned and used as it is; any other input is read into a new
+        list.  A sorted copy is merged in one pass.  When nothing merged, the
+        mass and the dimension are summed over the list in input order, where
+        the pairs' tuples, floats and ints lie in memory in the order they
+        were made (about twice as fast as in sorted order on the 31,626 type
+        classes of IID(0.6, 0.3, 0.1) at n = 250); otherwise over the merged
+        atoms.  k pairs cost a validating pass, one sort and one merge pass,
+        then the two sums over the k pairs or the fewer merged atoms.  Besides
+        the atoms tuple, it holds the sorted copy and the merged list, and the
+        new list when the input was read into one.
+        """
         tiny = sys.float_info.min
-        for pair in pairs:
-            p, m = pair
-            if type(p) is not float or type(m) is not int or type(pair) is not tuple:
-                # a (float, int) tuple is kept as it is; anything else is read into one
-                pair = p, m = _real(p, "probability"), _integer(m, "multiplicity")
-            if m <= 0:
-                raise ValueError(f"multiplicity must be positive, got {m}")
-            if p >= tiny:
-                cleaned.append(pair)
-            elif not p >= 0.0:  # NaN or negative; zero and subnormal atoms are dropped
-                raise ValueError(f"probability must be nonnegative, got {p!r}")
+        cleaned = None
+        if type(pairs) is list:
+            # the tuple test comes before unpacking, so a pair that is an
+            # iterator is unpacked only once, by the loop below
+            for pair in pairs:
+                if type(pair) is not tuple:
+                    break
+                p, m = pair
+                if type(p) is not float or type(m) is not int or m <= 0 or not p >= tiny:
+                    break
+            else:
+                cleaned = pairs
+        if cleaned is None:
+            cleaned = []
+            for pair in pairs:
+                p, m = pair
+                if type(p) is not float or type(m) is not int or type(pair) is not tuple:
+                    # a (float, int) tuple is kept as it is; anything else is read into one
+                    pair = p, m = _real(p, "probability"), _integer(m, "multiplicity")
+                if m <= 0:
+                    raise ValueError(f"multiplicity must be positive, got {m}")
+                if p >= tiny:
+                    cleaned.append(pair)
+                elif not p >= 0.0:  # NaN or negative; zero and subnormal atoms are dropped
+                    raise ValueError(f"probability must be nonnegative, got {p!r}")
         if not cleaned:
             raise ValueError("spectrum has no positive atoms of normal probability")
-        cleaned.sort(key=itemgetter(0), reverse=True)
+        ordered = cleaned[:]
+        ordered.sort(key=itemgetter(0), reverse=True)
         # one pass: a run of values within MERGE_RTOL of its first (largest)
         # value becomes one atom at that value; a run of one keeps its pair
         merged = []
-        run = iter(cleaned)
+        run = iter(ordered)
         first = next(run)
         head, mult = first
         tol = MERGE_RTOL * head
@@ -191,14 +219,16 @@ class Spectrum:
                 head, mult = pair
                 tol = MERGE_RTOL * head
         merged.append(first or (head, mult))
-        del cleaned, run  # free the sorted list before the atoms tuple is built
+        # every run of one keeps its pair, so nothing merged iff no run was longer
+        summed = cleaned if len(merged) == len(ordered) else merged
+        del ordered, run  # free the sorted copy before the atoms tuple is built
         try:
-            mass = math.fsum(p * m for p, m in merged)
+            mass = math.fsum(p * m for p, m in summed)
         except OverflowError:  # a multiplicity beyond the double range
             mass = math.inf
         if abs(mass - 1.0) > mass_tol:
             raise ValueError(f"spectrum mass {mass!r} deviates from 1 beyond tolerance {mass_tol}")
-        return cls(atoms=tuple(merged), total_dim=sum(m for _, m in merged))
+        return cls(atoms=tuple(merged), total_dim=sum(m for _, m in summed))
 
     @classmethod
     def from_probs(cls, values: Sequence[float], *, mass_tol: float = MASS_TOL) -> "Spectrum":
@@ -337,7 +367,8 @@ def iid_spectrum(base: Spectrum, n: int, *, max_type_classes: int = DEFAULT_MAX_
     atom count K is capped by `max_type_classes` before enumeration starts.
     The K classes cost O(K) big-int multiplies and (n + 1) * k float pows for
     k >= 2 base atoms, one pow for k = 1, with no per-class math.comb;
-    Spectrum.from_atoms then sorts once and merges in one pass.  Atoms below
+    Spectrum.from_atoms then merges a sorted copy of the kept list in one
+    pass and, when nothing merged, sums it in generation order.  Atoms below
     the smallest normal double (subnormal or 0.0) are dropped; when the mass
     left deviates from 1 by more than MASS_TOL, the `iid_underflow_mass`
     budget is exceeded.

@@ -405,6 +405,17 @@ def test_conversion_outputs_match_golden_digest(argv, sha256, capsys):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == sha256
 
 
+def test_rates_on_merging_type_classes_matches_golden_digest(capsys):
+    # stdout SHA-256 recorded before Spectrum.from_atoms summed in input order.
+    # At n = 60, the 39,711 type classes of this base merge into 3,721 atoms,
+    # so the printed proxies pin from_atoms' merge branch
+    code, out, _ = run_cli(capsys, "rates", "iid:0.4,0.2,0.1,0.3", "--n", "40,60", "--eps", "0.01,0.1,0.25")
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
+        "0d161c60d5033b803171f4d5823b6eff2047aabcefadd9873a5f40f3417da54b"
+    )
+
+
 @pytest.mark.parametrize(
     "model, message",
     [

@@ -1,8 +1,10 @@
+import gc
 import json
 import math
 import sys
 import tracemalloc
 from fractions import Fraction
+from operator import itemgetter
 
 import mpmath
 import numpy as np
@@ -14,6 +16,7 @@ from entspec.infospec import entropy_proxies
 from entspec.spectra import (
     IID,
     MASS_TOL,
+    MERGE_RTOL,
     AmplitudeMatrix,
     BudgetExceededError,
     Explicit,
@@ -30,6 +33,9 @@ from entspec.spectra import (
     maxent_rank,
     maxent_spectrum,
     schmidt_from_amplitudes,
+    _integer,
+    _real,
+    _type_classes,
 )
 
 from dense_oracle import rand_unitary
@@ -420,6 +426,163 @@ def test_from_atoms_result_has_normal_atoms_and_finite_mass_terms(small, overflo
         return
     assert not overflow and dropped < 1e-11
     assert all(p >= sys.float_info.min and math.isfinite(p * m) for p, m in s.atoms)
+
+
+# Spectrum.from_atoms as it was before it summed in input order: the body
+# verbatim.  It reads every input into a new list and sorts that list in place.
+def _from_atoms_oracle(cls, pairs, *, mass_tol=MASS_TOL):
+    cleaned = []
+    tiny = sys.float_info.min
+    for pair in pairs:
+        p, m = pair
+        if type(p) is not float or type(m) is not int or type(pair) is not tuple:
+            # a (float, int) tuple is kept as it is; anything else is read into one
+            pair = p, m = _real(p, "probability"), _integer(m, "multiplicity")
+        if m <= 0:
+            raise ValueError(f"multiplicity must be positive, got {m}")
+        if p >= tiny:
+            cleaned.append(pair)
+        elif not p >= 0.0:  # NaN or negative; zero and subnormal atoms are dropped
+            raise ValueError(f"probability must be nonnegative, got {p!r}")
+    if not cleaned:
+        raise ValueError("spectrum has no positive atoms of normal probability")
+    cleaned.sort(key=itemgetter(0), reverse=True)
+    # one pass: a run of values within MERGE_RTOL of its first (largest)
+    # value becomes one atom at that value; a run of one keeps its pair
+    merged = []
+    run = iter(cleaned)
+    first = next(run)
+    head, mult = first
+    tol = MERGE_RTOL * head
+    for pair in run:
+        p, m = pair
+        if head - p <= tol:
+            mult += m
+            first = None
+        else:
+            merged.append(first or (head, mult))
+            first = pair
+            head, mult = pair
+            tol = MERGE_RTOL * head
+    merged.append(first or (head, mult))
+    del cleaned, run  # free the sorted list before the atoms tuple is built
+    try:
+        mass = math.fsum(p * m for p, m in merged)
+    except OverflowError:  # a multiplicity beyond the double range
+        mass = math.inf
+    if abs(mass - 1.0) > mass_tol:
+        raise ValueError(f"spectrum mass {mass!r} deviates from 1 beyond tolerance {mass_tol}")
+    return cls(atoms=tuple(merged), total_dim=sum(m for _, m in merged))
+
+
+# relative steps down a chain of near-tied probabilities, around MERGE_RTOL:
+# two 0.6e-12 steps put a value within tolerance of the run's last value but
+# not of its first
+_TIE_STEPS = [0.0, 0.3e-12, 0.6e-12, 0.9e-12, 1e-12, 1.1e-12, 2e-12]
+_DROPPED_PROBS = [0.0, -0.0, 5e-324, 2.0**-1070, 2.0**-1030]
+_BAD_PROBS = [math.nan, -0.1, -5e-324, -math.inf, math.inf]
+# (probability, multiplicity) whose mass term leaves the double range
+_HUGE_PAIRS = [(0.5, 10**400), (sys.float_info.min, 2**1100), (1e-300, 2**1030)]
+_BAD_MULTS = [0, -3, 0.5, 2.5, True, False, math.nan]
+
+
+@st.composite
+def _pair_lists(draw):
+    """Pair lists of mass near 1: weights over their total, each atom split
+    into a chain of near-ties, shuffled, then a few pairs changed or added
+    that are read, dropped or rejected.  Some are scaled off mass 1, so the
+    failure message prints a mass summed over merged atoms."""
+    k = draw(st.integers(1, 8))
+    weights = draw(st.lists(st.integers(1, 1000), min_size=k, max_size=k))
+    mults = draw(st.lists(st.integers(1, 40), min_size=k, max_size=k))
+    total = sum(w * m for w, m in zip(weights, mults)) / draw(st.sampled_from([1.0, 1.0, 1.0, 1 + 3e-12, 1.5]))
+    pairs = []
+    for w, m in zip(weights, mults):
+        p = w / total
+        parts = draw(st.integers(1, min(m, 4)))
+        step = 0.0
+        for j in range(parts):
+            pairs.append((p * (1 - step), m - parts + 1 if j == 0 else 1))
+            step += draw(st.sampled_from(_TIE_STEPS))
+    pairs = list(draw(st.permutations(pairs)))
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(["list", "float_mult", "np_prob", "bool_mult", "bad_mult", "dropped", "bad", "huge"]))
+        i = draw(st.integers(0, len(pairs) - 1))
+        p, m = pairs[i]
+        if kind == "list":
+            pairs[i] = [p, m]
+        elif kind == "float_mult" and m < 2**53:
+            pairs[i] = (p, float(m))
+        elif kind == "np_prob":
+            pairs[i] = (np.float64(p), m)
+        elif kind == "bool_mult":
+            pairs[i] = (p, True)
+        elif kind == "bad_mult":
+            pairs[i] = (p, draw(st.sampled_from(_BAD_MULTS)))
+        elif kind == "dropped":
+            m = draw(st.sampled_from([1, 3, 2**1069]))
+            pairs.insert(i, (draw(st.sampled_from(_DROPPED_PROBS)), m))
+        elif kind == "bad":
+            pairs.insert(i, (draw(st.sampled_from(_BAD_PROBS)), 1))
+        elif kind == "huge":
+            pairs.insert(i, draw(st.sampled_from(_HUGE_PAIRS)))
+    return pairs
+
+
+def _outcome(build, pairs):
+    """The atoms (float.hex and ints) and total_dim built, or the failure's
+    type and message."""
+    try:
+        s = build(pairs)
+    except Exception as exc:  # every failure is compared, whatever its type
+        return type(exc), str(exc)
+    return [(p.hex(), type(m), m) for p, m in s.atoms], type(s.total_dim), s.total_dim
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_pair_lists())
+@example([])
+@example([(1.0 / 3.0 * (1 - 1.2e-12), 1), (1.0 / 3.0, 1), (1.0 / 3.0 * (1 - 0.6e-12), 1)])
+@example([(0.25, 1), (0.5, 1), (0.25, 1)])
+@example([(0.5, 10**400)])
+@example([(1.0, 1), (5e-324, 1)])
+@example([(0.5, 1), (2.0**-1070, 2**1069)])
+def test_from_atoms_matches_the_oracle_and_keeps_its_input(pairs):
+    expected = _outcome(lambda ps: _from_atoms_oracle(Spectrum, ps), list(pairs))
+    snapshot, text = list(pairs), repr(pairs)
+    assert _outcome(Spectrum.from_atoms, pairs) == expected
+    # the list passed in comes back unchanged and in order
+    assert repr(pairs) == text and all(a is b for a, b in zip(pairs, snapshot)) and len(pairs) == len(snapshot)
+    assert _outcome(Spectrum.from_atoms, iter(list(pairs))) == expected
+
+
+def _traced(fn):
+    """fn's result, the bytes it allocates and keeps, and its peak, both
+    over the memory traced before it.  A full collection first empties the
+    free lists, whose recycled tuples and floats tracemalloc does not see."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = fn()
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return out, kept - base, peak - base
+
+
+def test_from_atoms_peaks_near_what_it_keeps():
+    # a clean list is used as it is and only a sorted copy is made: 2.60x of
+    # the atoms tuple it keeps.  Reading the list into a new one and sorting
+    # that read 2.69x, and a sorted copy of that new list 3.69x
+    base = Spectrum.from_probs([0.6, 0.3, 0.1])
+    pairs = list(_type_classes(base, 250))
+    s, kept, peak = _traced(lambda: Spectrum.from_atoms(pairs))
+    assert len(s.atoms) == len(pairs) == 31626
+    assert peak <= 2.75 * kept
+    # generation peaked at 5,458 KB before from_atoms reused the clean list
+    _, _, peak = _traced(lambda: generate(IID(base), 250))
+    assert peak <= 5458 * 1024
 
 
 def test_zero_atoms_dropped():
