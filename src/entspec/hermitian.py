@@ -33,7 +33,8 @@ projector is formed, the count of positive eigenvalues), so a chunk costs
 one NumPy call per step per shape group instead of one per instance.
 Stacked LAPACK, BLAS and reductions run the per-matrix routine on
 per-matrix memory layouts, so every margin is bit for bit the per-instance
-one.  The spectrum suites draw as they evaluate, one instance at a time.
+one.  A spectrum suite's draw is its whole instance: it draws and evaluates
+in one call, so each generator is freed with its instance.
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ from .majorize import (
     transfer_matrix,
 )
 from .randgen import brute_force_optimal, synthesize_map
-from .spectra import _EXP_LIMIT, BudgetExceededError, Spectrum, expand
+from .spectra import _EXP_LIMIT, DEFAULT_MAX_EXPANDED_DIM, BudgetExceededError, Spectrum, expand
 
 _EIG_CUT_REL = 1e-10
 
@@ -511,9 +512,9 @@ def verify_product_tails(p_a: Spectrum, s_b: Spectrum, n: int, a: float) -> Veri
     lhs = math.fsum(terms)
     rhs = cdf_selfinfo(p_a, n, a)
     checks = [("pair-tail-below-marginal", rhs - lhs, 1e-9)]
-    if p_a.total_dim * s_b.total_dim <= (1 << 14):
-        xs = expand(p_a, 1 << 14)
-        ys = expand(s_b, 1 << 14)
+    if p_a.total_dim * s_b.total_dim <= DEFAULT_MAX_EXPANDED_DIM:
+        xs = expand(p_a)
+        ys = expand(s_b)
         acc = []
         for xp in xs:
             xp = float(xp)
@@ -665,7 +666,8 @@ def rand_spectrum(rng, max_dim: int) -> Spectrum:
 # ---------------------------------------------------------------------------
 # suites: each draws one instance from its generator, (rng, instance index,
 # dim) -> draws, and evaluates a list of draws, giving one (results, note)
-# per instance for the suite's summary
+# per instance for the suite's summary; a spectrum suite's draw is its whole
+# instance, giving its (results, note), and its evaluate passes them on
 
 # dense eigen calls cost d^3 per instance, so --dim is capped: `verify all`
 # with default trials took 9.8-10.4 s at the cap (peak RSS 42 MB; 8.1-8.9 s
@@ -701,15 +703,6 @@ def _grouped(check: Callable) -> Callable:
         return out
 
     return evaluate
-
-
-def _defer(rng, k: int, dim: int):
-    """The spectrum suites draw as they evaluate, one instance at a time."""
-    return rng, k, dim
-
-
-def _each(instance: Callable) -> Callable:
-    return lambda drawn: [instance(*x) for x in drawn]
 
 
 def _np_draw(rng, k: int, dim: int):
@@ -857,12 +850,12 @@ def _kh_instance(rng, k: int, dim: int):
 def _transfer_instance(rng, k: int, dim: int):
     q = rand_spectrum(rng, 32)
     mix = _doubly_stochastics(*_draw_doubly_stochastic(rng, q.total_dim))
-    qv = expand(q, 1 << 14)
+    qv = expand(q)
     p = Spectrum.from_probs((mix.matrix @ qv).tolist())
     cert = transfer_matrix(p, q)
     m = cert.dim
     pv = np.zeros(m)
-    pv[: p.total_dim] = expand(p, 1 << 14)
+    pv[: p.total_dim] = expand(p)
     qv2 = np.zeros(m)
     qv2[: q.total_dim] = qv
     dev = float(np.abs(cert.entries @ qv2 - pv).max())
@@ -904,8 +897,8 @@ def _gap_summary(gaps: list) -> dict:
 class Suite(NamedTuple):
     id: int  # mixed into every instance seed; never reuse or renumber
     trials: int  # default instance count
-    draw: Callable  # (rng, instance index, dim) -> the instance's draws
-    evaluate: Callable  # list of draws -> one (results, note) per instance
+    draw: Callable  # (rng, instance index, dim) -> the instance's draws; a spectrum suite's is its whole instance
+    evaluate: Callable  # list of draws -> one (results, note) per instance; iter for a spectrum suite
     summary: Optional[Callable[[list], dict]] = None  # notes -> the report's extras
 
 
@@ -915,11 +908,11 @@ SUITES = {
     "bdm": Suite(2, 1000, _bdm_draw, _grouped(_bdm_check)),
     "bd": Suite(3, 1000, _bd_draw, _grouped(_bd_check)),
     "continuity": Suite(4, 1000, _continuity_draw, _grouped(_continuity_check)),
-    "product": Suite(5, 1000, _defer, _each(_product_instance)),
+    "product": Suite(5, 1000, _product_instance, iter),
     "monotonicity": Suite(6, 1000, _monotonicity_draw, _grouped(_monotonicity_check)),
-    "kh": Suite(7, 500, _defer, _each(_kh_instance)),
-    "transfer": Suite(8, 500, _defer, _each(_transfer_instance)),
-    "greedy-vs-brute": Suite(9, 500, _defer, _each(_greedy_vs_brute_instance), _gap_summary),
+    "kh": Suite(7, 500, _kh_instance, iter),
+    "transfer": Suite(8, 500, _transfer_instance, iter),
+    "greedy-vs-brute": Suite(9, 500, _greedy_vs_brute_instance, iter, _gap_summary),
 }
 
 

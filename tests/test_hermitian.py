@@ -1,5 +1,6 @@
 import json
 import math
+import weakref
 from contextlib import nullcontext
 from unittest import mock
 
@@ -489,6 +490,31 @@ def test_a_suite_draws_one_chunk_before_its_first_result(name, dim):
 
     next(hermitian._instance_results(suite._replace(draw=counting_draw), 0, chunk + 1, dim))
     assert len(drawn) == chunk
+
+
+@pytest.mark.parametrize("name", ("product", "kh", "transfer", "greedy-vs-brute"))
+def test_a_spectrum_suite_frees_each_generator_with_its_instance(name, monkeypatch):
+    # a spectrum suite's draw is its whole instance, so a chunk keeps no
+    # generator past its instance.  Generator and PCG64 take no weak
+    # references, but each PCG64 keeps its seed sequence alive
+    live = weakref.WeakSet()
+
+    class TrackedWords(hermitian._StateWords):
+        def __init__(self, words):
+            super().__init__(words)
+            live.add(self)
+
+    monkeypatch.setattr(hermitian, "_StateWords", TrackedWords)
+    suite = SUITES[name]
+    counts = []
+
+    def counting_draw(rng, k, dim):
+        counts.append(len(live))
+        return suite.draw(rng, k, dim)
+
+    results = list(hermitian._instance_results(suite._replace(draw=counting_draw), 0, 300, 8))
+    assert len(results) == len(counts) == 300
+    assert max(counts) <= 2
 
 
 @settings(max_examples=100, deadline=None)
