@@ -505,25 +505,18 @@ def verify_product_tails(p_a: Spectrum, s_b: Spectrum, n: int, a: float) -> Veri
     """
     if n < 1:
         raise ValueError("n must be a positive integer")
-    terms = []
-    for p, m in p_a.atoms:
-        x = -math.log(p) / n + 0.0
-        terms.append(p * m * cdf_selfinfo(s_b, n, a - x))
-    lhs = math.fsum(terms)
+    lhs = math.fsum(p * m * cdf_selfinfo(s_b, n, a - (-math.log(p) / n + 0.0)) for p, m in p_a.atoms)
     rhs = cdf_selfinfo(p_a, n, a)
     checks = [("pair-tail-below-marginal", rhs - lhs, 1e-9)]
     if p_a.total_dim * s_b.total_dim <= DEFAULT_MAX_EXPANDED_DIM:
-        xs = expand(p_a)
-        ys = expand(s_b)
-        acc = []
-        for xp in xs:
-            xp = float(xp)
-            bound = a - (-math.log(xp) / n + 0.0)
-            for yp in ys:
-                yp = float(yp)
-                if -math.log(yp) / n + 0.0 <= bound:
-                    acc.append(xp * yp)
-        expanded = math.fsum(acc)
+        # every expanded pair of an atom pair gives the same term; fsum rounds once, in any order
+        expanded = math.fsum(
+            x * y
+            for x, mx in p_a.atoms
+            for y, my in s_b.atoms
+            if -math.log(y) / n + 0.0 <= a - (-math.log(x) / n + 0.0)
+            for _ in range(mx * my)
+        )
         checks.append(("compressed-matches-expanded", 1e-9 - abs(lhs - expanded), 0.0))
     return _finish(checks, _payload(first=p_a, second=s_b, n=n, a=a))
 
@@ -610,9 +603,9 @@ def _contractions(g: np.ndarray, vals: np.ndarray) -> np.ndarray:
     return (u * vals[..., None, :]) @ _dagger(u)
 
 
-def _draw_cptp(rng, dim: int, n_kraus: int = 3) -> np.ndarray:
-    """(n_kraus, 2, dim, dim): the same draws as n_kraus _draw_gaussian calls."""
-    return rng.standard_normal((n_kraus, 2, dim, dim))
+def _draw_cptp(rng, dim: int) -> np.ndarray:
+    """(3, 2, dim, dim): the same draws as three _draw_gaussian calls."""
+    return rng.standard_normal((3, 2, dim, dim))
 
 
 def _cptps(g: np.ndarray) -> CPTPMap:
@@ -629,9 +622,24 @@ def _cptps(g: np.ndarray) -> CPTPMap:
     return CPTPMap(tuple(ks))
 
 
-def _stochastics(u: np.ndarray) -> StochasticMap:
-    m = -np.log(u)
-    return StochasticMap(m / m.sum(axis=-2, keepdims=True))
+def _draw_tp(rng, kind: int, dim: int):
+    """The raw numbers of a family-kind map: 0 Kraus, 1 column-stochastic, 2 transpose mix."""
+    if kind == 0:
+        return _draw_cptp(rng, dim)
+    if kind == 1:
+        return rng.uniform(size=(dim, dim))
+    return float(rng.uniform())
+
+
+def _tp_maps(kind: int, f) -> TPMap:
+    """The stacked maps of a shape group's family-kind draws."""
+    f = np.array(f)
+    if kind == 0:
+        return _cptps(f)
+    if kind == 1:
+        m = -np.log(f)
+        return StochasticMap(m / m.sum(axis=-2, keepdims=True))
+    return TransposeMix(f)
 
 
 def _draw_doubly_stochastic(rng, dim: int) -> tuple:
@@ -667,7 +675,9 @@ def rand_spectrum(rng, max_dim: int) -> Spectrum:
 # suites: each draws one instance from its generator, (rng, instance index,
 # dim) -> draws, and evaluates a list of draws, giving one (results, note)
 # per instance for the suite's summary; a spectrum suite's draw is its whole
-# instance, giving its (results, note), and its evaluate passes them on
+# instance, giving its (results, note), and its evaluate passes them on.
+# bdm and monotonicity share the map families: instance k draws its map from
+# family k % 3 with _draw_tp, and _tp_maps builds a shape group's maps
 
 # dense eigen calls cost d^3 per instance, so --dim is capped: `verify all`
 # with default trials took 9.8-10.4 s at the cap (peak RSS 42 MB; 8.1-8.9 s
@@ -729,28 +739,15 @@ def _np_check(d, a, g, vals, b):
 def _bdm_draw(rng, k: int, dim: int):
     d = int(rng.integers(2, dim + 1))
     a = _draw_gaussian(rng, d)
-    kind = k % 3
-    if kind == 0:
-        f = _draw_cptp(rng, d)
-    elif kind == 1:
-        f = rng.uniform(size=(d, d))
-    else:
-        f = float(rng.uniform())
-    return (d, kind), a, f
+    return (d, k % 3), a, _draw_tp(rng, k % 3, d)
 
 
 def _bdm_check(key, a, f):
-    kind = key[1]
     a = _hermitians(np.array(a))
-    if kind == 0:
-        f = _cptps(np.array(f))
-    elif kind == 1:
-        f = _stochastics(np.array(f))
-        # the verifier sees the diagonal of eigenvalues, not a itself
+    if key[1] == 1:
+        # a stochastic map sees the diagonal of eigenvalues, not a itself
         a = _diag_embed(np.linalg.eigvalsh(_check_hermitian(a)).astype(complex))
-    else:
-        f = TransposeMix(np.array(f))
-    return zip(verify_lemma_bdm(f, a))
+    return zip(verify_lemma_bdm(_tp_maps(key[1], f), a))
 
 
 def _bd_draw(rng, k: int, dim: int):
@@ -793,40 +790,26 @@ def _monotonicity_draw(rng, k: int, dim: int):
     n = int(rng.integers(1, 6))
     a = float(rng.uniform(-2.0, 2.0))
     kind = k % 3
-    if kind == 0:
-        family = "cptp"
-        rho, sigma = _draw_gaussian(rng, d), _draw_gaussian(rng, d)
-        f = _draw_cptp(rng, d)
-    elif kind == 1:
-        rho = rng.dirichlet(np.ones(d))
-        if (k // 3) % 2 == 0:
-            family = "stochastic"
-            sigma = rng.dirichlet(np.ones(d))
-            f = rng.uniform(size=(d, d))
-        else:
-            # unital sub-family: doubly stochastic map fixes the identity
-            family = "unital"
-            sigma = None
-            f = _draw_doubly_stochastic(rng, d)
+    if kind == 1 and (k // 3) % 2:
+        # unital sub-family: a doubly stochastic map fixes the identity sigma
+        return (d, "unital"), rng.dirichlet(np.ones(d)), None, n, a, _draw_doubly_stochastic(rng, d)
+    if kind == 1:
+        rho, sigma = rng.dirichlet(np.ones(d)), rng.dirichlet(np.ones(d))
     else:
-        family = "transpose"
         rho, sigma = _draw_gaussian(rng, d), _draw_gaussian(rng, d)
-        f = float(rng.uniform())
-    return (d, family), rho, sigma, n, a, f
+    return (d, kind), rho, sigma, n, a, _draw_tp(rng, kind, d)
 
 
 def _monotonicity_check(key, rho, sigma, n, a, f):
-    d, family = key
-    if family in ("cptp", "transpose"):
-        rho, sigma = _densities(np.array(rho)), _densities(np.array(sigma))
-        f = _cptps(np.array(f)) if family == "cptp" else TransposeMix(np.array(f))
-    elif family == "stochastic":
-        rho, sigma = _diagonal_densities(np.array(rho)), _diagonal_densities(np.array(sigma))
-        f = _stochastics(np.array(f))
-    else:
+    d, kind = key
+    if kind == "unital":
         rho = _diagonal_densities(np.array(rho))
         sigma = np.broadcast_to(np.eye(d, dtype=complex), rho.shape)
         f = _doubly_stochastics(*(np.array(x) for x in zip(*f)))
+    else:
+        states = _diagonal_densities if kind == 1 else _densities
+        rho, sigma = states(np.array(rho)), states(np.array(sigma))
+        f = _tp_maps(kind, f)
     return zip(verify_tail_monotonicity(rho, sigma, f, n, a))
 
 

@@ -285,6 +285,21 @@ def test_product_tails_random():
         assert r.ok
 
 
+def test_product_cross_check_catches_a_wrong_compressed_sum(monkeypatch):
+    # compressed sum 0.9 * cdf_selfinfo(second, 1, 2.0 + ln 0.9) = 0.9; a relative
+    # error of 1e-6 in the second factor's tail moves it far past the 1e-9 tolerance
+    first, second = Spectrum.from_probs([0.9, 0.1]), Spectrum.from_probs([0.5, 0.5])
+    assert verify_product_tails(first, second, 1, 2.0).ok
+    cdf = hermitian.cdf_selfinfo
+
+    def skewed(s, n, a):
+        return cdf(s, n, a) * (1.0 + 1e-6) if s is second else cdf(s, n, a)
+
+    monkeypatch.setattr(hermitian, "cdf_selfinfo", skewed)
+    r = verify_product_tails(first, second, 1, 2.0)
+    assert "compressed-matches-expanded" in [v["check"] for v in r.violations]
+
+
 def test_monotonicity_identity_and_depolarizing():
     rho = np.diag([0.7, 0.3])[None]
     sigma = np.eye(2)[None]
