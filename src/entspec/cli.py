@@ -21,7 +21,7 @@ import math
 import sys
 from typing import Optional
 
-from .convert import concentration_experiment, dilution_experiment, direct_convert
+from .convert import CONVERSION_KEYS, concentration_experiment, dilution_experiment, direct_convert
 from .infospec import _check_epsilon, entropy_proxies
 from .spectra import (
     DEFAULT_MAX_TYPE_CLASSES,
@@ -40,6 +40,9 @@ from .spectra import (
 )
 
 _LN2 = math.log(2.0)
+
+# the fields of one printed `rates` row: its CSV columns and its JSON keys
+RATES_KEYS = ("n", "epsilon", "underline_H", "overline_H")
 
 # hermitian.SUITES' names in `verify all` order, and hermitian.MAX_VERIFY_DIM,
 # held here so that building the parser does not load the dense layer
@@ -111,20 +114,20 @@ def _parse_eps_grid(text: str) -> list[float]:
     return sorted(set(map(_check_epsilon, vals)))
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
-def _fmt_bool(b: bool) -> str:
-    return "true" if b else "false"
+def _fmt(x) -> str:
+    """One printed value: a bool as true/false, an int in digits, a real by repr."""
+    if isinstance(x, bool):
+        return "true" if x else "false"
+    return str(x) if isinstance(x, int) else repr(float(x))
 
 
 def _json_text(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-def _csv_text(header: str, rows: list[list[str]]) -> str:
-    return "\n".join([header] + [",".join(r) for r in rows]) + "\n"
+def _csv_text(keys: tuple[str, ...], records: list[dict]) -> str:
+    lines = [",".join(keys)] + [",".join(_fmt(r[k]) for k in keys) for r in records]
+    return "\n".join(lines) + "\n"
 
 
 def _emit(text: str, out: Optional[str]) -> None:
@@ -133,6 +136,24 @@ def _emit(text: str, out: Optional[str]) -> None:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _emit_records(args, keys: tuple[str, ...], records: list[dict], json_of) -> None:
+    """Per --format, the records as CSV with columns `keys`, or json_of() as JSON."""
+    _emit(_csv_text(keys, records) if args.format == "csv" else _json_text(json_of()), args.out)
+
+
+def _until_budget(n_grid, results_at) -> tuple[list, int]:
+    """results_at(n) for each n in turn, concatenated, and the exit code: 3 if
+    a budget ran out, keeping the results of every n finished before it."""
+    results = []
+    try:
+        for n in n_grid:
+            results += results_at(n)
+    except BudgetExceededError as exc:
+        print(f"budget exceeded, output truncated: {exc}", file=sys.stderr)
+        return results, 3
+    return results, 0
 
 
 def _rate_scale(units: str) -> float:
@@ -157,13 +178,9 @@ def _cmd_schmidt(args) -> int:
 
     spec = schmidt_from_amplitudes(AmplitudeMatrix([[cell(c) for c in row] for row in rows]))
     ent = entropy(spec) / _rate_scale(args.units)
-    text = _json_text(spec.to_json_dict())
-    if args.out:
-        _emit(text, args.out)
-        print(f"entropy {_fmt(ent)}")
-    else:
-        sys.stdout.write(text)
-        print(f"entropy {_fmt(ent)}", file=sys.stderr)
+    _emit(_json_text(spec.to_json_dict()), args.out)
+    # the entropy line goes to standard output unless the spectrum took it
+    print(f"entropy {_fmt(ent)}", file=sys.stdout if args.out else sys.stderr)
     return 0
 
 
@@ -172,75 +189,41 @@ def _cmd_rates(args) -> int:
     n_grid = _parse_int_grid(args.n)
     eps_grid = _parse_eps_grid(args.eps)
     scale = _rate_scale(args.units)
-    rows = []
-    code = 0
-    try:
-        for n in n_grid:
-            s = generate(model, n, max_type_classes=args.budget_max_type_classes)
-            for eps, (lo, hi) in zip(eps_grid, entropy_proxies(s, n, eps_grid)):
-                rows.append((n, eps, lo / scale, hi / scale))
-    except BudgetExceededError as exc:
-        print(f"budget exceeded, output truncated: {exc}", file=sys.stderr)
-        code = 3
-    if args.format == "csv":
-        text = _csv_text(
-            "n,epsilon,underline_H,overline_H",
-            [[str(n), _fmt(e), _fmt(lo), _fmt(hi)] for n, e, lo, hi in rows],
-        )
-    else:
-        text = _json_text(
-            {
-                "units": args.units,
-                "rows": [
-                    {"n": n, "epsilon": e, "underline_H": lo, "overline_H": hi}
-                    for n, e, lo, hi in rows
-                ],
-            }
-        )
-    _emit(text, args.out)
+
+    def rows_at(n):
+        s = generate(model, n, max_type_classes=args.budget_max_type_classes)
+        return [
+            dict(zip(RATES_KEYS, (n, eps, lo / scale, hi / scale)))
+            for eps, (lo, hi) in zip(eps_grid, entropy_proxies(s, n, eps_grid))
+        ]
+
+    rows, code = _until_budget(n_grid, rows_at)
+    _emit_records(args, RATES_KEYS, rows, lambda: {"units": args.units, "rows": rows})
     return code
-
-
-def _conversion_rows(reports) -> list[list[str]]:
-    """CSV rows n,error,fidelity,nielsen_ok; the error is the trace-distance upper bound."""
-    return [
-        [str(r.n), _fmt(r.trace_distance_upper), _fmt(r.fidelity), _fmt_bool(r.nielsen_ok)]
-        for r in reports
-    ]
 
 
 def _cmd_convert(args) -> int:
     source = parse_model(args.source)
     target = parse_model(args.target)
-    n_grid = _parse_int_grid(args.n)
-    reports = []
-    code = 0
-    try:
-        for n in n_grid:
-            p = generate(source, n, max_type_classes=args.budget_max_type_classes)
-            q = generate(target, n, max_type_classes=args.budget_max_type_classes)
-            reports.append(direct_convert(p, q, n, max_fibers=args.budget_max_type_classes))
-    except BudgetExceededError as exc:
-        print(f"budget exceeded, output truncated: {exc}", file=sys.stderr)
-        code = 3
-    if args.format == "csv":
-        text = _csv_text("n,error,fidelity,nielsen_ok", _conversion_rows(reports))
-    else:
-        text = _json_text({"reports": [r.to_json_dict() for r in reports]})
-    _emit(text, args.out)
+    budget = args.budget_max_type_classes
+
+    def report_at(n):
+        p = generate(source, n, max_type_classes=budget)
+        q = generate(target, n, max_type_classes=budget)
+        return [direct_convert(p, q, n, max_fibers=budget)]
+
+    reports, code = _until_budget(_parse_int_grid(args.n), report_at)
+    rows = [r.row() for r in reports]
+    _emit_records(args, CONVERSION_KEYS, rows, lambda: {"reports": [r.to_json_dict() for r in reports]})
     return code
 
 
-def _cmd_experiment(args, task: str) -> int:
+def _cmd_experiment(args, experiment) -> int:
+    """concentrate / dilute: a budget that runs out is fatal (exit 3, nothing printed)."""
     model = parse_model(args.model)
     n_grid = _parse_int_grid(args.n)
-    run = concentration_experiment if task == "concentration" else dilution_experiment
-    verdict = run(model, args.rate, n_grid, max_type_classes=args.budget_max_type_classes)
-    if args.format == "csv":
-        text = _csv_text("n,error,fidelity,nielsen_ok", _conversion_rows(verdict.reports))
-    else:
-        text = _json_text(verdict.to_json_dict())
-    _emit(text, args.out)
+    verdict = experiment(model, args.rate, n_grid, max_type_classes=args.budget_max_type_classes)
+    _emit_records(args, CONVERSION_KEYS, [r.row() for r in verdict.reports], verdict.to_json_dict)
     return 0
 
 
@@ -258,12 +241,6 @@ def _cmd_verify(args) -> int:
     return 0 if all(r.ok for r in reports) else 1
 
 
-def _add_output_flags(sp, *, formats: bool = True) -> None:
-    sp.add_argument("--out", default=None, help="output file (default: standard output)")
-    if formats:
-        sp.add_argument("--format", choices=("csv", "json"), default="csv", help="output format")
-
-
 def _positive_int(text: str) -> int:
     """argparse type of a budget: a positive integer, else a usage error."""
     try:
@@ -275,13 +252,18 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _add_budget_flags(sp) -> None:
-    sp.add_argument(
-        "--budget-max-type-classes",
-        type=_positive_int,
-        default=DEFAULT_MAX_TYPE_CLASSES,
-        help="largest number of type classes a modeled spectrum may hold",
-    )
+def _add_output_flags(sp, *, formats: bool = True) -> None:
+    """--out; the commands with --format print rows of generated spectra and
+    also take the type-class budget."""
+    sp.add_argument("--out", default=None, help="output file (default: standard output)")
+    if formats:
+        sp.add_argument("--format", choices=("csv", "json"), default="csv", help="output format")
+        sp.add_argument(
+            "--budget-max-type-classes",
+            type=_positive_int,
+            default=DEFAULT_MAX_TYPE_CLASSES,
+            help="largest number of type classes a modeled spectrum may hold",
+        )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -303,7 +285,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--eps", required=True, help="comma-separated error tolerances in [0, 1]")
     sp.add_argument("--units", choices=("nats", "bits"), default="nats")
     _add_output_flags(sp)
-    _add_budget_flags(sp)
     sp.set_defaults(func=_cmd_rates)
 
     sp = sub.add_parser("convert", help="convert source spectra onto target spectra at given n")
@@ -311,24 +292,19 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("target", help="model spec for the target")
     sp.add_argument("--n", required=True, help="comma-separated block lengths")
     _add_output_flags(sp)
-    _add_budget_flags(sp)
     sp.set_defaults(func=_cmd_convert)
 
-    sp = sub.add_parser("concentrate", help="fixed-rate concentration onto flat spectra")
-    sp.add_argument("model", help="model spec for the source sequence")
-    sp.add_argument("--rate", type=float, required=True, help="target rate in nats per copy")
-    sp.add_argument("--n", required=True, help="comma-separated block lengths")
-    _add_output_flags(sp)
-    _add_budget_flags(sp)
-    sp.set_defaults(func=lambda a: _cmd_experiment(a, "concentration"))
-
-    sp = sub.add_parser("dilute", help="fixed-rate dilution from flat spectra")
-    sp.add_argument("model", help="model spec for the target sequence")
-    sp.add_argument("--rate", type=float, required=True, help="source rate in nats per copy")
-    sp.add_argument("--n", required=True, help="comma-separated block lengths")
-    _add_output_flags(sp)
-    _add_budget_flags(sp)
-    sp.set_defaults(func=lambda a: _cmd_experiment(a, "dilution"))
+    # (command, help, role of the modeled sequence, role of the flat one, experiment)
+    for name, help_text, modeled, flat, experiment in (
+        ("concentrate", "fixed-rate concentration onto flat spectra", "source", "target", concentration_experiment),
+        ("dilute", "fixed-rate dilution from flat spectra", "target", "source", dilution_experiment),
+    ):
+        sp = sub.add_parser(name, help=help_text)
+        sp.add_argument("model", help=f"model spec for the {modeled} sequence")
+        sp.add_argument("--rate", type=float, required=True, help=f"{flat} rate in nats per copy")
+        sp.add_argument("--n", required=True, help="comma-separated block lengths")
+        _add_output_flags(sp)
+        sp.set_defaults(func=lambda a, run=experiment: _cmd_experiment(a, run))
 
     sp = sub.add_parser("verify", help="run randomized verification suites")
     sp.add_argument("suites", nargs="+", help=f"suite names or 'all'; known: {', '.join(SUITE_NAMES)}")

@@ -37,6 +37,10 @@ def _sqrt_term(count: int, mu: float, qv: float) -> float:
     return math.exp(math.log(count) + 0.5 * (math.log(mu) + math.log(qv)))
 
 
+# the fields of one printed conversion row: its CSV columns and its JSON keys
+CONVERSION_KEYS = ("n", "error", "fidelity", "nielsen_ok")
+
+
 @dataclass(frozen=True)
 class ConversionReport:
     """One conversion instance: its synthesis, certificate and fidelity.
@@ -66,6 +70,10 @@ class ConversionReport:
     @property
     def trace_distance_upper(self) -> float:
         return math.sqrt(max(0.0, 1.0 - self.fidelity * self.fidelity))
+
+    def row(self) -> dict:
+        """The printed row, keyed by CONVERSION_KEYS; the error is the trace-distance upper bound."""
+        return dict(zip(CONVERSION_KEYS, (self.n, self.trace_distance_upper, self.fidelity, self.nielsen_ok)))
 
     def to_json_dict(self) -> dict:
         syn = self.synthesis
@@ -121,15 +129,7 @@ class RateVerdict:
         return {
             "task": self.task,
             "rate": self.rate,
-            "series": [
-                {
-                    "n": r.n,
-                    "error": r.trace_distance_upper,
-                    "fidelity": r.fidelity,
-                    "nielsen_ok": r.nielsen_ok,
-                }
-                for r in self.reports
-            ],
+            "series": [r.row() for r in self.reports],
         }
 
 

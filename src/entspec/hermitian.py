@@ -11,10 +11,14 @@ eigenvalue within 1e-10 of zero relative to its matrix's spectral norm
 counts as non-positive.  Every function of the calculus, and every
 validation (shape, finiteness, Hermitian deviation, contraction, density,
 Kraus completeness, column sums), takes one matrix or a (..., d, d) stack
-and gives arrays; an operator stack is validated once, where it enters,
-and a map whose arrays are stacks is a stack of maps applied matrix by
-matrix.  Each verifier takes (N, d, d) stacks, with its scalar parameters
-broadcast against them, and gives a list of one result per matrix.
+and gives arrays; an operator stack is validated where it enters, and a
+map whose arrays are stacks is a stack of maps applied matrix by matrix.
+`verify_bd_sandwich`, `verify_continuity` and `verify_tail_monotonicity`
+validate theirs twice, as the public `tail_C`/`tail_D` they call check
+shapes and finiteness again; they keep calling those two because
+perfbench/spans.py counts the calls by wrapping them.  Each verifier takes
+(N, d, d) stacks, with its scalar parameters broadcast against them, and
+gives a list of one result per matrix.
 
 The suites: seeded randomized checks of every operator inequality the
 conversion analysis rests on, plus structural suites for the majorization

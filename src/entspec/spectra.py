@@ -488,22 +488,34 @@ def generate(model: SequenceModel, n: int, *, max_type_classes: int = DEFAULT_MA
     raise TypeError(f"unknown sequence model {model!r}")
 
 
+def _field(obj: dict, key: str):
+    """obj[key], or a ValueError naming the model kind and the missing key."""
+    if key not in obj:
+        raise ValueError(f"{obj['kind']!r} model needs a {key!r} key")
+    return obj[key]
+
+
+def _component(pair) -> tuple[float, SequenceModel]:
+    if not (isinstance(pair, (list, tuple)) and len(pair) == 2):
+        raise ValueError(f"mixture component {pair!r} is not a [weight, model] pair")
+    return _real(pair[0], "mixture weight"), model_from_json_dict(pair[1])
+
+
 def model_from_json_dict(obj: dict) -> SequenceModel:
     """Parse a sequence model from its JSON object form."""
     if not isinstance(obj, dict) or "kind" not in obj:
         raise ValueError("model JSON must be an object with a 'kind' key")
     kind = obj["kind"]
     if kind == "iid":
-        return IID(Spectrum.from_json_dict(obj["base"]))
+        return IID(Spectrum.from_json_dict(_field(obj, "base")))
     if kind == "maxent":
-        return MaxEnt(_real(obj["rate"], "rate"))
+        return MaxEnt(_real(_field(obj, "rate"), "rate"))
     if kind == "maxent_explicit":
-        return MaxEntExplicit(tuple(_integer(r, "rank") for r in obj["ranks"]))
+        return MaxEntExplicit(tuple(_integer(r, "rank") for r in _field(obj, "ranks")))
     if kind == "mixture":
-        comps = tuple((_real(w, "mixture weight"), model_from_json_dict(sub)) for w, sub in obj["components"])
-        return Mixture(comps)
+        return Mixture(tuple(map(_component, _field(obj, "components"))))
     if kind == "explicit":
-        return Explicit(tuple(Spectrum.from_json_dict(s) for s in obj["spectra"]))
+        return Explicit(tuple(Spectrum.from_json_dict(s) for s in _field(obj, "spectra")))
     raise ValueError(f"unknown model kind {kind!r}")
 
 

@@ -316,6 +316,61 @@ def test_greedy_fiber_budget_follows_type_class_flag(capsys):
     assert out == ""
 
 
+def _cell(value) -> str:
+    """A JSON value as the CSV writer prints it."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return str(value) if isinstance(value, int) else repr(value)
+
+
+def _json_rows(command, data):
+    if command == "rates":
+        return data["rows"]
+    if command == "convert":
+        return [dict(r, error=r["trace_distance_upper"]) for r in data["reports"]]
+    return data["series"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["rates", "mix:0.5*iid:0.7,0.3+0.5*maxent:R=0.2", "--n", "3,8", "--eps", "0,0.1,0.5", "--units", "bits"],
+        ["convert", "iid:0.6,0.3,0.1", "maxent:R=0.4", "--n", "2,5"],
+        ["concentrate", "iid:0.8,0.2", "--rate", "0.3", "--n", "4,9"],
+        ["dilute", "iid:0.8,0.2", "--rate", "0.7", "--n", "4,9"],
+    ],
+)
+def test_csv_cells_are_the_json_values(argv, capsys):
+    code, csv_out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    code, json_out, _ = run_cli(capsys, *argv, "--format", "json")
+    assert code == 0
+    header, *lines = csv_out.splitlines()
+    keys = header.split(",")
+    rows = _json_rows(argv[0], json.loads(json_out))
+    assert len(lines) == len(rows) >= 2
+    for line, row in zip(lines, rows):
+        assert line.split(",") == [_cell(row[k]) for k in keys]
+
+
+def test_rates_json_budget_keeps_finished_rows(capsys):
+    code, out, err = run_cli(capsys, "rates", "maxent:R=0.3", "--n", "10,2400", "--eps", "0.1", "--format", "json")
+    assert code == 3
+    assert "max_maxent_exponent" in err
+    assert [r["n"] for r in json.loads(out)["rows"]] == [10]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_convert_budget_keeps_finished_rows(fmt, capsys):
+    code, out, err = run_cli(capsys, "convert", "iid:0.6,0.4", "maxent:R=0.3", "--n", "10,2400", "--format", fmt)
+    assert code == 3
+    assert "iid_underflow_mass" in err
+    if fmt == "csv":
+        assert [line.split(",")[0] for line in out.splitlines()] == ["n", "10"]
+    else:
+        assert [r["n"] for r in json.loads(out)["reports"]] == [10]
+
+
 def test_verify_unknown_suite(capsys):
     code, _, err = run_cli(capsys, "verify", "nonsense")
     assert code == 2
@@ -474,6 +529,27 @@ def test_model_file_multiplicity_beyond_the_double_range_is_a_usage_error(tmp_pa
     code, out, err = run_cli(capsys, "rates", f"file:{path}", "--n", "1", "--eps", "0.1")
     assert (code, out) == (2, "")
     assert "spectrum mass inf deviates from 1" in err
+
+
+@pytest.mark.parametrize(
+    "model, shown",
+    [
+        ({"kind": "iid"}, "'iid' model needs a 'base' key"),
+        ({"kind": "maxent"}, "'maxent' model needs a 'rate' key"),
+        ({"kind": "maxent_explicit"}, "'maxent_explicit' model needs a 'ranks' key"),
+        ({"kind": "mixture"}, "'mixture' model needs a 'components' key"),
+        ({"kind": "explicit"}, "'explicit' model needs a 'spectra' key"),
+        ({"kind": "mixture", "components": [[0.5]]}, "mixture component [0.5] is not a [weight, model] pair"),
+        ({"kind": "mixture", "components": {"ab": 1}}, "mixture component 'ab' is not a [weight, model] pair"),
+    ],
+)
+def test_model_file_missing_field_is_named(model, shown, tmp_path, capsys):
+    # these used to print a bare KeyError ("error: 'base'") or an unpacking error
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(model))
+    code, out, err = run_cli(capsys, "rates", f"file:{path}", "--n", "1", "--eps", "0.1")
+    assert (code, out) == (2, "")
+    assert err == f"error: {shown}\n"
 
 
 def test_deeply_nested_model_file_is_a_usage_error(tmp_path, capsys):

@@ -72,13 +72,18 @@ def test_cli_copies_of_the_suite_table_match_hermitian():
     assert cli.MAX_VERIFY_DIM == hermitian.MAX_VERIFY_DIM
 
 
-# digests of the help texts before `cli` held its own copies (argparse of
-# Python 3.11 at 80 columns)
+# digests of the help texts before `cli` held its own copies, and of the
+# subcommand help texts before `concentrate` and `dilute` came from one table
+# (argparse of Python 3.11 at 80 columns)
 @pytest.mark.parametrize(
     "argv, sha256",
     [
         (["--help"], "f9d9259bda5c306cf64beb8bc2ce1a6d1af2b42029869e8d40a8003d80dee1ff"),
         (["verify", "--help"], "730ecb1a845736d110db10485b6444d17958692aece38d89e7a47736419c256e"),
+        (["rates", "--help"], "d3dc1fdf176347547571d217ee468137da06f194509cb26417107d0a548e5093"),
+        (["convert", "--help"], "95cf2e4c058e2b09f2b41c4e3bfeba45827335ab3f406dac27c50b867375bb04"),
+        (["concentrate", "--help"], "8bd1460f4b038797987fb0509830b2737e89015f216e7d78bcc7852b243d0457"),
+        (["dilute", "--help"], "84c91ce4302d11f57e18561cb5c623b659a2edcd6576938b74b9922961715dc1"),
     ],
 )
 def test_help_text_is_unchanged(argv, sha256, capsys, monkeypatch):
