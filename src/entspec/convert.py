@@ -28,8 +28,9 @@ from .spectra import (
 
 def _sqrt_term(count: int, mu: float, qv: float) -> float:
     """count * sqrt(mu * qv), through logs where the product would underflow;
-    count is at most its target atom's multiplicity, below 2**1023."""
-    if mu <= 0.0 or qv <= 0.0:
+    count is at most its target atom's multiplicity, below 2**1023, and qv
+    is a target atom, a normal double."""
+    if mu <= 0.0:
         return 0.0
     prod = mu * qv
     if prod > 1e-300:

@@ -669,10 +669,10 @@ def rand_spectrum(rng, max_dim: int) -> Spectrum:
     k = int(rng.integers(1, max_dim + 1))
     if rng.random() < 0.5:
         vals = rng.dirichlet(np.ones(k))
-        return Spectrum.from_probs([v for v in vals.tolist() if v > 0.0])
+        return Spectrum.from_probs(vals.tolist())
     total = int(rng.integers(k, 4 * k + 1))
     counts = rng.multinomial(total, np.ones(k) / k)
-    return Spectrum.from_probs([c / total for c in counts.tolist() if c > 0])
+    return Spectrum.from_probs([c / total for c in counts.tolist()])
 
 
 # ---------------------------------------------------------------------------

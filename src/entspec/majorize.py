@@ -165,7 +165,7 @@ def pushforward(p: Spectrum, phi: DeterministicMap) -> Spectrum:
     Codomain elements with zero mass are dropped.
     """
     xs, fibers = _fibers_of(p, phi, DEFAULT_MAX_EXPANDED_DIM, "max_expanded_dim")
-    return Spectrum.from_probs([math.fsum(xs[i] for i in members) for members in fibers if members])
+    return Spectrum.from_probs([math.fsum(xs[i] for i in members) for members in fibers])
 
 
 def _split_and_reconstruction(xs, fibers):

@@ -354,9 +354,9 @@ def _report(
     probs = tuple(map(itemgetter(0), map(q.atoms.__getitem__, atoms)))
     masses = tuple(map(truediv, map(sub, qs, deficits), repeat(den)))
     distance = sum(map(abs, map(mul, counts, deficits))) / den
-    # an assigned mass is a sum of source probabilities, so never negative:
-    # compress keeps exactly the fibers of positive mass
-    push = Spectrum.from_atoms(compress(zip(masses, counts), masses), mass_tol=1e-11)
+    # an assigned mass is a sum of source probabilities, so never negative;
+    # from_atoms drops the fibers of zero mass
+    push = Spectrum.from_atoms(zip(masses, counts), mass_tol=1e-11)
     return MapSynthesisReport(
         target=q, pushforward=push, achieved_distance=distance,
         target_probs=probs, assigned_masses=masses, counts=tuple(counts), map=map_,

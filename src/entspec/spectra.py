@@ -8,20 +8,19 @@ whose degeneracies are huge binomial counts remain representable long after
 the expanded dimension has left the double-precision range.
 
 Probabilities themselves are double floats, and every atom's is a normal
-double: `Spectrum.from_atoms` drops atoms below the smallest normal double as
-it drops zero atoms, and its mass check fails if they carried more than the
-tolerance.  A subnormal probability keeps too few significant bits for its
-rate, and one that underflows to zero keeps none.  (At n = 1500, IID(0.9, 0.1)
-has 17 subnormal atoms; the last was stored as 5e-324, so its rate came out
-0.49629 nats against an exact 0.49647.)  So a multiplicity m stays below
-(1 + tol)/p < 2**1023, and p * m, or p times any partial count, is a finite
-double: there is no exp/log route.  Generation drops such atoms first (i.i.d.
-powers beyond a few hundred copies with skewed bases, mixture components with
-a small weight), and their mass is not negligible in general: the dropped type
-classes of IID(0.9, 0.1) hold about 1.1e-34 at n = 1200, 7.0e-16 at n = 1500
-and 0.026 at n = 2000 (mpmath).  When the kept mass deviates from 1 by more
-than MASS_TOL, generation raises a BudgetExceededError naming the
-`iid_underflow_mass` budget.
+double.  Which atoms a spectrum keeps is one rule, and `Spectrum.from_atoms`
+alone applies it: it drops zero and subnormal atoms, and its mass check fails
+if they carried more than the tolerance.  A subnormal probability keeps too
+few significant bits for its rate, and one that underflows to zero keeps
+none.  So a multiplicity m stays below (1 + tol)/p < 2**1023, and p * m, or
+p times any partial count, is a finite double: there is no exp/log route.
+Generation makes such atoms (i.i.d. powers beyond a few hundred copies with
+skewed bases, mixture components with a small weight), and their mass is not
+negligible in general: the dropped type classes of IID(0.9, 0.1) hold about
+1.1e-34 at n = 1200, 7.0e-16 at n = 1500 and 0.026 at n = 2000 (mpmath).
+When `from_atoms` rejects a generated spectrum after dropping atoms, and the
+mass kept is off 1 by more than MASS_TOL, `_normal_spectrum` names the
+`iid_underflow_mass` budget in a BudgetExceededError.
 
 Only the dense helpers (`expand`, `AmplitudeMatrix`,
 `schmidt_from_amplitudes`) use NumPy, and they import it when they run:
@@ -80,6 +79,15 @@ def _real(x, what: str) -> float:
         return float(x)
     except OverflowError:
         raise ValueError(f"{what} must lie in the double range, got {x!r}") from None
+
+
+def _listed(x, what: str) -> list:
+    """The entries of x, read into a list; an x that has none (a number,
+    null) raises a ValueError naming `what`."""
+    try:
+        return list(x)
+    except TypeError:
+        raise ValueError(f"{what} must be a list, got {x!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +249,11 @@ class Spectrum:
     def from_json_dict(cls, obj: dict) -> "Spectrum":
         if not isinstance(obj, dict) or "atoms" not in obj:
             raise ValueError("spectrum JSON must be an object with an 'atoms' key")
-        return cls.from_atoms(obj["atoms"])
+        atoms = _listed(obj["atoms"], "spectrum 'atoms'")
+        for atom in atoms:
+            if not (isinstance(atom, (list, tuple)) and len(atom) == 2):
+                raise ValueError(f"spectrum atom {atom!r} is not a [probability, multiplicity] pair")
+        return cls.from_atoms(atoms)
 
 
 def entropy(s: Spectrum) -> float:
@@ -312,7 +324,7 @@ def _type_classes(base: Spectrum, n: int) -> Iterator[tuple[float, int]]:
     """
     atoms = base.atoms
     if len(atoms) == 1:
-        # one class and no tables; no multiplicity for a class that will be dropped
+        # one class and no tables; below the normal doubles it gets multiplicity 0, not m**n
         ((p, m),) = atoms
         prob = p**n
         yield prob, m**n if prob >= sys.float_info.min else 0
@@ -339,25 +351,19 @@ def _type_classes(base: Spectrum, n: int) -> Iterator[tuple[float, int]]:
             mult = mult * (c * wb) // ((r - c + 1) * wa)
 
 
-def _normal_spectrum(pairs: Iterable[tuple[float, int]]) -> Spectrum:
-    """Spectrum of the pairs whose probability is a normal double.
-
-    The others (subnormal or 0.0) are dropped; when the mass left deviates
-    from 1 by more than MASS_TOL, the `iid_underflow_mass` budget is exceeded.
-    """
-    tiny = sys.float_info.min
-    kept = []
-    dropped = False
-    for pair in pairs:
-        if pair[0] >= tiny:
-            kept.append(pair)
-        else:
-            dropped = True
-    if dropped:
-        lost = 1.0 - math.fsum(p * m for p, m in kept)
-        if abs(lost) > MASS_TOL:
-            raise BudgetExceededError("iid_underflow_mass", lost, MASS_TOL)
-    return Spectrum.from_atoms(kept)
+def _normal_spectrum(pairs: list[tuple[float, int]]) -> Spectrum:
+    """Spectrum.from_atoms of generated pairs.  Only when it fails are they read
+    again, to name the `iid_underflow_mass` budget if some pair lies below the
+    smallest normal double and the others' mass is off 1 by more than MASS_TOL."""
+    try:
+        return Spectrum.from_atoms(pairs)
+    except ValueError:
+        tiny = sys.float_info.min
+        if any(p < tiny for p, _ in pairs):
+            lost = 1.0 - math.fsum(p * m for p, m in pairs if p >= tiny)
+            if abs(lost) > MASS_TOL:
+                raise BudgetExceededError("iid_underflow_mass", lost, MASS_TOL) from None
+        raise
 
 
 def iid_spectrum(base: Spectrum, n: int, *, max_type_classes: int = DEFAULT_MAX_TYPE_CLASSES) -> Spectrum:
@@ -367,11 +373,11 @@ def iid_spectrum(base: Spectrum, n: int, *, max_type_classes: int = DEFAULT_MAX_
     atom count K is capped by `max_type_classes` before enumeration starts.
     The K classes cost O(K) big-int multiplies and (n + 1) * k float pows for
     k >= 2 base atoms, one pow for k = 1, with no per-class math.comb;
-    Spectrum.from_atoms then merges a sorted copy of the kept list in one
-    pass and, when nothing merged, sums it in generation order.  Atoms below
-    the smallest normal double (subnormal or 0.0) are dropped; when the mass
-    left deviates from 1 by more than MASS_TOL, the `iid_underflow_mass`
-    budget is exceeded.
+    Spectrum.from_atoms then drops the classes below the smallest normal
+    double, merges a sorted copy of the rest in one pass and, when nothing
+    merged, sums them in generation order.  When it fails after dropping
+    classes whose mass leaves the rest beyond MASS_TOL of 1,
+    `_normal_spectrum` names the `iid_underflow_mass` budget.
     """
     if n < 1:
         raise ValueError("n must be a positive integer")
@@ -379,7 +385,7 @@ def iid_spectrum(base: Spectrum, n: int, *, max_type_classes: int = DEFAULT_MAX_
     n_classes = math.comb(n + k - 1, k - 1)
     if n_classes > max_type_classes:
         raise BudgetExceededError("max_type_classes", n_classes, max_type_classes)
-    return _normal_spectrum(_type_classes(base, n))
+    return _normal_spectrum(list(_type_classes(base, n)))
 
 
 def maxent_spectrum(rank: int) -> Spectrum:
@@ -476,11 +482,11 @@ def generate(model: SequenceModel, n: int, *, max_type_classes: int = DEFAULT_MA
         return maxent_spectrum(model.ranks[n - 1])
     if isinstance(model, Mixture):
         # w * p can fall below the smallest normal double, as an i.i.d. class can
-        return _normal_spectrum(
+        return _normal_spectrum([
             (w * p, m)
             for w, sub in model.components
             for p, m in generate(sub, n, max_type_classes=max_type_classes).atoms
-        )
+        ])
     if isinstance(model, Explicit):
         if n > len(model.spectra):
             raise ValueError(f"explicit sequence has {len(model.spectra)} entries, asked for n={n}")
@@ -493,6 +499,11 @@ def _field(obj: dict, key: str):
     if key not in obj:
         raise ValueError(f"{obj['kind']!r} model needs a {key!r} key")
     return obj[key]
+
+
+def _list_field(obj: dict, key: str) -> list:
+    """The entries of obj[key], or a ValueError naming the model kind and the key."""
+    return _listed(_field(obj, key), f"{obj['kind']!r} model's {key!r}")
 
 
 def _component(pair) -> tuple[float, SequenceModel]:
@@ -511,11 +522,11 @@ def model_from_json_dict(obj: dict) -> SequenceModel:
     if kind == "maxent":
         return MaxEnt(_real(_field(obj, "rate"), "rate"))
     if kind == "maxent_explicit":
-        return MaxEntExplicit(tuple(_integer(r, "rank") for r in _field(obj, "ranks")))
+        return MaxEntExplicit(tuple(_integer(r, "rank") for r in _list_field(obj, "ranks")))
     if kind == "mixture":
-        return Mixture(tuple(map(_component, _field(obj, "components"))))
+        return Mixture(tuple(map(_component, _list_field(obj, "components"))))
     if kind == "explicit":
-        return Explicit(tuple(Spectrum.from_json_dict(s) for s in _field(obj, "spectra")))
+        return Explicit(tuple(map(Spectrum.from_json_dict, _list_field(obj, "spectra"))))
     raise ValueError(f"unknown model kind {kind!r}")
 
 

@@ -266,7 +266,15 @@ def test_dilute_csv(capsys):
     assert out.splitlines()[1].split(",")[1] == "0.0"
 
 
-@pytest.mark.parametrize("value", ["0", "-5"])
+# what argparse prints after "argument --budget-max-type-classes: " for each value
+_BUDGET_ERRORS = {
+    "0": "must be a positive integer, got 0",
+    "-5": "must be a positive integer, got -5",
+    "abc": "expected an integer, got 'abc'",
+}
+
+
+@pytest.mark.parametrize("value", list(_BUDGET_ERRORS))
 @pytest.mark.parametrize("command", [
     ("rates", "iid:0.9,0.1", "--n", "4", "--eps", "0.1"),
     ("convert", "iid:0.5,0.5", "iid:0.8,0.2", "--n", "1"),
@@ -276,7 +284,7 @@ def test_non_positive_type_class_budget_is_a_usage_error(capsys, command, value)
     # a budget of 0 used to exit 3 ("need 1, limit 0") after rates printed a bare header
     code, out, err = run_cli(capsys, *command, "--budget-max-type-classes", value)
     assert (code, out) == (2, "")
-    assert "--budget-max-type-classes: must be a positive integer" in err
+    assert f"argument --budget-max-type-classes: {_BUDGET_ERRORS[value]}\n" in err
 
 
 def test_experiment_budget_is_fatal(capsys):
@@ -541,10 +549,23 @@ def test_model_file_multiplicity_beyond_the_double_range_is_a_usage_error(tmp_pa
         ({"kind": "explicit"}, "'explicit' model needs a 'spectra' key"),
         ({"kind": "mixture", "components": [[0.5]]}, "mixture component [0.5] is not a [weight, model] pair"),
         ({"kind": "mixture", "components": {"ab": 1}}, "mixture component 'ab' is not a [weight, model] pair"),
+        ({"kind": "maxent_explicit", "ranks": 5}, "'maxent_explicit' model's 'ranks' must be a list, got 5"),
+        ({"kind": "mixture", "components": 5}, "'mixture' model's 'components' must be a list, got 5"),
+        ({"kind": "explicit", "spectra": None}, "'explicit' model's 'spectra' must be a list, got None"),
+        ({"atoms": 5}, "spectrum 'atoms' must be a list, got 5"),
+        ({"atoms": [[0.5]]}, "spectrum atom [0.5] is not a [probability, multiplicity] pair"),
+        (
+            {"kind": "iid", "base": {"atoms": [[0.5, 1, 3]]}},
+            "spectrum atom [0.5, 1, 3] is not a [probability, multiplicity] pair",
+        ),
+        ({"kind": "explicit", "spectra": [5]}, "spectrum JSON must be an object with an 'atoms' key"),
+        ({"kind": "bogus"}, "unknown model kind 'bogus'"),
+        ({"kind": "mixture", "components": []}, "mixture needs at least one component"),
     ],
 )
 def test_model_file_missing_field_is_named(model, shown, tmp_path, capsys):
-    # these used to print a bare KeyError ("error: 'base'") or an unpacking error
+    # these used to print a bare KeyError ("error: 'base'"), a TypeError
+    # ("'int' object is not iterable") or an unpacking error
     path = tmp_path / "model.json"
     path.write_text(json.dumps(model))
     code, out, err = run_cli(capsys, "rates", f"file:{path}", "--n", "1", "--eps", "0.1")
@@ -666,6 +687,14 @@ def test_usage_errors_return_2(capsys):
     assert run_cli(capsys, "rates", "iid:0.9,0.1", "--n", "5", "--eps", "2.0")[0] == 2
     assert run_cli(capsys, "frobnicate")[0] == 2
     assert run_cli(capsys, "rates", "nope:1", "--n", "5", "--eps", "0.1")[0] == 2
+    # malformed grids: exit 2, nothing printed, the message on stderr
+    for n, eps, shown in [
+        (",", "0.1", "empty grid"),
+        ("0,5", "0.1", "grid entries must be positive, got '0,5'"),
+        ("5", "x", "expected a comma-separated list of reals, got 'x'"),
+        ("5", ",", "empty grid"),
+    ]:
+        assert run_cli(capsys, "rates", "iid:0.6,0.4", "--n", n, "--eps", eps) == (2, "", f"error: {shown}\n")
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
 import math
 from collections import Counter
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -62,6 +63,26 @@ def test_bound_invariants_on_random_instances():
         assert r.nielsen_ok  # coarse-graining always majorizes its source
         f = math.fsum(_sqrt_term(c, mu, qv) for qv, mu, c in r.synthesis.assignments)
         assert abs(min(max(f, 0.0), 1.0) - r.fidelity) < 1e-12
+
+
+@pytest.mark.parametrize("count, mu, qv", [(3, 1e-200, 1e-200), (7, 1e-160, 3e-150), (10**300, 1e-160, 1e-160)])
+def test_sqrt_term_through_logs_matches_mpmath(count, mu, qv):
+    # mu * qv lies below 1e-300 (0.0, 3e-310 and 1e-320 in doubles), so the
+    # term is summed in logs
+    assert mu * qv <= 1e-300
+    with mpmath.workdps(50):
+        exact = mpmath.mpf(count) * mpmath.sqrt(mpmath.mpf(mu) * mpmath.mpf(qv))
+        assert abs((_sqrt_term(count, mu, qv) - exact) / exact) < 1e-12
+
+
+def test_self_conversion_through_underflowing_terms_is_lossless():
+    # 165 of the 304 fibers of IID(0.9, 0.1) at n = 400 onto itself have
+    # mu * qv <= 1e-300 and take the log route
+    s = iid_spectrum(_probs(0.9, 0.1), 400)
+    r = direct_convert(s, s, 400)
+    syn = r.synthesis
+    assert sum(mu * qv <= 1e-300 for mu, qv in zip(syn.assigned_masses, syn.target_probs)) == 165
+    assert r.fidelity == 1.0
 
 
 def test_report_validation_rejects_inconsistent_fields():

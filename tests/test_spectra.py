@@ -34,6 +34,7 @@ from entspec.spectra import (
     maxent_spectrum,
     schmidt_from_amplitudes,
     _integer,
+    _normal_spectrum,
     _real,
     _type_classes,
 )
@@ -148,6 +149,41 @@ def test_one_atom_iid_base_builds_no_power_table():
     finally:
         tracemalloc.stop()
     assert s.atoms == ((1.0, 1),) and peak < 1 << 20
+
+
+def test_one_atom_class_below_the_normal_doubles_builds_no_multiplicity():
+    # 0.5**(10**8) underflows to 0.0, so the class gets multiplicity 0, not
+    # 2**(10**8): from_atoms rejects it and the whole mass is lost
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceededError) as err:
+            iid_spectrum(Spectrum.from_atoms([(0.5, 2)]), 10**8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert err.value.budget == "iid_underflow_mass" and err.value.needed == 1.0
+    assert peak < 1 << 20
+
+
+def test_normal_spectrum_names_the_underflow_budget_only_after_a_drop():
+    # nothing was dropped, so from_atoms's mass error stands
+    with pytest.raises(ValueError, match="spectrum mass 0.5 deviates"):
+        _normal_spectrum([(0.5, 1)])
+    with pytest.raises(BudgetExceededError) as err:
+        _normal_spectrum([(0.5, 1), (1e-320, 1)])
+    assert err.value.budget == "iid_underflow_mass" and err.value.needed == 0.5
+    assert _normal_spectrum([(1.0, 1), (1e-320, 1)]).atoms == ((1.0, 1),)
+
+
+def test_normal_spectrum_keeps_what_from_atoms_keeps():
+    # the pairs leave 1.49e-12 of the mass beyond the dropped one, but merge
+    # into one atom of mass 1 - 0.5e-12: from_atoms builds it, as it builds
+    # the same atoms read from a model file
+    h = (1.0 - 0.5e-12) / 1000
+    pairs = [(h, 1), (h * (1 - 0.99e-12), 999), (1e-320, 1)]
+    assert 1.0 - math.fsum(p * m for p, m in pairs[:2]) > MASS_TOL
+    s = _normal_spectrum(pairs)
+    assert s.atoms == ((h, 1000),) and s == Spectrum.from_atoms(pairs[:2])
 
 
 def test_iid_drops_subnormal_atoms():
@@ -539,6 +575,13 @@ def _outcome(build, pairs):
     return [(p.hex(), type(m), m) for p, m in s.atoms], type(s.total_dim), s.total_dim
 
 
+def _dropped(pair) -> bool:
+    """A pair that from_atoms drops: a float below the smallest normal double, not
+    negative, with a positive int multiplicity."""
+    p, m = pair
+    return type(p) is float and 0.0 <= p < sys.float_info.min and type(m) is int and m > 0
+
+
 @settings(max_examples=400, deadline=None, derandomize=True)
 @given(_pair_lists())
 @example([])
@@ -554,6 +597,8 @@ def test_from_atoms_matches_the_oracle_and_keeps_its_input(pairs):
     # the list passed in comes back unchanged and in order
     assert repr(pairs) == text and all(a is b for a, b in zip(pairs, snapshot)) and len(pairs) == len(snapshot)
     assert _outcome(Spectrum.from_atoms, iter(list(pairs))) == expected
+    # a caller that drops those pairs first gets the same outcome, so none needs to
+    assert _outcome(Spectrum.from_atoms, [pair for pair in pairs if not _dropped(pair)]) == expected
 
 
 def _traced(fn):
