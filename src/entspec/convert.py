@@ -28,8 +28,7 @@ from .spectra import (
 
 def _sqrt_term(count: int, mu: float, qv: float) -> float:
     """count * sqrt(mu * qv), through logs where the product would underflow;
-    count is at most its target atom's multiplicity, below 2**1023, and qv
-    is a target atom, a normal double."""
+    count is at most the multiplicity of qv, a target atom (normal), < 2**1023."""
     if mu <= 0.0:
         return 0.0
     prod = mu * qv

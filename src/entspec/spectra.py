@@ -8,19 +8,18 @@ whose degeneracies are huge binomial counts remain representable long after
 the expanded dimension has left the double-precision range.
 
 Probabilities themselves are double floats, and every atom's is a normal
-double.  Which atoms a spectrum keeps is one rule, and `Spectrum.from_atoms`
-alone applies it: it drops zero and subnormal atoms, and its mass check fails
-if they carried more than the tolerance.  A subnormal probability keeps too
-few significant bits for its rate, and one that underflows to zero keeps
-none.  So a multiplicity m stays below (1 + tol)/p < 2**1023, and p * m, or
-p times any partial count, is a finite double: there is no exp/log route.
+double.  Which atoms a spectrum keeps is one rule, `_kept_atoms`, which
+`Spectrum.from_atoms` applies: it drops zero and subnormal atoms, and the mass
+check fails if they carried more than the tolerance.  A subnormal probability
+keeps too few significant bits for its rate, and one that underflows to zero
+keeps none.  So a multiplicity m stays below (1 + tol)/p < 2**1023, and p * m,
+or p times any partial count, is a finite double: there is no exp/log route.
 Generation makes such atoms (i.i.d. powers beyond a few hundred copies with
 skewed bases, mixture components with a small weight), and their mass is not
 negligible in general: the dropped type classes of IID(0.9, 0.1) hold about
-1.1e-34 at n = 1200, 7.0e-16 at n = 1500 and 0.026 at n = 2000 (mpmath).
-When `from_atoms` rejects a generated spectrum after dropping atoms, and the
-mass kept is off 1 by more than MASS_TOL, `_normal_spectrum` names the
-`iid_underflow_mass` budget in a BudgetExceededError.
+1.1e-34 at n = 1200, 7.0e-16 at n = 1500 and 0.026 at n = 2000 (mpmath).  When
+the mass check fails after the rule dropped atoms, `_normal_spectrum` names
+the `iid_underflow_mass` budget in a BudgetExceededError.
 
 Only the dense helpers (`expand`, `AmplitudeMatrix`,
 `schmidt_from_amplitudes`) use NumPy, and they import it when they run:
@@ -82,12 +81,10 @@ def _real(x, what: str) -> float:
 
 
 def _listed(x, what: str) -> list:
-    """The entries of x, read into a list; an x that has none (a number,
-    null) raises a ValueError naming `what`."""
-    try:
-        return list(x)
-    except TypeError:
-        raise ValueError(f"{what} must be a list, got {x!r}") from None
+    """x, which must be a list; anything else raises a ValueError naming `what`."""
+    if not isinstance(x, list):
+        raise ValueError(f"{what} must be a list, got {x!r}")
+    return x
 
 
 # ---------------------------------------------------------------------------
@@ -138,6 +135,37 @@ def cumulative_mass(atoms: Iterable[tuple[float, int]]) -> Iterator[float]:
         yield acc / scale
 
 
+def _kept_atoms(pairs: Iterable[tuple[float, int]]) -> tuple[list[tuple[float, int]], bool]:
+    """The pairs a spectrum keeps, and whether any was dropped: see from_atoms."""
+    tiny = sys.float_info.min
+    if type(pairs) is list:
+        # the tuple test comes before unpacking, so a pair that is an
+        # iterator is unpacked only once, by the loop below
+        for pair in pairs:
+            if type(pair) is not tuple:
+                break
+            p, m = pair
+            if type(p) is not float or type(m) is not int or m <= 0 or not p >= tiny:
+                break
+        else:
+            return pairs, False
+    cleaned = []
+    dropped = False
+    for pair in pairs:
+        p, m = pair
+        if type(p) is not float or type(m) is not int or type(pair) is not tuple:
+            pair = p, m = _real(p, "probability"), _integer(m, "multiplicity")
+        if m <= 0:
+            raise ValueError(f"multiplicity must be positive, got {m}")
+        if p >= tiny:
+            cleaned.append(pair)
+        elif p >= 0.0:  # zero or subnormal
+            dropped = True
+        else:
+            raise ValueError(f"probability must be nonnegative, got {p!r}")
+    return cleaned, dropped
+
+
 @dataclass(frozen=True)
 class Spectrum:
     """Compressed probability spectrum: descending (probability, multiplicity) atoms.
@@ -179,32 +207,11 @@ class Spectrum:
         the atoms tuple, it holds the sorted copy and the merged list, and the
         new list when the input was read into one.
         """
-        tiny = sys.float_info.min
-        cleaned = None
-        if type(pairs) is list:
-            # the tuple test comes before unpacking, so a pair that is an
-            # iterator is unpacked only once, by the loop below
-            for pair in pairs:
-                if type(pair) is not tuple:
-                    break
-                p, m = pair
-                if type(p) is not float or type(m) is not int or m <= 0 or not p >= tiny:
-                    break
-            else:
-                cleaned = pairs
-        if cleaned is None:
-            cleaned = []
-            for pair in pairs:
-                p, m = pair
-                if type(p) is not float or type(m) is not int or type(pair) is not tuple:
-                    # a (float, int) tuple is kept as it is; anything else is read into one
-                    pair = p, m = _real(p, "probability"), _integer(m, "multiplicity")
-                if m <= 0:
-                    raise ValueError(f"multiplicity must be positive, got {m}")
-                if p >= tiny:
-                    cleaned.append(pair)
-                elif not p >= 0.0:  # NaN or negative; zero and subnormal atoms are dropped
-                    raise ValueError(f"probability must be nonnegative, got {p!r}")
+        return cls._from_kept(_kept_atoms(pairs)[0], mass_tol)
+
+    @classmethod
+    def _from_kept(cls, cleaned: list[tuple[float, int]], mass_tol: float = MASS_TOL) -> "Spectrum":
+        """from_atoms of the pairs `_kept_atoms` kept: sort, merge, check the mass."""
         if not cleaned:
             raise ValueError("spectrum has no positive atoms of normal probability")
         ordered = cleaned[:]
@@ -324,10 +331,10 @@ def _type_classes(base: Spectrum, n: int) -> Iterator[tuple[float, int]]:
     """
     atoms = base.atoms
     if len(atoms) == 1:
-        # one class and no tables; below the normal doubles it gets multiplicity 0, not m**n
+        # one class and no tables; below the normal doubles it gets multiplicity 1, not m**n
         ((p, m),) = atoms
         prob = p**n
-        yield prob, m**n if prob >= sys.float_info.min else 0
+        yield prob, m**n if prob >= sys.float_info.min else 1
         return
     powers = [[p**c for c in range(n + 1)] for p, _ in atoms]
     # (probability, multiplicity, copies left) of each prefix over all
@@ -351,18 +358,16 @@ def _type_classes(base: Spectrum, n: int) -> Iterator[tuple[float, int]]:
             mult = mult * (c * wb) // ((r - c + 1) * wa)
 
 
-def _normal_spectrum(pairs: list[tuple[float, int]]) -> Spectrum:
-    """Spectrum.from_atoms of generated pairs.  Only when it fails are they read
-    again, to name the `iid_underflow_mass` budget if some pair lies below the
-    smallest normal double and the others' mass is off 1 by more than MASS_TOL."""
+def _normal_spectrum(pairs: Iterable[tuple[float, int]]) -> Spectrum:
+    """Spectrum.from_atoms of generated pairs, read as they are made, so a dropped
+    pair is freed at once; when it fails after a drop and the kept mass is off 1
+    by more than MASS_TOL, that is the `iid_underflow_mass` budget."""
+    kept, dropped = _kept_atoms(pairs)
     try:
-        return Spectrum.from_atoms(pairs)
+        return Spectrum._from_kept(kept)
     except ValueError:
-        tiny = sys.float_info.min
-        if any(p < tiny for p, _ in pairs):
-            lost = 1.0 - math.fsum(p * m for p, m in pairs if p >= tiny)
-            if abs(lost) > MASS_TOL:
-                raise BudgetExceededError("iid_underflow_mass", lost, MASS_TOL) from None
+        if dropped and abs(lost := 1.0 - math.fsum(p * m for p, m in kept)) > MASS_TOL:
+            raise BudgetExceededError("iid_underflow_mass", lost, MASS_TOL) from None
         raise
 
 
@@ -373,11 +378,10 @@ def iid_spectrum(base: Spectrum, n: int, *, max_type_classes: int = DEFAULT_MAX_
     atom count K is capped by `max_type_classes` before enumeration starts.
     The K classes cost O(K) big-int multiplies and (n + 1) * k float pows for
     k >= 2 base atoms, one pow for k = 1, with no per-class math.comb;
-    Spectrum.from_atoms then drops the classes below the smallest normal
-    double, merges a sorted copy of the rest in one pass and, when nothing
-    merged, sums them in generation order.  When it fails after dropping
-    classes whose mass leaves the rest beyond MASS_TOL of 1,
-    `_normal_spectrum` names the `iid_underflow_mass` budget.
+    `_normal_spectrum` drops the classes below the smallest normal double as
+    they are made, merges a sorted copy of the rest in one pass and, when
+    nothing merged, sums them in generation order; it names the
+    `iid_underflow_mass` budget when the dropped mass was too much.
     """
     if n < 1:
         raise ValueError("n must be a positive integer")
@@ -385,7 +389,7 @@ def iid_spectrum(base: Spectrum, n: int, *, max_type_classes: int = DEFAULT_MAX_
     n_classes = math.comb(n + k - 1, k - 1)
     if n_classes > max_type_classes:
         raise BudgetExceededError("max_type_classes", n_classes, max_type_classes)
-    return _normal_spectrum(list(_type_classes(base, n)))
+    return _normal_spectrum(_type_classes(base, n))
 
 
 def maxent_spectrum(rank: int) -> Spectrum:
@@ -482,11 +486,11 @@ def generate(model: SequenceModel, n: int, *, max_type_classes: int = DEFAULT_MA
         return maxent_spectrum(model.ranks[n - 1])
     if isinstance(model, Mixture):
         # w * p can fall below the smallest normal double, as an i.i.d. class can
-        return _normal_spectrum([
+        return _normal_spectrum(
             (w * p, m)
             for w, sub in model.components
             for p, m in generate(sub, n, max_type_classes=max_type_classes).atoms
-        ])
+        )
     if isinstance(model, Explicit):
         if n > len(model.spectra):
             raise ValueError(f"explicit sequence has {len(model.spectra)} entries, asked for n={n}")
@@ -502,7 +506,7 @@ def _field(obj: dict, key: str):
 
 
 def _list_field(obj: dict, key: str) -> list:
-    """The entries of obj[key], or a ValueError naming the model kind and the key."""
+    """obj[key], which must be a list; a ValueError names the model kind and the key."""
     return _listed(_field(obj, key), f"{obj['kind']!r} model's {key!r}")
 
 

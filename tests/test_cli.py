@@ -548,11 +548,13 @@ def test_model_file_multiplicity_beyond_the_double_range_is_a_usage_error(tmp_pa
         ({"kind": "mixture"}, "'mixture' model needs a 'components' key"),
         ({"kind": "explicit"}, "'explicit' model needs a 'spectra' key"),
         ({"kind": "mixture", "components": [[0.5]]}, "mixture component [0.5] is not a [weight, model] pair"),
-        ({"kind": "mixture", "components": {"ab": 1}}, "mixture component 'ab' is not a [weight, model] pair"),
+        ({"kind": "mixture", "components": {"ab": 1}}, "'mixture' model's 'components' must be a list, got {'ab': 1}"),
         ({"kind": "maxent_explicit", "ranks": 5}, "'maxent_explicit' model's 'ranks' must be a list, got 5"),
         ({"kind": "mixture", "components": 5}, "'mixture' model's 'components' must be a list, got 5"),
         ({"kind": "explicit", "spectra": None}, "'explicit' model's 'spectra' must be a list, got None"),
+        ({"kind": "maxent_explicit", "ranks": "5"}, "'maxent_explicit' model's 'ranks' must be a list, got '5'"),
         ({"atoms": 5}, "spectrum 'atoms' must be a list, got 5"),
+        ({"atoms": "ab"}, "spectrum 'atoms' must be a list, got 'ab'"),
         ({"atoms": [[0.5]]}, "spectrum atom [0.5] is not a [probability, multiplicity] pair"),
         (
             {"kind": "iid", "base": {"atoms": [[0.5, 1, 3]]}},

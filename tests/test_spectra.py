@@ -152,8 +152,8 @@ def test_one_atom_iid_base_builds_no_power_table():
 
 
 def test_one_atom_class_below_the_normal_doubles_builds_no_multiplicity():
-    # 0.5**(10**8) underflows to 0.0, so the class gets multiplicity 0, not
-    # 2**(10**8): from_atoms rejects it and the whole mass is lost
+    # 0.5**(10**8) underflows to 0.0, so the class gets multiplicity 1, not
+    # 2**(10**8): from_atoms drops it and the whole mass is lost
     tracemalloc.start()
     try:
         with pytest.raises(BudgetExceededError) as err:
@@ -163,6 +163,23 @@ def test_one_atom_class_below_the_normal_doubles_builds_no_multiplicity():
         tracemalloc.stop()
     assert err.value.budget == "iid_underflow_mass" and err.value.needed == 1.0
     assert peak < 1 << 20
+
+
+def test_iid_holds_no_class_it_drops():
+    # all 10,001 type classes underflow to 0.0 (0.6**10000 ~ e**-5108), with
+    # multiplicities of up to ~10,000 bits: read as they are made, each is
+    # freed once dropped, so the peak is the generator's power tables (641 KB
+    # traced on x86_64), not the ~11 MB the classes would hold in one list
+    gc.collect()
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceededError) as err:
+            iid_spectrum(Spectrum.from_probs([0.6, 0.4]), 10_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert err.value.budget == "iid_underflow_mass" and err.value.needed == 1.0
+    assert peak < 2 << 20
 
 
 def test_normal_spectrum_names_the_underflow_budget_only_after_a_drop():
