@@ -25,9 +25,11 @@ conversion analysis rests on, plus structural suites for the majorization
 certificates and the greedy-versus-exhaustive map synthesis.  Each instance
 draws from its own generator seeded by (master seed, suite id, instance
 index), so results are independent of execution order and reruns are
-byte-identical.  A suite takes its instances a chunk at a time,
-_CHUNK * 64 // d^2 of them at --dim d: 1024 at the default 8, so a dense
-suite with default trials is one chunk, and 16 at the cap 64.  A chunk's
+byte-identical.  A suite takes its instances a chunk at a time.  A dense
+suite's chunk is _CHUNK * 64 // d^2 instances at --dim d: 1024 at the
+default 8, so a dense suite with default trials is one chunk, and 16 at the
+cap 64.  A spectrum suite draws no d x d stack, so its chunk is _CHUNK at
+every --dim.  A chunk's
 generators come from one vectorized SeedSequence pass over its instance
 indices, then one cheap generator per instance from the precomputed words:
 the same PCG64 streams as np.random.default_rng([seed, suite id, k]).  The
@@ -37,8 +39,13 @@ projector is formed, the count of positive eigenvalues), so a chunk costs
 one NumPy call per step per shape group instead of one per instance.
 Stacked LAPACK, BLAS and reductions run the per-matrix routine on
 per-matrix memory layouts, so every margin is bit for bit the per-instance
-one.  A spectrum suite's draw is its whole instance: it draws and evaluates
-in one call, so each generator is freed with its instance.
+one.  The product, kh and greedy-vs-brute suites' draw is the whole
+instance: it draws and evaluates in one call, so each generator is freed
+with its instance.  transfer draws a chunk's target spectra and mixing
+weights first, then evaluates them one expanded size m at a time: it builds
+the group's sources with stacked matmuls, one `transfer_matrix` call steps
+all its pairs in lockstep, and their matrices are freed once the group's
+checks are done.
 """
 
 from __future__ import annotations
@@ -509,16 +516,19 @@ def verify_product_tails(p_a: Spectrum, s_b: Spectrum, n: int, a: float) -> Veri
     """
     if n < 1:
         raise ValueError("n must be a positive integer")
-    lhs = math.fsum(p * m * cdf_selfinfo(s_b, n, a - (-math.log(p) / n + 0.0)) for p, m in p_a.atoms)
+    # each atom's self-information rate, computed once per call
+    rates_a = [-math.log(p) / n + 0.0 for p, _ in p_a.atoms]
+    lhs = math.fsum(p * m * cdf_selfinfo(s_b, n, a - r) for (p, m), r in zip(p_a.atoms, rates_a))
     rhs = cdf_selfinfo(p_a, n, a)
     checks = [("pair-tail-below-marginal", rhs - lhs, 1e-9)]
     if p_a.total_dim * s_b.total_dim <= DEFAULT_MAX_EXPANDED_DIM:
+        rates_b = [-math.log(y) / n + 0.0 for y, _ in s_b.atoms]
         # every expanded pair of an atom pair gives the same term; fsum rounds once, in any order
         expanded = math.fsum(
             x * y
-            for x, mx in p_a.atoms
-            for y, my in s_b.atoms
-            if -math.log(y) / n + 0.0 <= a - (-math.log(x) / n + 0.0)
+            for (x, mx), rx in zip(p_a.atoms, rates_a)
+            for (y, my), ry in zip(s_b.atoms, rates_b)
+            if ry <= a - rx
             for _ in range(mx * my)
         )
         checks.append(("compressed-matches-expanded", 1e-9 - abs(lhs - expanded), 0.0))
@@ -678,8 +688,11 @@ def rand_spectrum(rng, max_dim: int) -> Spectrum:
 # ---------------------------------------------------------------------------
 # suites: each draws one instance from its generator, (rng, instance index,
 # dim) -> draws, and evaluates a list of draws, giving one (results, note)
-# per instance for the suite's summary; a spectrum suite's draw is its whole
-# instance, giving its (results, note), and its evaluate passes them on.
+# per instance for the suite's summary.  The dense suites and transfer
+# evaluate one group of draws at a time (_grouped): a shape group, or the
+# transfer pairs of one expanded size.  The product, kh and greedy-vs-brute
+# draw is the whole instance, giving its (results, note), and their
+# evaluate passes them on.
 # bdm and monotonicity share the map families: instance k draws its map from
 # family k % 3 with _draw_tp, and _tp_maps builds a shape group's maps
 
@@ -689,12 +702,14 @@ def rand_spectrum(rng, max_dim: int) -> Spectrum:
 # (42 MB), in fresh processes (2-core x86_64 VM, NumPy 2.4)
 MAX_VERIFY_DIM = 64
 
-# instances drawn and evaluated together at --dim 8; a chunk holds at most
-# _CHUNK * 8**2 matrix entries per stack (1 MiB of complex128), so --dim 64
-# takes 16 instances at a time and the memory of the stacks grows with
-# neither --trials nor --dim.  A smaller budget splits a default dense suite
-# into chunks of a few instances per shape group, where per-call overhead,
-# not eigen work, sets the time (BENCH_21.json: 512 and 128 are slower)
+# instances drawn and evaluated together at --dim 8, and by a spectrum suite
+# at every --dim; a dense chunk holds at most _CHUNK * 8**2 matrix entries
+# per stack (1 MiB of complex128), so --dim 64 takes 16 instances at a time
+# and the memory of the stacks grows with neither --trials nor --dim.  A
+# smaller budget splits a default dense suite into chunks of a few instances
+# per shape group, where per-call overhead, not eigen work, sets the time
+# (BENCH_21.json: 512 and 128 are slower); transfer's m x m steps, m <= 32,
+# hold at most _CHUNK * 32**2 entries per stack of one expanded size
 _CHUNK = 1024
 
 
@@ -834,23 +849,29 @@ def _kh_instance(rng, k: int, dim: int):
     return [_finish(checks, _payload(source=p, map=phi))], None
 
 
-def _transfer_instance(rng, k: int, dim: int):
+def _transfer_draw(rng, k: int, dim: int):
     q = rand_spectrum(rng, 32)
-    mix = _doubly_stochastics(*_draw_doubly_stochastic(rng, q.total_dim))
-    qv = expand(q)
-    p = Spectrum.from_probs((mix.matrix @ qv).tolist())
-    cert = transfer_matrix(p, q)
-    m = cert.dim
-    pv = np.zeros(m)
-    pv[: p.total_dim] = expand(p)
-    qv2 = np.zeros(m)
-    qv2[: q.total_dim] = qv
-    dev = float(np.abs(cert.entries @ qv2 - pv).max())
-    checks = [
-        ("transfer-bistochastic", 1e-10 - cert.defect, 0.0),
-        ("transfer-carries-target", 1e-8 - dev, 0.0),
-    ]
-    return [_finish(checks, _payload(source=p, target=q))], None
+    return q.total_dim, q, *_draw_doubly_stochastic(rng, q.total_dim)
+
+
+def _transfer_check(m, qs, u, perms):
+    # the source p = M q of each random mix M of permutations has q's m
+    # entries, so m is the pair's expanded size; one transfer_matrix call
+    # steps the group's pairs in lockstep
+    qv = np.array([expand(q) for q in qs])[..., None]
+    mixed = _doubly_stochastics(np.array(u), np.array(perms)).matrix @ qv
+    ps = [Spectrum.from_probs(x) for x in mixed[..., 0].tolist()]
+    pv = np.zeros((len(ps), m, 1))
+    for row, p in enumerate(ps):
+        pv[row, : p.total_dim, 0] = expand(p)
+    certs = transfer_matrix(ps, qs)
+    devs = np.abs(np.stack([c.entries for c in certs]) @ qv - pv).max(axis=(1, 2)).tolist()
+    for p, q, cert, dev in zip(ps, qs, certs, devs):
+        checks = [
+            ("transfer-bistochastic", 1e-10 - cert.defect, 0.0),
+            ("transfer-carries-target", 1e-8 - dev, 0.0),
+        ]
+        yield [_finish(checks, _payload(source=p, target=q))]
 
 
 def _greedy_vs_brute_instance(rng, k: int, dim: int):
@@ -884,9 +905,10 @@ def _gap_summary(gaps: list) -> dict:
 class Suite(NamedTuple):
     id: int  # mixed into every instance seed; never reuse or renumber
     trials: int  # default instance count
-    draw: Callable  # (rng, instance index, dim) -> the instance's draws; a spectrum suite's is its whole instance
-    evaluate: Callable  # list of draws -> one (results, note) per instance; iter for a spectrum suite
+    draw: Callable  # (rng, instance index, dim) -> the instance's draws, or its whole instance
+    evaluate: Callable  # list of draws -> one (results, note) per instance; iter for whole instances
     summary: Optional[Callable[[list], dict]] = None  # notes -> the report's extras
+    dense: bool = True  # draws (d, d) stacks, so its chunk shrinks with --dim
 
 
 # in `verify all` order
@@ -895,11 +917,11 @@ SUITES = {
     "bdm": Suite(2, 1000, _bdm_draw, _grouped(_bdm_check)),
     "bd": Suite(3, 1000, _bd_draw, _grouped(_bd_check)),
     "continuity": Suite(4, 1000, _continuity_draw, _grouped(_continuity_check)),
-    "product": Suite(5, 1000, _product_instance, iter),
+    "product": Suite(5, 1000, _product_instance, iter, dense=False),
     "monotonicity": Suite(6, 1000, _monotonicity_draw, _grouped(_monotonicity_check)),
-    "kh": Suite(7, 500, _kh_instance, iter),
-    "transfer": Suite(8, 500, _transfer_instance, iter),
-    "greedy-vs-brute": Suite(9, 500, _greedy_vs_brute_instance, iter, _gap_summary),
+    "kh": Suite(7, 500, _kh_instance, iter, dense=False),
+    "transfer": Suite(8, 500, _transfer_draw, _grouped(_transfer_check), dense=False),
+    "greedy-vs-brute": Suite(9, 500, _greedy_vs_brute_instance, iter, _gap_summary, dense=False),
 }
 
 
@@ -1001,7 +1023,7 @@ def _generators(seed: int, suite_id: int, ks: range):
 
 def _instance_results(suite: Suite, seed: int, trials: int, dim: int):
     """(k, results, note) for instances 0..trials-1, drawn and evaluated one chunk at a time."""
-    chunk = max(1, _CHUNK * 8**2 // dim**2)
+    chunk = max(1, _CHUNK * 8**2 // dim**2) if suite.dense else _CHUNK
     for start in range(0, trials, chunk):
         ks = range(start, min(start + chunk, trials))
         drawn = [suite.draw(rng, k, dim) for rng, k in zip(_generators(seed % (1 << 63), suite.id, ks), ks)]

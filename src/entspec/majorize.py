@@ -15,7 +15,8 @@ Two constructions witness the order:
   pushforward back onto the source distribution.
 * `transfer_matrix` builds, for any majorized pair, a doubly stochastic
   matrix as a product of at most m - 1 two-coordinate averaging steps with
-  D q = p on descending expansions.
+  D q = p on descending expansions; given sequences of pairs, it steps the
+  pairs of one expanded size m in lockstep, as stacked matmuls.
 
 The predicate needs no NumPy.  The dense constructions (`BistochasticMatrix`,
 the certificates and their residual) import it when they run, so importing
@@ -36,8 +37,9 @@ from .spectra import (
 
 MAJORIZE_TOL = 1e-10
 # largest expanded dimensions of the dense d x d certificates; transfer_matrix's
-# m - 1 dense m x m steps cost O(m^4): 0.22 s at m = 256, 3.0 s at m = 512 (one
-# BLAS thread, 2-core x86_64 VM, NumPy 2.4)
+# m - 1 dense m x m steps cost O(m^4) per pair: 0.22 s at m = 256, 3.0 s at
+# m = 512 (one BLAS thread, 2-core x86_64 VM, NumPy 2.4).  Pairs stepped in
+# lockstep share the calls, not the flops, so the cap is per pair
 MAX_CERTIFICATE_DIM = 2048
 MAX_TRANSFER_DIM = 512
 
@@ -190,25 +192,27 @@ def kh_certificate(p: Spectrum, phi: DeterministicMap) -> BistochasticMatrix:
     sum_j (p(x_j)/q) T_j where T_j transposes coordinates 1 and j.  Applied
     to the vector that puts the whole image mass on the first fiber slot, the
     block reproduces the source masses on that fiber; empty fibers contribute
-    nothing (a zero-size identity block).  The certificate is checked
-    against the same expansion and fibers it is built from.
+    nothing (a zero-size identity block).  Every block is filled by one
+    `np.add.at` over index arrays in (fiber, j, i) order, so each entry gets
+    its weights added in the order of a loop over the fibers, their terms j
+    and their rows i.  The certificate is checked against the same expansion
+    and fibers it is built from.
     """
     import numpy as np
 
     xs, fibers = _fibers_of(p, phi, MAX_CERTIFICATE_DIM, "max_certificate_dim")
     split, recon = _split_and_reconstruction(xs, fibers)
-    d = len(xs)
-    block = np.zeros((d, d))
-    offset = 0
-    for k in map(len, filter(None, fibers)):
-        qy = float(split[offset])
-        sub = block[offset : offset + k, offset : offset + k]
-        for j, x in enumerate(recon[offset : offset + k]):
-            w = float(x) / qy
-            # T_j swaps slots 0 and j (T_0 is the identity) and fixes the rest
-            for i in range(k):
-                sub[i, j if i == 0 else 0 if i == j else i] += w
-        offset += k
+    sizes = np.array([len(members) for members in fibers if members])
+    starts = np.cumsum(sizes) - sizes
+    # term j of a fiber adds w_j = p(x_j) / q once to each of its k rows i
+    weights = recon / np.repeat(split[starts], sizes)
+    k = np.repeat(sizes, sizes**2)
+    start = np.repeat(starts, sizes**2)
+    j, i = np.divmod(np.arange(len(k)) - np.repeat(np.cumsum(sizes**2) - sizes**2, sizes**2), k)
+    # T_j swaps slots 0 and j (T_0 is the identity) and fixes the rest
+    col = np.where(i == 0, j, np.where(i == j, 0, i))
+    block = np.zeros((len(xs), len(xs)))
+    np.add.at(block, (start + i, start + col), weights[start + j])
     cert = BistochasticMatrix(block)
     if np.abs(block @ split - recon).max() > 1e-10:
         raise RuntimeError("certificate failed to reproduce the source masses")
@@ -226,51 +230,89 @@ def kh_residual(p: Spectrum, phi: DeterministicMap, cert: BistochasticMatrix) ->
     return float(np.abs(cert.entries @ split - recon).max())
 
 
-def transfer_matrix(p: Spectrum, q: Spectrum) -> BistochasticMatrix:
+def transfer_matrix(p, q):
     """Doubly stochastic D with D q = p on descending zero-padded expansions.
 
-    Built as a product of at most m - 1 two-coordinate averaging steps, each
-    moving mass from the largest still-overweight coordinate to the first
-    underweight coordinate after it.  Requires majorizes(p, q).  Each step
-    finds its two coordinates by a Python scan of the current vector and
-    applies itself as a dense m x m matrix (one identity whose four entries
-    are set and reset), so D is the same BLAS product, bit for bit, as with
-    a fresh identity per step.  m above MAX_TRANSFER_DIM exceeds `max_transfer_dim`.
+    Takes one pair of spectra and gives one BistochasticMatrix, or two
+    equal-length sequences and gives a list of one per pair.  Every pair is
+    checked first: an expanded size m = max(dim p, dim q) above
+    MAX_TRANSFER_DIM exceeds `max_transfer_dim`, and p must be majorized
+    by q.  D is a product of at most m - 1 two-coordinate averaging steps,
+    each moving mass from the largest still-overweight coordinate to the
+    first underweight coordinate after it.  The pairs of one m step in
+    lockstep (`_averaging_steps`): each step is one stacked matmul of dense
+    m x m step matrices, which does per matrix the same BLAS products as a
+    fresh identity per step and pair, bit for bit.
     """
     import numpy as np
 
-    m = max(p.total_dim, q.total_dim)
-    if m > MAX_TRANSFER_DIM:
-        raise BudgetExceededError("max_transfer_dim", m, MAX_TRANSFER_DIM)
-    gap, at = prefix_gap_min(p, q)
-    if gap < -MAJORIZE_TOL:
-        raise ValueError(f"majorization fails at prefix count {at}: gap {gap!r}")
-    pv = expand(p)
-    qv = expand(q)
-    target = np.zeros(m)
-    target[: len(pv)] = pv
-    cur = np.zeros(m)
-    cur[: len(qv)] = qv
-    d = np.eye(m)
+    single = isinstance(p, Spectrum)
+    ps, qs = ([p], [q]) if single else (list(p), list(q))
+    if len(ps) != len(qs):
+        raise ValueError(f"need as many targets as sources, got {len(qs)} and {len(ps)}")
+    groups: dict[int, list[int]] = {}
+    for i, (a, b) in enumerate(zip(ps, qs)):
+        m = max(a.total_dim, b.total_dim)
+        if m > MAX_TRANSFER_DIM:
+            raise BudgetExceededError("max_transfer_dim", m, MAX_TRANSFER_DIM)
+        gap, at = prefix_gap_min(a, b)
+        if gap < -MAJORIZE_TOL:
+            raise ValueError(f"majorization fails at prefix count {at}: gap {gap!r}")
+        groups.setdefault(m, []).append(i)
+    out: list = [None] * len(ps)
+    for m, members in groups.items():
+        target = np.zeros((len(members), m))
+        cur = np.zeros((len(members), m))
+        for row, i in enumerate(members):
+            target[row, : ps[i].total_dim] = expand(ps[i])
+            cur[row, : qs[i].total_dim] = expand(qs[i])
+        for i, d in zip(members, _averaging_steps(cur, target)):
+            out[i] = BistochasticMatrix(d)
+    return out[0] if single else out
+
+
+def _averaging_steps(cur, target):
+    """The (S, m, m) products of averaging steps that carry each row of cur to target's.
+
+    Each round finds, for every pair still running, the last coordinate
+    whose excess c - t is above 1e-13 and the first one after it below
+    -1e-13, with array masks and argmax over the same differences a scan of
+    the row would compute.  A pair without both is done and leaves the
+    stack, as is every pair after m - 1 steps; a done pair more than 1e-9
+    off its target is a RuntimeError.  The rest take one step each: (S, m,
+    m) identities with four entries set, applied to the (S, m, 1) vectors
+    and to the products by stacked matmul.
+    """
+    import numpy as np
+
+    s, m = cur.shape
+    eye = np.eye(m)
+    d = np.broadcast_to(eye, (s, m, m)).copy()
+    out = np.empty_like(d)
+    live = np.arange(s)
+    cur = cur[:, :, None]
+    index = np.arange(m)
     eps = 1e-13
-    tgt = target.tolist()
-    step = np.eye(m)
-    for _ in range(m - 1):
-        c = cur.tolist()
-        j = next((x for x in range(m - 1, -1, -1) if c[x] - tgt[x] > eps), None)
-        if j is None:
-            break
-        k = next((x for x in range(j + 1, m) if c[x] - tgt[x] < -eps), None)
-        if k is None:
-            break
-        delta = min(c[j] - tgt[j], -(c[k] - tgt[k]))
-        lam = 1.0 - delta / (c[j] - c[k])
-        step[j, j] = step[k, k] = lam
-        step[j, k] = step[k, j] = 1.0 - lam
+    for steps_left in range(m - 1, -1, -1):
+        diff = cur[:, :, 0] - target[live]
+        j = m - 1 - np.argmax(diff[:, ::-1] > eps, axis=1)
+        # with no overweight coordinate j is m - 1, so nothing lies after it
+        under = (diff < -eps) & (index > j[:, None])
+        go = under.any(axis=1) & (steps_left > 0)
+        if not go.all():
+            if np.abs(diff[~go]).max() > 1e-9:
+                raise RuntimeError("two-coordinate mixing failed to reach the target vector")
+            out[live[~go]] = d[~go]
+            live, d, cur, diff, j, under = live[go], d[go], cur[go], diff[go], j[go], under[go]
+            if not live.size:
+                break
+        r = np.arange(live.size)
+        k = np.argmax(under, axis=1)
+        delta = np.minimum(diff[r, j], -diff[r, k])
+        lam = 1.0 - delta / (cur[r, j, 0] - cur[r, k, 0])
+        step = np.broadcast_to(eye, d.shape).copy()
+        step[r, j, j] = step[r, k, k] = lam
+        step[r, j, k] = step[r, k, j] = 1.0 - lam
         cur = step @ cur
         d = step @ d
-        step[j, j] = step[k, k] = 1.0
-        step[j, k] = step[k, j] = 0.0
-    if np.abs(cur - target).max() > 1e-9:
-        raise RuntimeError("two-coordinate mixing failed to reach the target vector")
-    return BistochasticMatrix(d)
+    return out

@@ -53,7 +53,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import accumulate, chain, compress, count, islice, product, repeat
+from itertools import accumulate, chain, compress, count, islice, repeat
 from operator import add, eq, itemgetter, mul, ne, sub, truediv
 from typing import Optional
 
@@ -403,11 +403,18 @@ def synthesize_map(
 
 
 def brute_force_optimal(p: Spectrum, q: Spectrum) -> MapSynthesisReport:
-    """Exhaustive minimum of the variational distance over all deterministic maps.
+    """Exact minimum of the variational distance over all deterministic maps.
 
-    Ties resolve to the first optimum in lexicographic target order.  The
-    search space is |Y|^|X|; anything above BRUTE_FORCE_CAP maps raises a
-    BudgetExceededError naming the `brute_force_cap` budget.
+    Ties resolve to the first optimum in lexicographic target order.  A
+    depth-first branch-and-bound over codomain loads visits the maps in
+    that order, the source elements in expansion order, each tried on
+    targets 0, 1, ...  After each placement the distance of every
+    completion is at least the overshoot (load above target, summed) plus
+    |positive deficit - remaining source mass|, in exact ints over 2**e; a
+    branch whose bound is not below the best distance so far holds no
+    earlier optimum and is skipped.  At a complete map the bound is its
+    distance.  The search space is |Y|^|X|; anything above BRUTE_FORCE_CAP
+    maps raises a BudgetExceededError naming the `brute_force_cap` budget.
     """
     nx, ny = p.total_dim, q.total_dim
     total = ny**nx
@@ -416,19 +423,36 @@ def brute_force_optimal(p: Spectrum, q: Spectrum) -> MapSynthesisReport:
     e, (p_sc, q_sc) = _scaled_atoms(p, q)
     xs = [sc for sc, (_, mult) in zip(p_sc, p.atoms) for _ in range(mult)]
     q_scaled = [Q for Q, (_, mult) in zip(q_sc, q.atoms) for _ in range(mult)]
-    best_d = None
-    best_targets = None
-    best_masses = None
-    for targets in product(range(ny), repeat=nx):
-        masses = [0] * ny
-        for x, yy in zip(xs, targets):
-            masses[yy] += x
-        d = 0
-        for qs, mu in zip(q_scaled, masses):
-            d += abs(qs - mu)
-        if best_d is None or d < best_d:
-            best_d, best_targets, best_masses = d, targets, masses
+    # with the loads' overshoot o, the positive deficit less the unplaced
+    # mass is o + c for the constant c = total target - total source mass
+    c = sum(q_scaled) - sum(xs)
+    gaps = q_scaled[:]  # target minus load, per codomain element
+    targets = [-1] * nx
+    over = [0] * nx  # over[i]: the overshoot before element i is placed
+    best_d = best_targets = best_gaps = None
+    i = 0
+    while i >= 0:
+        x, y = xs[i], targets[i]
+        if y >= 0:
+            gaps[y] += x
+        y += 1
+        if y == ny:
+            targets[i] = -1
+            i -= 1
+            continue
+        targets[i] = y
+        g = gaps[y]
+        gaps[y] = g - x
+        o = over[i] + (x if g <= 0 else x - g if g < x else 0)
+        bound = o + abs(o + c)
+        if best_d is not None and bound >= best_d:
+            continue
+        if i + 1 < nx:
+            i += 1
+            over[i] = o
+        else:
+            best_d, best_targets, best_gaps = bound, tuple(targets), gaps[:]
     # one fiber per codomain element, coalesced as the greedy's are
     positions = [pos for _, mult in q.atoms for pos in range(mult)]
-    fibers = _coalesce(list(map(sub, q_scaled, best_masses)), positions, [1] * ny, q_scaled)
-    return _report(q, fibers, e, DeterministicMap(nx, tuple(best_targets), ny))
+    fibers = _coalesce(best_gaps, positions, [1] * ny, q_scaled)
+    return _report(q, fibers, e, DeterministicMap(nx, best_targets, ny))

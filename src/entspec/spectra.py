@@ -331,10 +331,10 @@ def _type_classes(base: Spectrum, n: int) -> Iterator[tuple[float, int]]:
     """
     atoms = base.atoms
     if len(atoms) == 1:
-        # one class and no tables; below the normal doubles it gets multiplicity 1, not m**n
+        # one class and no tables; iid_spectrum calls this only when p**n is
+        # a normal double, so m**n < 2**1023
         ((p, m),) = atoms
-        prob = p**n
-        yield prob, m**n if prob >= sys.float_info.min else 1
+        yield p**n, m**n
         return
     powers = [[p**c for c in range(n + 1)] for p, _ in atoms]
     # (probability, multiplicity, copies left) of each prefix over all
@@ -381,7 +381,10 @@ def iid_spectrum(base: Spectrum, n: int, *, max_type_classes: int = DEFAULT_MAX_
     `_normal_spectrum` drops the classes below the smallest normal double as
     they are made, merges a sorted copy of the rest in one pass and, when
     nothing merged, sums them in generation order; it names the
-    `iid_underflow_mass` budget when the dropped mass was too much.
+    `iid_underflow_mass` budget when the dropped mass was too much.  When
+    the top class p_max**n is itself below the smallest normal double, every
+    class is dropped and the whole mass is lost, so that budget is named
+    before enumeration starts.
     """
     if n < 1:
         raise ValueError("n must be a positive integer")
@@ -389,6 +392,11 @@ def iid_spectrum(base: Spectrum, n: int, *, max_type_classes: int = DEFAULT_MAX_
     n_classes = math.comb(n + k - 1, k - 1)
     if n_classes > max_type_classes:
         raise BudgetExceededError("max_type_classes", n_classes, max_type_classes)
+    # distinct atoms differ by more than MERGE_RTOL, far beyond the few
+    # roundings of a class's product of powers, so no class lies above
+    # the top one, which _type_classes computes as this very power
+    if base.atoms[0][0] ** n < sys.float_info.min:
+        raise BudgetExceededError("iid_underflow_mass", 1.0, MASS_TOL)
     return _normal_spectrum(_type_classes(base, n))
 
 

@@ -179,6 +179,36 @@ def test_rates_underflow_exits_3_with_header(capsys):
     assert out == "n,epsilon,underline_H,overline_H\n"
 
 
+_UNDERFLOW_STDERR = "budget exceeded, output truncated: budget iid_underflow_mass exceeded: need 1.0, limit 1e-12\n"
+
+
+def test_rates_fails_before_enumerating_when_the_top_class_underflows(capsys, monkeypatch):
+    # 0.6**1400 ~ 2.6e-311 lies below the smallest normal double, so all
+    # 982,101 type classes would be dropped: the same header, message and
+    # exit code as after enumerating them, with no class made
+    from entspec import spectra
+
+    def no_classes(base, n):
+        raise AssertionError("type classes enumerated")
+
+    monkeypatch.setattr(spectra, "_type_classes", no_classes)
+    got = run_cli(capsys, "rates", "iid:0.6,0.3,0.1", "--n", "1400", "--eps", "0.1")
+    assert got == (3, "n,epsilon,underline_H,overline_H\n", _UNDERFLOW_STDERR)
+
+
+def test_rates_enumerates_when_the_top_class_is_normal(capsys, monkeypatch):
+    # 0.6**1386 ~ 3.3e-308 is still normal: the classes are made and dropped
+    # (the rest of the mass lies far below), with the same outcome
+    from entspec import spectra
+
+    made = []
+    type_classes = spectra._type_classes
+    monkeypatch.setattr(spectra, "_type_classes", lambda base, n: made.append(n) or type_classes(base, n))
+    got = run_cli(capsys, "rates", "iid:0.6,0.4", "--n", "1386", "--eps", "0.1")
+    assert got == (3, "n,epsilon,underline_H,overline_H\n", _UNDERFLOW_STDERR)
+    assert made == [1386]
+
+
 def _cap_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
@@ -651,6 +681,14 @@ def test_verify_dim_bounds(capsys):
             assert (code, out) == (2, "") and "--dim" in err
         code, out, err = run_cli(capsys, "verify", suite, "--trials", "1", "--dim", "65")
         assert (code, out) == (3, "") and "max_verify_dim" in err
+
+
+def test_spectrum_suites_print_the_same_bytes_at_every_dim(capsys):
+    # their draws never read --dim, and their chunks do not shrink with it
+    argv = ("verify", "product", "kh", "transfer", "greedy-vs-brute", "--trials", "40")
+    at8 = run_cli(capsys, *argv, "--dim", "8")
+    assert at8[0] == 0
+    assert run_cli(capsys, *argv, "--dim", "64") == at8
 
 
 def test_verify_rejects_zero_trials(capsys):

@@ -30,6 +30,7 @@ from entspec.hermitian import (
     verify_tail_monotonicity,
 )
 from entspec.hermitian import tail_C, tail_D
+from entspec.majorize import transfer_matrix
 from entspec.spectra import BudgetExceededError, Spectrum
 
 import dense_oracle
@@ -507,7 +508,44 @@ def test_a_suite_draws_one_chunk_before_its_first_result(name, dim):
     assert len(drawn) == chunk
 
 
-@pytest.mark.parametrize("name", ("product", "kh", "transfer", "greedy-vs-brute"))
+SPECTRUM_SUITES = ("product", "kh", "transfer", "greedy-vs-brute")
+
+
+@pytest.mark.parametrize("dim", (8, MAX_VERIFY_DIM))
+@pytest.mark.parametrize("name", SPECTRUM_SUITES)
+def test_a_spectrum_suite_chunk_does_not_shrink_with_dim(name, dim, monkeypatch):
+    # a spectrum suite draws no (d, d) stack, so --dim leaves its chunk alone
+    monkeypatch.setattr(hermitian, "_CHUNK", 12)
+    suite = SUITES[name]
+    drawn = []
+
+    def counting_draw(rng, k, dim):
+        drawn.append(k)
+        return suite.draw(rng, k, dim)
+
+    next(hermitian._instance_results(suite._replace(draw=counting_draw), 0, 13, dim))
+    assert len(drawn) == 12
+
+
+def test_transfer_steps_each_expanded_size_in_one_call(monkeypatch):
+    # one transfer_matrix call per distinct m among a chunk's draws, each
+    # with every pair of that m
+    calls = []
+
+    def recording(ps, qs):
+        (m,) = {max(p.total_dim, q.total_dim) for p, q in zip(ps, qs)}
+        calls.append((m, len(ps)))
+        return transfer_matrix(ps, qs)
+
+    monkeypatch.setattr(hermitian, "transfer_matrix", recording)
+    suite = SUITES["transfer"]
+    ms = [suite.draw(rng, k, 8)[0] for rng, k in zip(hermitian._generators(4, suite.id, range(200)), range(200))]
+    assert run_suite("transfer", seed=4, trials=200).ok
+    assert sorted(calls) == sorted((m, ms.count(m)) for m in set(ms))
+    assert len(calls) < 40
+
+
+@pytest.mark.parametrize("name", SPECTRUM_SUITES)
 def test_a_spectrum_suite_frees_each_generator_with_its_instance(name, monkeypatch):
     # a spectrum suite's draw is its whole instance, so a chunk keeps no
     # generator past its instance.  Generator and PCG64 take no weak

@@ -17,6 +17,8 @@ from entspec.majorize import (
     MAX_TRANSFER_DIM,
     BistochasticMatrix,
     DeterministicMap,
+    _fibers_of,
+    _split_and_reconstruction,
     kh_certificate,
     kh_residual,
     majorizes,
@@ -241,6 +243,27 @@ def test_transfer_matrix_random_pairs():
         assert np.abs(d.entries @ qv[:m] - pv[:m]).max() < 1e-9
 
 
+def test_transfer_matrix_on_sequences_matches_one_pair_at_a_time():
+    # pairs of several expanded sizes, in one call: each certificate is the
+    # one-pair call's, bit for bit, in input order
+    rng = np.random.default_rng(21)
+    ps, qs = [], []
+    while len(ps) < 40:
+        p, q = rand_spectrum(rng, 6), rand_spectrum(rng, 6)
+        if majorizes(p, q):
+            ps.append(p)
+            qs.append(q)
+    certs = transfer_matrix(ps, qs)
+    assert len({c.dim for c in certs}) > 1
+    assert [c.entries.tobytes() for c in certs] == [transfer_matrix(p, q).entries.tobytes() for p, q in zip(ps, qs)]
+    assert transfer_matrix([], []) == []
+    with pytest.raises(ValueError, match="as many targets as sources"):
+        transfer_matrix(ps, qs[1:])
+    # every pair is checked before any step is taken
+    with pytest.raises(ValueError, match="majorization fails"):
+        transfer_matrix(ps + [Spectrum.from_probs([0.6, 0.4])], qs + [Spectrum.from_probs([0.5, 0.5])])
+
+
 def test_transfer_matrix_rejects_nonmajorized():
     with pytest.raises(ValueError) as err:
         transfer_matrix(Spectrum.from_probs([0.6, 0.4]), Spectrum.from_probs([0.5, 0.5]))
@@ -437,14 +460,54 @@ def test_transfer_matrix_matches_the_dense_step_oracle_bit_for_bit(monkeypatch):
     """Every instance of the `transfer` suite for three seeds (1,500 pairs)."""
     pairs = []
 
-    def recording(p, q):
-        pairs.append((p, q))
-        return transfer_matrix(p, q)
+    def recording(ps, qs):
+        certs = transfer_matrix(ps, qs)
+        pairs.extend(zip(ps, qs, certs))
+        return certs
 
     monkeypatch.setattr(hermitian, "transfer_matrix", recording)
     for seed in (0, 1, 2):
         hermitian.run_suite("transfer", seed=seed)
     assert len(pairs) == 1500
-    differ = [i for i, (p, q) in enumerate(pairs)
-              if transfer_matrix(p, q).entries.tobytes() != _dense_transfer_entries(p, q).tobytes()]
+    # the suite's stacked certificates and the one-pair form's
+    differ = [i for i, (p, q, cert) in enumerate(pairs)
+              if {cert.entries.tobytes(), transfer_matrix(p, q).entries.tobytes()}
+              != {_dense_transfer_entries(p, q).tobytes()}]
+    assert differ == []
+
+
+def _looped_kh_entries(p, phi):
+    """kh_certificate's blocks filled one entry at a time: for each fiber,
+    each term j and each row i, the weight p(x_j) / q added to the entry of
+    T_j in row i."""
+    xs, fibers = _fibers_of(p, phi, MAX_CERTIFICATE_DIM, "max_certificate_dim")
+    split, recon = _split_and_reconstruction(xs, fibers)
+    block = np.zeros((len(xs), len(xs)))
+    offset = 0
+    for k in map(len, filter(None, fibers)):
+        qy = float(split[offset])
+        sub = block[offset : offset + k, offset : offset + k]
+        for j, x in enumerate(recon[offset : offset + k]):
+            w = float(x) / qy
+            for i in range(k):
+                sub[i, j if i == 0 else 0 if i == j else i] += w
+        offset += k
+    return block
+
+
+def test_kh_certificate_matches_the_looped_fill_bit_for_bit(monkeypatch):
+    """Every instance of the `kh` suite for three seeds (1,500 maps)."""
+    certs = []
+
+    def recording(p, phi):
+        cert = kh_certificate(p, phi)
+        certs.append((p, phi, cert))
+        return cert
+
+    monkeypatch.setattr(hermitian, "kh_certificate", recording)
+    for seed in (0, 1, 2):
+        hermitian.run_suite("kh", seed=seed)
+    assert len(certs) == 1500
+    differ = [i for i, (p, phi, cert) in enumerate(certs)
+              if cert.entries.tobytes() != _looped_kh_entries(p, phi).tobytes()]
     assert differ == []

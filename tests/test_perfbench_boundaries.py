@@ -51,7 +51,10 @@ def test_every_layer_reaches_its_rebound_names():
     assert suites == {"hermitian.suite." + s: 1 for s in ops[0].split()[1:-2]}
     # one span per call across a rebound name: the tails of bd, continuity,
     # monotonicity and product, the certificates of kh, transfer and
-    # greedy-vs-brute, the syntheses of greedy-vs-brute and concentrate
+    # greedy-vs-brute, the syntheses of greedy-vs-brute and concentrate.
+    # Certificates: 4 per kh instance, 1 per greedy-vs-brute instance, and
+    # 1 per distinct expanded size among the transfer instances, which step
+    # in lockstep; seed 7's three draw sizes 26, 23 and 5, so 12 + 3 + 3
     assert calls == {
         "infospec.tails": 21,
         "majorize.certificates": 18,

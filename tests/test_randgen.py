@@ -3,7 +3,7 @@ import math
 import tracemalloc
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import accumulate, chain, repeat
+from itertools import accumulate, chain, product, repeat
 
 import numpy as np
 import pytest
@@ -17,7 +17,9 @@ from entspec.randgen import (
     MapSynthesisReport,
     _Fibers,
     _assign_run,
+    _coalesce,
     _codomain_columns,
+    _report,
     _run_greedy,
     brute_force_optimal,
     synthesize_map,
@@ -639,3 +641,66 @@ def test_columnar_kernel_matches_oracle_on_tied_pairs(p, q):
     _assert_matches_oracle_after_every_run(p, q)
     # at most 8 atoms of multiplicity 30: both expansions stay small
     _assert_map_matches_heap(p, q)
+
+
+def _enumerated_optimum(p: Spectrum, q: Spectrum) -> MapSynthesisReport:
+    """The report of the first optimum over every map, enumerated in
+    lexicographic target order with itertools.product: the exhaustive search
+    brute_force_optimal's branch-and-bound must reproduce."""
+    nx, ny = p.total_dim, q.total_dim
+    e, (p_sc, q_sc) = _scaled_atoms(p, q)
+    xs = [sc for sc, (_, mult) in zip(p_sc, p.atoms) for _ in range(mult)]
+    q_scaled = [Q for Q, (_, mult) in zip(q_sc, q.atoms) for _ in range(mult)]
+    best_d = best_targets = best_masses = None
+    for targets in product(range(ny), repeat=nx):
+        masses = [0] * ny
+        for x, y in zip(xs, targets):
+            masses[y] += x
+        d = sum(abs(Q - mu) for Q, mu in zip(q_scaled, masses))
+        if best_d is None or d < best_d:
+            best_d, best_targets, best_masses = d, targets, masses
+    positions = [pos for _, mult in q.atoms for pos in range(mult)]
+    deficits = [Q - mu for Q, mu in zip(q_scaled, best_masses)]
+    fibers = _coalesce(deficits, positions, [1] * ny, q_scaled)
+    return _report(q, fibers, e, DeterministicMap(nx, tuple(best_targets), ny))
+
+
+@st.composite
+def _small_spectra(draw, max_dim):
+    """Spectra of expanded dimension up to max_dim: Dirichlet-like floats, or
+    rational masses c / total with small counts, whose ties make many maps
+    share the optimal distance."""
+    if draw(st.booleans()):
+        counts = draw(st.lists(st.integers(1, 4), min_size=1, max_size=max_dim))
+        total = sum(counts)
+        return Spectrum.from_probs([c / total for c in counts])
+    weights = draw(st.lists(st.floats(0.01, 1.0), min_size=1, max_size=max_dim))
+    total = math.fsum(weights)
+    return Spectrum.from_atoms([(w / total, 1) for w in weights], mass_tol=1e-9)
+
+
+def _assert_same_optimum(p, q):
+    got, want = brute_force_optimal(p, q), _enumerated_optimum(p, q)
+    assert got.achieved_distance == want.achieved_distance
+    assert got.map.targets == want.map.targets
+    assert (got.target_probs, got.assigned_masses, got.counts) == (want.target_probs, want.assigned_masses, want.counts)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_small_spectra(6), _small_spectra(4))
+def test_branch_and_bound_finds_the_enumerated_first_optimum(p, q):
+    _assert_same_optimum(p, q)
+
+
+def test_branch_and_bound_matches_the_enumeration_on_the_suite_draws():
+    # the greedy-vs-brute suite's own draws: up to 6 source and 3 target entries
+    rng = np.random.default_rng(5)
+    for _ in range(300):
+        _assert_same_optimum(rand_spectrum(rng, 6), rand_spectrum(rng, 3))
+
+
+def test_branch_and_bound_keeps_the_first_of_tied_optima():
+    # every split of four equal masses onto two equal targets is optimal; the
+    # first in lexicographic order sends the first two elements to target 0
+    r = brute_force_optimal(maxent_spectrum(4), maxent_spectrum(2))
+    assert r.achieved_distance == 0.0 and r.map.targets == (0, 0, 1, 1)

@@ -152,8 +152,8 @@ def test_one_atom_iid_base_builds_no_power_table():
 
 
 def test_one_atom_class_below_the_normal_doubles_builds_no_multiplicity():
-    # 0.5**(10**8) underflows to 0.0, so the class gets multiplicity 1, not
-    # 2**(10**8): from_atoms drops it and the whole mass is lost
+    # 0.5**(10**8) underflows to 0.0, so iid_spectrum names the lost mass
+    # before its class, of multiplicity 2**(10**8), is ever made
     tracemalloc.start()
     try:
         with pytest.raises(BudgetExceededError) as err:
@@ -165,16 +165,27 @@ def test_one_atom_class_below_the_normal_doubles_builds_no_multiplicity():
     assert peak < 1 << 20
 
 
+def test_iid_fails_before_enumerating_only_once_the_top_class_underflows():
+    # 0.5**1022 is the smallest normal double itself: its one class is kept
+    half = Spectrum.from_atoms([(0.5, 2)])
+    assert iid_spectrum(half, 1022).atoms == ((sys.float_info.min, 2**1022),)
+    with pytest.raises(BudgetExceededError) as err:
+        iid_spectrum(half, 1023)
+    assert (err.value.budget, err.value.needed, err.value.limit) == ("iid_underflow_mass", 1.0, MASS_TOL)
+
+
 def test_iid_holds_no_class_it_drops():
     # all 10,001 type classes underflow to 0.0 (0.6**10000 ~ e**-5108), with
     # multiplicities of up to ~10,000 bits: read as they are made, each is
     # freed once dropped, so the peak is the generator's power tables (641 KB
-    # traced on x86_64), not the ~11 MB the classes would hold in one list
+    # traced on x86_64), not the ~11 MB the classes would hold in one list.
+    # iid_spectrum itself fails before enumerating them, as the top class
+    # underflows, so the generator is fed to _normal_spectrum directly
     gc.collect()
     tracemalloc.start()
     try:
         with pytest.raises(BudgetExceededError) as err:
-            iid_spectrum(Spectrum.from_probs([0.6, 0.4]), 10_000)
+            _normal_spectrum(_type_classes(Spectrum.from_probs([0.6, 0.4]), 10_000))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
