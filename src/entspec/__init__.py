@@ -15,9 +15,8 @@ access imports `hermitian` and NumPy.
 from .convert import (
     ConversionReport,
     RateVerdict,
-    concentration_experiment,
-    dilution_experiment,
     direct_convert,
+    fixed_rate_experiment,
 )
 from .infospec import cdf_selfinfo, entropy_proxies
 from .majorize import (
@@ -80,12 +79,11 @@ __all__ = [
     "VerifyResult",
     "brute_force_optimal",
     "cdf_selfinfo",
-    "concentration_experiment",
-    "dilution_experiment",
     "direct_convert",
     "entropy",
     "entropy_proxies",
     "expand",
+    "fixed_rate_experiment",
     "generate",
     "iid_spectrum",
     "kh_certificate",

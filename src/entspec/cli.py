@@ -21,7 +21,7 @@ import math
 import sys
 from typing import Optional
 
-from .convert import CONVERSION_KEYS, concentration_experiment, dilution_experiment, direct_convert
+from .convert import CONVERSION_KEYS, direct_convert, fixed_rate_experiment
 from .infospec import _check_epsilon, entropy_proxies
 from .spectra import (
     DEFAULT_MAX_TYPE_CLASSES,
@@ -218,11 +218,11 @@ def _cmd_convert(args) -> int:
     return code
 
 
-def _cmd_experiment(args, experiment) -> int:
+def _cmd_experiment(args, task: str) -> int:
     """concentrate / dilute: a budget that runs out is fatal (exit 3, nothing printed)."""
     model = parse_model(args.model)
     n_grid = _parse_int_grid(args.n)
-    verdict = experiment(model, args.rate, n_grid, max_type_classes=args.budget_max_type_classes)
+    verdict = fixed_rate_experiment(task, model, args.rate, n_grid, max_type_classes=args.budget_max_type_classes)
     _emit_records(args, CONVERSION_KEYS, [r.row() for r in verdict.reports], verdict.to_json_dict)
     return 0
 
@@ -294,17 +294,17 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output_flags(sp)
     sp.set_defaults(func=_cmd_convert)
 
-    # (command, help, role of the modeled sequence, role of the flat one, experiment)
-    for name, help_text, modeled, flat, experiment in (
-        ("concentrate", "fixed-rate concentration onto flat spectra", "source", "target", concentration_experiment),
-        ("dilute", "fixed-rate dilution from flat spectra", "target", "source", dilution_experiment),
+    # (command, help, role of the modeled sequence, role of the flat one, task)
+    for name, help_text, modeled, flat, task in (
+        ("concentrate", "fixed-rate concentration onto flat spectra", "source", "target", "concentration"),
+        ("dilute", "fixed-rate dilution from flat spectra", "target", "source", "dilution"),
     ):
         sp = sub.add_parser(name, help=help_text)
         sp.add_argument("model", help=f"model spec for the {modeled} sequence")
         sp.add_argument("--rate", type=float, required=True, help=f"{flat} rate in nats per copy")
         sp.add_argument("--n", required=True, help="comma-separated block lengths")
         _add_output_flags(sp)
-        sp.set_defaults(func=lambda a, run=experiment: _cmd_experiment(a, run))
+        sp.set_defaults(func=lambda a, task=task: _cmd_experiment(a, task))
 
     sp = sub.add_parser("verify", help="run randomized verification suites")
     sp.add_argument("suites", nargs="+", help=f"suite names or 'all'; known: {', '.join(SUITE_NAMES)}")

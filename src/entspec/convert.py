@@ -113,16 +113,20 @@ def direct_convert(
     )
 
 
+# the fixed-rate tasks; the modeled sequence is a concentration's source, a dilution's target
+TASKS = ("concentration", "dilution")
+
+
 @dataclass(frozen=True)
 class RateVerdict:
-    """Error series for a fixed-rate conversion experiment."""
+    """Error series of a fixed-rate experiment, whose task is one of TASKS."""
 
     task: str
     rate: float
     reports: tuple[ConversionReport, ...]
 
     def __post_init__(self):
-        if self.task not in ("concentration", "dilution"):
+        if self.task not in TASKS:
             raise ValueError(f"unknown task {self.task!r}")
 
     def to_json_dict(self) -> dict:
@@ -133,7 +137,18 @@ class RateVerdict:
         }
 
 
-def _experiment(task, model, rate, n_grid, max_type_classes) -> RateVerdict:
+def fixed_rate_experiment(
+    task: str,
+    model: SequenceModel,
+    rate: float,
+    n_grid,
+    *,
+    max_type_classes: int = DEFAULT_MAX_TYPE_CLASSES,
+) -> RateVerdict:
+    """Convert between model's spectra and flat ones of rank ceil(e^{nR}) at
+    each n of n_grid; a task not in TASKS fails before any is generated."""
+    if task not in TASKS:
+        raise ValueError(f"unknown task {task!r}")
     reports = []
     for n in n_grid:
         modeled = generate(model, n, max_type_classes=max_type_classes)
@@ -141,25 +156,3 @@ def _experiment(task, model, rate, n_grid, max_type_classes) -> RateVerdict:
         src, dst = (modeled, flat) if task == "concentration" else (flat, modeled)
         reports.append(direct_convert(src, dst, n, max_fibers=max_type_classes))
     return RateVerdict(task=task, rate=rate, reports=tuple(reports))
-
-
-def concentration_experiment(
-    source: SequenceModel,
-    rate: float,
-    n_grid,
-    *,
-    max_type_classes: int = DEFAULT_MAX_TYPE_CLASSES,
-) -> RateVerdict:
-    """Convert generated source spectra onto flat spectra of rank ceil(e^{nR})."""
-    return _experiment("concentration", source, rate, n_grid, max_type_classes)
-
-
-def dilution_experiment(
-    target: SequenceModel,
-    rate: float,
-    n_grid,
-    *,
-    max_type_classes: int = DEFAULT_MAX_TYPE_CLASSES,
-) -> RateVerdict:
-    """Convert flat spectra of rank ceil(e^{nR}) onto generated target spectra."""
-    return _experiment("dilution", target, rate, n_grid, max_type_classes)

@@ -230,12 +230,11 @@ def kh_residual(p: Spectrum, phi: DeterministicMap, cert: BistochasticMatrix) ->
     return float(np.abs(cert.entries @ split - recon).max())
 
 
-def transfer_matrix(p, q):
-    """Doubly stochastic D with D q = p on descending zero-padded expansions.
+def transfer_matrix(ps, qs) -> list:
+    """Doubly stochastic D with D q = p on descending zero-padded expansions,
+    one BistochasticMatrix per pair (p, q) of two equal-length sequences.
 
-    Takes one pair of spectra and gives one BistochasticMatrix, or two
-    equal-length sequences and gives a list of one per pair.  Every pair is
-    checked first: an expanded size m = max(dim p, dim q) above
+    Every pair is checked first: an expanded size m = max(dim p, dim q) above
     MAX_TRANSFER_DIM exceeds `max_transfer_dim`, and p must be majorized
     by q.  D is a product of at most m - 1 two-coordinate averaging steps,
     each moving mass from the largest still-overweight coordinate to the
@@ -246,8 +245,6 @@ def transfer_matrix(p, q):
     """
     import numpy as np
 
-    single = isinstance(p, Spectrum)
-    ps, qs = ([p], [q]) if single else (list(p), list(q))
     if len(ps) != len(qs):
         raise ValueError(f"need as many targets as sources, got {len(qs)} and {len(ps)}")
     groups: dict[int, list[int]] = {}
@@ -268,7 +265,7 @@ def transfer_matrix(p, q):
             cur[row, : qs[i].total_dim] = expand(qs[i])
         for i, d in zip(members, _averaging_steps(cur, target)):
             out[i] = BistochasticMatrix(d)
-    return out[0] if single else out
+    return out
 
 
 def _averaging_steps(cur, target):

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from entspec import cli
-from entspec.convert import concentration_experiment, dilution_experiment
+from entspec.convert import fixed_rate_experiment
 from entspec.hermitian import run_suite
 from entspec.infospec import entropy_proxies
 from entspec.randgen import brute_force_optimal, synthesize_map
@@ -120,13 +120,13 @@ def test_mixture_proxies_split_between_component_rates():
 def test_conversion_converges_below_rate_limits():
     model = IID(Spectrum.from_probs([0.9, 0.1]))
     t0 = time.perf_counter()
-    conc = concentration_experiment(model, 0.2, (50, 100, 200))
+    conc = fixed_rate_experiment("concentration", model, 0.2, (50, 100, 200))
     t_conc = time.perf_counter() - t0
     errs_c = [r.trace_distance_upper for r in conc.reports]
     assert all(b < a for a, b in zip(errs_c, errs_c[1:]))
     assert errs_c[-1] < 0.2
     t0 = time.perf_counter()
-    dilu = dilution_experiment(model, 0.45, (50, 100, 200))
+    dilu = fixed_rate_experiment("dilution", model, 0.45, (50, 100, 200))
     t_dilu = time.perf_counter() - t0
     errs_d = [r.trace_distance_upper for r in dilu.reports]
     assert all(b < a for a, b in zip(errs_d, errs_d[1:]))
@@ -141,8 +141,8 @@ def test_conversion_converges_below_rate_limits():
 
 def test_conversion_obstructed_beyond_rate_limits():
     model = IID(Spectrum.from_probs([0.9, 0.1]))
-    conc = concentration_experiment(model, 0.45, (100, 150, 200))
-    dilu = dilution_experiment(model, 0.2, (100, 150, 200))
+    conc = fixed_rate_experiment("concentration", model, 0.45, (100, 150, 200))
+    dilu = fixed_rate_experiment("dilution", model, 0.2, (100, 150, 200))
     errs = [r.trace_distance_upper for r in conc.reports] + [r.trace_distance_upper for r in dilu.reports]
     assert all(e >= 0.5 for e in errs)
     print(

@@ -9,7 +9,8 @@ own output checks alone.  Seed 1 moves the base distribution off the centre,
 so the greedy synthesis of `concentrate` and `dilute` is pinned on a second
 set of numbers; seed 1's `verify all` draws a second set of suite instances,
 so the certificates' margins (`prefix_gap_min` in `kh`, `transfer_matrix`
-in `transfer`) are pinned on them too.  The benchmark files are only read.
+in `transfer`) are pinned on them too.  tests/digest_sweep.py runs every
+recorded seed outside pytest.  The benchmark files are only read.
 """
 
 import contextlib
@@ -65,3 +66,19 @@ def test_seed_one_synthesis_op_matches_the_recorded_output(argv):
 @pytest.mark.parametrize("argv", VERIFY_OPS, ids=checks.op_key)
 def test_seed_one_verify_op_matches_the_recorded_output(argv):
     _assert_matches_recording(argv, 1)
+
+
+def test_the_digest_sweep_flags_a_changed_output_and_a_wrong_exit(monkeypatch):
+    import digest_sweep
+
+    argv = OPS[0]
+    key = checks.op_key(argv)
+    good = RECORDED["0"][key]
+    assert digest_sweep.op_problems(argv, {key: good}) == ([], True)
+    problems, _ = digest_sweep.op_problems(argv, {key: {**good, "sha256": "0" * 64}})
+    assert "stdout differs from the seed commit's" in problems
+    underflow = {checks.op_key(workloads.UNDERFLOW_OP): RECORDED["0"][checks.op_key(workloads.UNDERFLOW_OP)]}
+    assert digest_sweep.op_problems(workloads.UNDERFLOW_OP, underflow) == ([], False)
+    assert digest_sweep.op_problems(workloads.UNDERFLOW_OP, {}) == (["no recording"], False)
+    monkeypatch.setattr(digest_sweep.cli, "main", lambda argv: 2)
+    assert digest_sweep.op_problems(workloads.UNDERFLOW_OP, underflow) == (["exit 2, not 3: "], False)

@@ -766,6 +766,28 @@ def test_help_exits_zero(capsys):
     assert run_cli(capsys, "verify", "--help")[0] == 0
 
 
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["rates", "iid:0.6,0.3,0.1", "--n", "20", "--eps", "0.1"], 0),
+        (["rates", "iid:0.6,0.3,0.1", "--n", "20"], 2),
+        (["rates", "iid:0.9,0.1", "--n", "2000", "--eps", "0.1"], 3),
+    ],
+    ids=["rates", "usage-error", "underflow"],
+)
+def test_python_dash_m_entspec_prints_and_exits_as_main(argv, code, capsys, monkeypatch):
+    # __main__.py through cli.main_entry: main's stdout and stderr, and its
+    # return value as the exit status; argparse wraps usage at COLUMNS
+    monkeypatch.setenv("COLUMNS", "80")
+    assert main(argv) == code
+    expected = capsys.readouterr()
+    src = str(Path(entspec.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-m", "entspec", *argv], capture_output=True, env=env, timeout=120)
+    assert (done.returncode, done.stdout.decode(), done.stderr.decode()) == (code, expected.out, expected.err)
+    assert expected.err if code else expected.out
+
+
 @pytest.mark.parametrize("module", ["entspec", "entspec.cli"])
 def test_python_dash_m_runs_the_cli(module, capsys):
     argv = ["rates", "iid:0.9,0.1", "--n", "10", "--eps", "0.1"]

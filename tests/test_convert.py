@@ -9,10 +9,9 @@ from entspec import convert, spectra
 from entspec.convert import (
     ConversionReport,
     RateVerdict,
-    concentration_experiment,
-    dilution_experiment,
     _sqrt_term,
     direct_convert,
+    fixed_rate_experiment,
 )
 from entspec.hermitian import rand_spectrum
 from entspec.infospec import entropy_proxies
@@ -133,7 +132,7 @@ def test_direct_convert_builds_each_prefix_table_once(monkeypatch, task):
 
 
 def test_concentration_below_entropy_rate_converges():
-    v = concentration_experiment(IID(_probs(0.9, 0.1)), 0.2, (50, 100, 200))
+    v = fixed_rate_experiment("concentration", IID(_probs(0.9, 0.1)), 0.2, (50, 100, 200))
     errs = [r.trace_distance_upper for r in v.reports]
     assert all(b < a for a, b in zip(errs, errs[1:]))
     assert errs[-1] < 0.2
@@ -141,7 +140,7 @@ def test_concentration_below_entropy_rate_converges():
 
 
 def test_concentration_above_entropy_rate_stalls():
-    v = concentration_experiment(IID(_probs(0.9, 0.1)), 0.45, (100, 150, 200))
+    v = fixed_rate_experiment("concentration", IID(_probs(0.9, 0.1)), 0.45, (100, 150, 200))
     assert all(r.trace_distance_upper >= 0.5 for r in v.reports)
 
 
@@ -149,7 +148,7 @@ def test_error_decay_forces_rate_below_proxies():
     # contrapositive of the converse bound: a vanishing error at rate R means
     # the source's lower entropy proxy cannot sit far below R
     for rate in (0.1, 0.2, 0.3):
-        v = concentration_experiment(IID(_probs(0.9, 0.1)), rate, (200,))
+        v = fixed_rate_experiment("concentration", IID(_probs(0.9, 0.1)), rate, (200,))
         n, err = v.reports[-1].n, v.reports[-1].trace_distance_upper
         if err <= 0.1:
             src = v.reports[-1].source_spectrum
@@ -160,20 +159,20 @@ def test_error_decay_forces_rate_below_proxies():
 
 def test_flat_concentration_just_below_rate():
     rate = math.log(2.0) - 0.05
-    v = concentration_experiment(MaxEnt(math.log(2.0)), rate, (20, 40, 80))
+    v = fixed_rate_experiment("concentration", MaxEnt(math.log(2.0)), rate, (20, 40, 80))
     errs = [r.trace_distance_upper for r in v.reports]
     assert all(e <= 0.2 for e in errs)
     assert errs[-1] < 0.01
 
 
 def test_flat_dilution_at_exact_rate_is_lossless():
-    v = dilution_experiment(MaxEnt(math.log(2.0)), math.log(2.0), (20, 40, 80))
+    v = fixed_rate_experiment("dilution", MaxEnt(math.log(2.0)), math.log(2.0), (20, 40, 80))
     assert all(r.trace_distance_upper == 0.0 for r in v.reports)
     assert v.task == "dilution"
 
 
 def test_rate_verdict_json_shape():
-    v = concentration_experiment(MaxEnt(math.log(2.0)), math.log(2.0) - 0.05, (20,))
+    v = fixed_rate_experiment("concentration", MaxEnt(math.log(2.0)), math.log(2.0) - 0.05, (20,))
     d = v.to_json_dict()
     assert d["task"] == "concentration"
     assert abs(d["rate"] - (math.log(2.0) - 0.05)) < 1e-15
@@ -185,6 +184,21 @@ def test_rate_verdict_json_shape():
 
 
 def test_rate_verdict_validation():
-    v = concentration_experiment(MaxEnt(math.log(2.0)), 0.5, (20, 30))
+    v = fixed_rate_experiment("concentration", MaxEnt(math.log(2.0)), 0.5, (20, 30))
     with pytest.raises(ValueError, match="unknown task"):
         RateVerdict(task="swap", rate=0.5, reports=v.reports)
+
+
+@pytest.mark.parametrize("task", ["swap", "Concentration", "", None])
+def test_fixed_rate_experiment_rejects_an_unknown_task_before_generating(monkeypatch, task):
+    # the message is RateVerdict's, and no spectrum is generated or converted
+    calls = []
+    monkeypatch.setattr(convert, "generate", lambda *a, **k: calls.append("generate"))
+    monkeypatch.setattr(convert, "direct_convert", lambda *a, **k: calls.append("direct_convert"))
+    with pytest.raises(ValueError) as err:
+        fixed_rate_experiment(task, MaxEnt(math.log(2.0)), 0.5, (20, 30))
+    with pytest.raises(ValueError) as verdict_err:
+        RateVerdict(task=task, rate=0.5, reports=())
+    assert str(err.value) == str(verdict_err.value) == f"unknown task {task!r}"
+    assert calls == []
+    assert convert.TASKS == ("concentration", "dilution")

@@ -30,7 +30,7 @@ from entspec.hermitian import (
     verify_tail_monotonicity,
 )
 from entspec.hermitian import tail_C, tail_D
-from entspec.majorize import transfer_matrix
+from entspec.majorize import DeterministicMap, transfer_matrix
 from entspec.spectra import BudgetExceededError, Spectrum
 
 import dense_oracle
@@ -140,6 +140,34 @@ def test_map_validation_rejects_non_finite_entries(bad):
         StochasticMap(np.array([[0.5, 0.5], [bad, 0.5]]))
     with pytest.raises(ValueError):
         TransposeMix(math.nan)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: CPTPMap(()), "^need at least one Kraus operator$"),
+        (lambda: CPTPMap((np.eye(2, dtype=complex), np.eye(3, dtype=complex))),
+         "^Kraus operators must be square and equally sized$"),
+        (lambda: StochasticMap(np.ones(3)), r"^expected a square matrix, got shape \(3,\)$"),
+    ],
+    ids=["no-kraus", "kraus-sizes", "stochastic-1d"],
+)
+def test_malformed_maps_are_rejected(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+def test_violation_payloads_serialize_maps_and_reject_unknown_values():
+    # a kh or greedy-vs-brute violation prints its deterministic map
+    p = Spectrum.from_probs([0.5, 0.3, 0.2])
+    phi = DeterministicMap(3, (0, 0, 1), 2)
+    payload = hermitian._payload(source=p, map=phi)()
+    assert json.loads(json.dumps(payload)) == {
+        "source": p.to_json_dict(),
+        "map": {"domain_size": 3, "codomain_size": 2, "targets": [0, 0, 1]},
+    }
+    with pytest.raises(TypeError, match="^cannot serialize object$"):
+        hermitian._json_value(object())
 
 
 def _cdiag(values):
@@ -344,10 +372,12 @@ _STACK_SHAPE = r"expected an \(N, d, d\) stack of operators, got shape"
         (lambda: verify_continuity(np.eye(2) / 2, np.eye(2) / 2, np.eye(2) / 2, 1, 0.1), ValueError, _STACK_SHAPE),
         (lambda: verify_tail_monotonicity(np.eye(2) / 2, np.eye(2) / 2, TransposeMix(0.5), 1, 0.1), ValueError,
          _STACK_SHAPE),
+        (lambda: verify_bd_sandwich(np.eye(2)[None] / 2, np.diag([1.5, -0.5])[None], 1, 0.1, 0.1), ValueError,
+         "^sigma has negative eigenvalue -0.5$"),
     ],
     ids=["bare-array-map", "map-dimension", "4d-stack",
          "contractions-not-3d", "no-contractions", "contraction-dimension", "contraction-count",
-         "single-np", "single-bdm", "single-bd", "single-continuity", "single-monotonicity"],
+         "single-np", "single-bdm", "single-bd", "single-continuity", "single-monotonicity", "sigma-not-psd"],
 )
 def test_verifier_entry_errors(call, error, message):
     with pytest.raises(error, match=message):

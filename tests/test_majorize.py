@@ -171,6 +171,21 @@ def test_kh_certificate_random_maps():
         assert kh_residual(p, phi, cert) <= 1e-10
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: DeterministicMap(0, (), 1), "^domain and codomain must be nonempty$"),
+        (lambda: kh_residual(Spectrum.from_probs([0.5, 0.3, 0.2]), DeterministicMap(3, (0, 0, 1), 2),
+                             BistochasticMatrix(np.eye(2))),
+         "^certificate dimension 2 does not match source 3$"),
+    ],
+    ids=["empty-domain", "certificate-dimension"],
+)
+def test_malformed_maps_and_certificates_are_rejected(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def test_kh_certificate_budget():
     p = iid_spectrum(Spectrum.from_probs([0.9, 0.1]), 20)
     phi = DeterministicMap(2 ** 20, tuple([0] * 2 ** 20), 1)
@@ -186,7 +201,7 @@ def test_transfer_matrix_budget_is_checked_at_entry():
     for p, q in ((Spectrum.from_atoms([(1.0 / m, m)]), Spectrum.from_probs([1.0])),
                  (Spectrum.from_probs([1.0]), Spectrum.from_atoms([(1.0 / m, m)]))):
         with pytest.raises(BudgetExceededError) as err:
-            transfer_matrix(p, q)  # the second pair is not even majorized
+            transfer_matrix([p], [q])[0]  # the second pair is not even majorized
         assert (err.value.budget, err.value.needed, err.value.limit) == ("max_transfer_dim", m, MAX_TRANSFER_DIM)
 
 
@@ -211,19 +226,19 @@ def test_bistochastic_validation_rejects_non_finite_entries():
 
 def test_transfer_matrix_identity_when_equal():
     p = Spectrum.from_probs([0.4, 0.35, 0.25])
-    d = transfer_matrix(p, p)
+    d = transfer_matrix([p], [p])[0]
     assert np.array_equal(d.entries, np.eye(3))
 
 
 def test_transfer_matrix_full_mixing():
-    d = transfer_matrix(Spectrum.from_probs([0.5, 0.5]), Spectrum.from_probs([1.0]))
+    d = transfer_matrix([Spectrum.from_probs([0.5, 0.5])], [Spectrum.from_probs([1.0])])[0]
     assert np.allclose(d.entries, [[0.5, 0.5], [0.5, 0.5]], atol=1e-15)
 
 
 def test_transfer_matrix_contract():
     p = Spectrum.from_probs([0.4, 0.35, 0.25])
     q = Spectrum.from_probs([0.6, 0.3, 0.1])
-    d = transfer_matrix(p, q)
+    d = transfer_matrix([p], [q])[0]
     assert np.abs(d.entries @ [0.6, 0.3, 0.1] - [0.4, 0.35, 0.25]).max() < 1e-9
 
 
@@ -236,7 +251,7 @@ def test_transfer_matrix_random_pairs():
         if not majorizes(p, q):
             continue
         done += 1
-        d = transfer_matrix(p, q)
+        d = transfer_matrix([p], [q])[0]
         m = d.dim
         pv = list(expand(p)) + [0.0] * m
         qv = list(expand(q)) + [0.0] * m
@@ -255,7 +270,7 @@ def test_transfer_matrix_on_sequences_matches_one_pair_at_a_time():
             qs.append(q)
     certs = transfer_matrix(ps, qs)
     assert len({c.dim for c in certs}) > 1
-    assert [c.entries.tobytes() for c in certs] == [transfer_matrix(p, q).entries.tobytes() for p, q in zip(ps, qs)]
+    assert [c.entries.tobytes() for c in certs] == [transfer_matrix([p], [q])[0].entries.tobytes() for p, q in zip(ps, qs)]
     assert transfer_matrix([], []) == []
     with pytest.raises(ValueError, match="as many targets as sources"):
         transfer_matrix(ps, qs[1:])
@@ -266,7 +281,7 @@ def test_transfer_matrix_on_sequences_matches_one_pair_at_a_time():
 
 def test_transfer_matrix_rejects_nonmajorized():
     with pytest.raises(ValueError) as err:
-        transfer_matrix(Spectrum.from_probs([0.6, 0.4]), Spectrum.from_probs([0.5, 0.5]))
+        transfer_matrix([Spectrum.from_probs([0.6, 0.4])], [Spectrum.from_probs([0.5, 0.5])])[0]
     assert str(err.value) == "majorization fails at prefix count 1: gap -0.09999999999999998"
 
 
@@ -471,7 +486,7 @@ def test_transfer_matrix_matches_the_dense_step_oracle_bit_for_bit(monkeypatch):
     assert len(pairs) == 1500
     # the suite's stacked certificates and the one-pair form's
     differ = [i for i, (p, q, cert) in enumerate(pairs)
-              if {cert.entries.tobytes(), transfer_matrix(p, q).entries.tobytes()}
+              if {cert.entries.tobytes(), transfer_matrix([p], [q])[0].entries.tobytes()}
               != {_dense_transfer_entries(p, q).tobytes()}]
     assert differ == []
 

@@ -12,7 +12,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from entspec.infospec import entropy_proxies
+from entspec.convert import direct_convert
+from entspec.hermitian import verify_product_tails
+from entspec.infospec import cdf_selfinfo, entropy_proxies
 from entspec.spectra import (
     IID,
     MASS_TOL,
@@ -69,6 +71,38 @@ def test_schmidt_diagonal():
 def test_schmidt_rejects_unnormalized():
     with pytest.raises(ValueError):
         AmplitudeMatrix([[1.0, 1.0], [0.0, 0.0]])
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda n: direct_convert(Spectrum.from_probs([1.0]), Spectrum.from_probs([1.0]), n),
+        lambda n: cdf_selfinfo(Spectrum.from_probs([0.9, 0.1]), n, 0.1),
+        lambda n: verify_product_tails(Spectrum.from_probs([0.9, 0.1]), Spectrum.from_probs([1.0]), n, 0.1),
+        lambda n: iid_spectrum(Spectrum.from_probs([0.9, 0.1]), n),
+        lambda n: maxent_rank(0.5, n),
+        lambda n: generate(MaxEnt(0.5), n),
+    ],
+    ids=["direct_convert", "cdf_selfinfo", "verify_product_tails", "iid_spectrum", "maxent_rank", "generate"],
+)
+@pytest.mark.parametrize("n", [0, -1])
+def test_block_length_below_one_is_rejected(call, n):
+    with pytest.raises(ValueError, match="^n must be a positive integer$"):
+        call(n)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: generate(object(), 1), TypeError, "^unknown sequence model <object object at"),
+        (lambda: AmplitudeMatrix([0.6, 0.8]), ValueError,
+         r"^amplitude matrix must be 2-D and nonempty, got shape \(2,\)$"),
+    ],
+    ids=["unknown-model", "1d-amplitudes"],
+)
+def test_malformed_spectrum_inputs_are_rejected(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
 
 
 def test_schmidt_rejects_non_finite_amplitudes():
